@@ -11,6 +11,7 @@ essentiality of the coefficient ideal, and the nondegeneracy order ell.
 from crgeom import (Frame, compute_infinite_type, corpus, desingularize,
                     essentiality_check, filtration, full_report, levi_matrix,
                     nondegeneracy_ell)
+from crgeom.report import HALF_OVER_I
 
 TRUNC = 8
 
@@ -28,12 +29,15 @@ print("  essentiality:", ess.status, "at degree", ess.bound)
 ell = nondegeneracy_ell(m0, 4)
 print("  nondegeneracy order ell =", ell.ell)
 
-# the desingularized Levi matrix h0 = h / s^m and its origin value
+# the desingularized Levi matrix h0 = h / s^m and its origin value, in
+# the reports' normalization h = (1/2i) <theta, [L_1bar, L_1]>
 fr = Frame(m0)
 levi = desingularize(fr, levi_matrix(fr, rep.m), rep.m)
-print("  h   =", levi.h[0][0].to_literal())
-print("  h0  =", levi.h0[0][0].to_literal())
-print("  h0(0) =", levi.h0[0][0].constant_term())
+h = levi.h[0][0] * HALF_OVER_I
+h0 = levi.h0[0][0] * HALF_OVER_I
+print("  h   =", h.to_literal())
+print("  h0  =", h0.to_literal())
+print("  h0(0) =", h0.constant_term())
 
 # --- a surface produced by an implicit solve ----------------------------
 # phi is generated by solving t = xi*(s^2 + t^2) for t and composing with

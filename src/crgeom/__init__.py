@@ -14,8 +14,7 @@ from .hypersurface import (EllVerdict, EssentialityVerdict, Hypersurface,
                            essentiality_check, full_report, nondegeneracy_ell,
                            validate)
 from .frame import (Frame, FrameField, Filtration, LeviData, bracket,
-                    bracket_decompose, desingularize, filtration, iterated_h,
-                    levi_matrix, lie_derivative)
+                    desingularize, filtration, iterated_forms, levi_matrix)
 from .crmap import (HoloMap, MapFrameData, ResidualReport, check_identities,
                     frame_data, map_vars, maps_into, restrict_map)
 from .briot_bouquet import (BBSystem, DulacReport, FormalLogSolution,
@@ -37,8 +36,7 @@ __all__ = [
     "compute_infinite_type", "essentiality_check", "full_report",
     "nondegeneracy_ell", "validate",
     "Frame", "FrameField", "Filtration", "LeviData", "bracket",
-    "bracket_decompose", "desingularize", "filtration", "iterated_h",
-    "levi_matrix", "lie_derivative",
+    "desingularize", "filtration", "iterated_forms", "levi_matrix",
     "HoloMap", "MapFrameData", "ResidualReport", "check_identities",
     "frame_data", "map_vars", "maps_into", "restrict_map",
     "BBSystem", "DulacReport", "FormalLogSolution", "LinearPart", "bb_vars",

@@ -10,14 +10,11 @@ Im w = phi means substituting w -> s + i*phi; then
     gamma^C_B = L_B(F_C|M),     eta^C = S(F_C|M),      S = s^m T,
     f_* S = xi * S_hat + eta^C Lhat_C + conj(eta^C) Lhat_Cbar.
 
-Identity convention: throughout this module the desingularized Levi
-function is taken in the exterior-derivative normalization
-
-    h_{AbarB}^{id} = <theta, [L_Abar, L_B]> / s^m  =  2i * h^0(normalized),
-
-which is the one produced by <d omega, X ^ Y> = -<omega, [X, Y]> applied
-to omega = theta/s^m; used uniformly on source and target it makes all
-five identities below exact.  The tail functions h0_Abar come from
+The Levi functions are those of :mod:`crgeom.frame`, in its one
+normalization h0_{AbarB} = <theta, [L_Abar, L_B]> / s^m, which is the
+one produced by <d omega, X ^ Y> = -<omega, [X, Y]> applied to
+omega = theta/s^m.  Used on source and target alike it makes all five
+identities below exact.  The tail functions h0_Abar come from
 [L_Abar, s^m T] = -s^m h0_Abar T and carry no normalization freedom.
 """
 
@@ -33,8 +30,6 @@ from .frame import Frame, desingularize, levi_matrix
 from .hypersurface import Hypersurface, compute_infinite_type
 from .scalars import GaussRational
 from .series import Series
-
-TWO_I = GaussRational(0, 2)
 
 
 def map_vars(n: int) -> Tuple[str, ...]:
@@ -241,13 +236,13 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
                      ) -> ResidualReport:
     """Verify the five pushforward identities exactly at truncation.
 
-    With hid = 2i * h0 (exterior-derivative normalization, both sides) and
-    the tail functions h0bar from the bracket with s^m T, the residuals are
+    With h0 = <theta, [L_Abar, L_B]> / s^m on both sides and the tail
+    functions h0bar from the bracket with s^m T, the residuals are
 
-      levi:        xi*hid_AB      - sum gamma^D_B conj(gamma^C_A) hid_CD o f
+      levi:        xi*h0_AB       - sum gamma^D_B conj(gamma^C_A) h0hat_CD o f
       levi-tail:   L_Abar xi + xi h0bar_A - xi sum conj(gamma^C_A) h0barhat_C o f
-                                 + sum conj(gamma^C_A) eta^D hid_CD o f
-      gamma-cr:    L_Abar gamma^E_B - eta^E hid_AB
+                                 + sum conj(gamma^C_A) eta^D h0hat_CD o f
+      gamma-cr:    L_Abar gamma^E_B - eta^E h0_AB
       eta-cr:      L_Abar eta^E + eta^E h0bar_A
       gamma-s:     S gamma^E_A - L_A eta^E - eta^E conj(h0bar_A)
 
@@ -262,9 +257,9 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
 
     src = desingularize(fr, levi_matrix(fr, m), m)
     tgt = desingularize(fr_hat, levi_matrix(fr_hat, m_hat), m_hat)
-    hid = [[src.h0[a][b] * TWO_I for b in range(n)] for a in range(n)]
-    hid_hat_f = [[compose_with_map(tgt.h0[a][b] * TWO_I, rd, n)
-                  for b in range(n)] for a in range(n)]
+    h0 = src.h0
+    h0_hat_f = [[compose_with_map(tgt.h0[a][b], rd, n) for b in range(n)]
+                for a in range(n)]
     h0bar = src.h0_bar
     h0bar_hat_f = [compose_with_map(tgt.h0_bar[a], rd, n) for a in range(n)]
 
@@ -277,39 +272,35 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
 
     for A in range(n):
         for B in range(n):
-            acc = xi * hid[A][B]
+            acc = xi * h0[A][B]
             for C in range(n):
                 for D in range(n):
-                    acc = acc - gamma[D][B] * gamma_bar[C][A] * hid_hat_f[C][D]
-            res["levi"].append(_tight(acc))
+                    acc = acc - gamma[D][B] * gamma_bar[C][A] * h0_hat_f[C][D]
+            res["levi"].append(acc)
     for A in range(n):
         acc = fr.Lbar[A].apply(xi) + xi * h0bar[A]
         for C in range(n):
             acc = acc - xi * gamma_bar[C][A] * h0bar_hat_f[C]
             for D in range(n):
-                acc = acc + gamma_bar[C][A] * eta[D] * hid_hat_f[C][D]
-        res["levi-tail"].append(_tight(acc))
+                acc = acc + gamma_bar[C][A] * eta[D] * h0_hat_f[C][D]
+        res["levi-tail"].append(acc)
     for A in range(n):
         for B in range(n):
             for E in range(n):
-                acc = fr.Lbar[A].apply(gamma[E][B]) - eta[E] * hid[A][B]
-                res["gamma-cr"].append(_tight(acc))
+                acc = fr.Lbar[A].apply(gamma[E][B]) - eta[E] * h0[A][B]
+                res["gamma-cr"].append(acc)
     for A in range(n):
         for E in range(n):
             acc = fr.Lbar[A].apply(eta[E]) + eta[E] * h0bar[A]
-            res["eta-cr"].append(_tight(acc))
+            res["eta-cr"].append(acc)
     for A in range(n):
         for E in range(n):
             acc = S.apply(gamma[E][A]) - fr.L[A].apply(eta[E]) \
                 - eta[E] * h0bar[A].conjugate()
-            res["gamma-s"].append(_tight(acc))
+            res["gamma-s"].append(acc)
 
     mr = maps_into(f, source, target)
     order = min((r.trunc for rs in res.values() for r in rs), default=0)
     return ResidualReport(map_residual=mr, identity_residuals=res,
                           xi_smooth=data.xi_smooth, xi=xi,
                           max_checked_order=order)
-
-
-def _tight(s: Series) -> Series:
-    return s

@@ -1,4 +1,4 @@
-"""CR frame, coframe, Levi matrix, iterated Lie-derivative functions,
+"""CR frame, its bracket structure constants, the Levi matrix, the
 desingularized data and the kernel filtration at the origin.
 
 Frame basis (order fixed throughout): T = d/ds, then L_1..L_n, then
@@ -7,34 +7,34 @@ L_1bar..L_nbar with
     L_Abar = d/dc_A - (i phi_{c_A} / (1 + i phi_s)) d/ds,
     L_A    = conjugate(L_Abar).
 
-Two normalizations of the Levi matrix coexist on purpose:
+A frame computes its structure constants once: c[a][j] holds the frame
+components of [L_abar, e_j] for e_j in (T, L_1..L_n).  Everything below
+reads them, in one normalization:
 
-  * ``h``      -- (1/2i) <theta, [L_Abar, L_B]>, whose desingularized
-                  leading term equals the mixed Hessian of the lowest-order
-                  part of phi_m (the convenient "geometric" normalization);
-  * iterated family ``h_{A1bar..Akbar D}`` -- built from repeated Lie
-    derivatives of theta, which satisfies the recursion
-    h_{word Cbar D} = L_Cbar h_{word D} + h_word * h_{CbarD} with the
-    length-1 member equal to -<theta,[L_Abar,L_B]> = -2i * h.
-
-Kernels at the origin are independent of these scalar conventions, so the
-filtration may mix them freely.
+  * the Levi matrix h_{AbarB} = <theta, [L_Abar, L_B]> = c[A][B][0];
+    reports print (1/2i) h, whose desingularized leading term is the
+    mixed Hessian of the lowest-order part of phi_m;
+  * the tail functions h0_Abar, from [L_Abar, s^m T] = -s^m h0_Abar T;
+  * the iterated forms of theta along words in the L_Abar, grown one
+    letter at a time by
+        (L_{L_abar} omega)_j = L_abar(omega_j) - sum_k omega_k c[a][j][k];
+    their L_D-components h_{A1bar..Akbar D} satisfy
+    h_{word Cbar D} = L_Cbar h_{word D} + h_{word T} h_{Cbar D}, and the
+    length-1 member is h_{Abar D} = -h_{AbarD}.  Their values at the
+    origin give the kernel filtration.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import InvariantViolation, TruncationError
 from .hypersurface import Hypersurface, compute_infinite_type, validate
 from .linalg import kernel_basis, rank, series_mat_inverse
 from .scalars import GaussRational
 from .series import Series
-
-HALF_OVER_I = GaussRational(0, Fraction(-1, 2))   # 1/(2i) = -i/2
 
 
 class FrameField:
@@ -59,25 +59,10 @@ class FrameField:
             out = out + c * f.diff(v)
         return out
 
-    def __add__(self, other: "FrameField") -> "FrameField":
-        comps = dict(self.comps)
-        for v, c in other.comps.items():
-            comps[v] = comps.get(v, Series.zero(self.vars, c.trunc)) + c
-        return FrameField(self.vars, comps)
-
-    def scale(self, factor: Series) -> "FrameField":
-        return FrameField(self.vars, {v: factor * c for v, c in self.comps.items()})
-
-    def conjugate(self) -> "FrameField":
-        from .series import conjugate_variable
-        return FrameField(self.vars, {conjugate_variable(v): c.conjugate()
-                                      for v, c in self.comps.items()})
-
 
 def bracket(x: FrameField, y: FrameField, trunc: int) -> FrameField:
     """Coordinate Lie bracket [x, y]."""
     comps: Dict[str, Series] = {}
-    zero = Series.zero(x.vars, trunc)
     for v in set(x.comps) | set(y.comps):
         a = x.apply(y.comp(v, trunc))
         b = y.apply(x.comp(v, trunc))
@@ -85,19 +70,9 @@ def bracket(x: FrameField, y: FrameField, trunc: int) -> FrameField:
     return FrameField(x.vars, comps)
 
 
-class CoFrameForm:
-    """1-form with components in the dual coframe (theta, theta^A, theta^Abar):
-    comps[0] * theta + sum comps[A] * theta^A + sum comps[n+A] * theta^Abar."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps: Sequence[Series]):
-        self.comps = list(comps)
-
-
 class Frame:
     """The frame (T, L_A, L_Abar) on a validated hypersurface, with the
-    exact inverse frame matrix for coframe pairings."""
+    exact inverse frame matrix and the structure constants c."""
 
     def __init__(self, h: Hypersurface):
         validate(h)
@@ -135,8 +110,15 @@ class Frame:
         mat = [[f.comp(v, trunc) for v in self.vars] for f in self.fields]
         self.minv = series_mat_inverse(mat)   # minv[var][frame index]
         self._var_index = {v: i for i, v in enumerate(self.vars)}
-
-    # -- conversions ---------------------------------------------------------
+        # c[a][j] = frame components of [L_abar, e_j], e_j in (T, L_1..L_n).
+        # [L_abar, L_bbar] = 0: the CR bundle is integrable and the L_bbar
+        # have constant c-components, so the bracket has no c-component and
+        # is a multiple of d/ds inside span(L_bar), hence zero.  So the
+        # L_bar-components of every iterated form of theta stay zero and
+        # these n(n+1) brackets are all the Lie derivative needs.
+        self.c: List[List[List[Series]]] = [
+            [self.frame_components(bracket(lbar, e, trunc))
+             for e in self.fields[:self.n + 1]] for lbar in self.Lbar]
 
     def frame_components(self, x: FrameField) -> List[Series]:
         """Components of a coordinate vector field in the frame basis."""
@@ -149,72 +131,46 @@ class Frame:
             out.append(s)
         return out
 
-    def theta(self) -> CoFrameForm:
-        comps = [Series.zero(self.vars, self.trunc) for _ in range(2 * self.n + 1)]
-        comps[0] = Series.const(1, self.vars, self.trunc)
-        return CoFrameForm(comps)
-
-    def pair(self, omega: CoFrameForm, x: FrameField) -> Series:
-        xs = self.frame_components(x)
-        out = Series.zero(self.vars, min(c.trunc for c in omega.comps))
-        for c, xc in zip(omega.comps, xs):
-            out = out + c * xc
-        return out
-
-    def pair_frame_index(self, omega: CoFrameForm, j: int) -> Series:
-        return omega.comps[j]
-
-    # -- named fields ---------------------------------------------------------
-
     def S(self, m: int) -> FrameField:
         s_pow = Series.variable("s", self.vars, self.trunc) ** m
         return FrameField(self.vars, {"s": s_pow})
 
 
-def bracket_decompose(frame: Frame, x: FrameField, y: FrameField) -> List[Series]:
-    """Frame-basis components of [x, y] (theta, theta^A, theta^Abar order)."""
-    return frame.frame_components(bracket(x, y, frame.trunc))
-
-
-def lie_derivative(frame: Frame, omega: CoFrameForm, x: FrameField) -> CoFrameForm:
-    """Lie derivative via the evaluation rule
-    <L_X omega, Y> = X<omega, Y> - <omega, [X, Y]> for frame Y."""
-    comps = []
-    for j, e in enumerate(frame.fields):
-        a = x.apply(frame.pair_frame_index(omega, j))
-        b = frame.pair(omega, bracket(x, e, frame.trunc))
-        comps.append(a - b)
-    return CoFrameForm(comps)
-
-
-def iterated_theta(frame: Frame, word: Sequence[int]) -> CoFrameForm:
-    """L_{A_k bar} ... L_{A_1 bar} theta for a word (A_1,...,A_k), 1-based."""
-    omega = frame.theta()
-    for a in word:
-        omega = lie_derivative(frame, omega, frame.Lbar[a - 1])
-    return omega
-
-
-def iterated_h(frame: Frame, word: Sequence[int], tail) -> Series:
-    """h_{A1bar...Akbar D} (tail = D, 1-based) or h_{A1bar...Akbar}
-    (tail = 'T')."""
-    needed = len(word) + 1
-    if frame.trunc - len(word) < 0:
-        raise TruncationError(f"word of length {len(word)} exhausts truncation")
-    omega = iterated_theta(frame, word)
-    if tail == "T":
-        return frame.pair(omega, frame.T)
-    return frame.pair(omega, frame.L[tail - 1])
+def iterated_forms(frame: Frame, max_len: int
+                   ) -> Iterator[Tuple[Tuple[int, ...], List[Series]]]:
+    """(word, omega) for every word (A_1..A_k), 1-based, of length
+    1..max_len in length-then-lexicographic order, where
+    omega = L_{A_k bar} ... L_{A_1 bar} theta as its (T, L_1..L_n)
+    components; the L_bar-components are zero (see Frame.c).  Each word
+    grows from its prefix, and only the previous level is kept."""
+    n = frame.n
+    theta = [Series.const(1, frame.vars, frame.trunc)] + \
+        [Series.zero(frame.vars, frame.trunc) for _ in range(n)]
+    level = [((), theta)]
+    for length in range(1, max_len + 1):
+        if frame.trunc - length < 0:
+            raise TruncationError(f"word of length {length} exhausts truncation")
+        grown = []
+        for word, omega in level:
+            for a, (lbar, ca) in enumerate(zip(frame.Lbar, frame.c)):
+                new = []
+                for j in range(n + 1):
+                    acc = lbar.apply(omega[j])
+                    for k in range(n + 1):
+                        acc = acc - omega[k] * ca[j][k]
+                    new.append(acc)
+                grown.append((word + (a + 1,), new))
+                yield grown[-1]
+        level = grown
 
 
 @dataclass
 class LeviData:
     m: int
-    h: List[List[Series]]            # (1/2i)<theta,[L_Abar, L_B]>
-    h0: Optional[List[List[Series]]] = None
+    h: List[List[Series]]            # <theta,[L_Abar, L_B]>
+    h0: Optional[List[List[Series]]] = None      # h / s^m
     h0_bar: Optional[List[Series]] = None        # from [L_Abar, s^m T] = -s^m h0_Abar T
     a_bar: Optional[List[Series]] = None         # m (L_Cbar s)/s
-    higher: Dict[Tuple, Series] = field(default_factory=dict)  # iterated family
 
 
 @dataclass
@@ -227,7 +183,7 @@ class Filtration:
 
 
 def levi_matrix(frame: Frame, m: Optional[int] = None) -> LeviData:
-    """The Levi matrix h_{AbarB} = (1/2i)<theta,[L_Abar,L_B]>."""
+    """The Levi matrix h_{AbarB} = <theta,[L_Abar,L_B]> = c[A][B][0]."""
     n = frame.n
     if m is None:
         report = compute_infinite_type(frame.hypersurface)
@@ -235,69 +191,59 @@ def levi_matrix(frame: Frame, m: Optional[int] = None) -> LeviData:
             m = 0
         else:
             m = report.m
-    theta = frame.theta()
-    h = [[frame.pair(theta, bracket(frame.Lbar[a], frame.L[b], frame.trunc)) * HALF_OVER_I
-          for b in range(n)] for a in range(n)]
+    h = [[frame.c[a][b + 1][0] for b in range(n)] for a in range(n)]
     return LeviData(m=m, h=h)
 
 
 def desingularize(frame: Frame, levi: LeviData, m: Optional[int] = None) -> LeviData:
     """Divide the Levi data by s^m and extract h0_Abar and a_Cbar.
 
-    Raises DivisibilityError (naming the offending monomial) when h is not
-    divisible by s^m, which signals a wrong m or a non-normal input.
+    [L_Abar, s^m T] = s^m (a_Abar + c[A][0][0]) T, so
+    h0_Abar = -(a_Abar + c[A][0][0]), cut to the order the bracket with
+    s^m T leaves exact.  Raises DivisibilityError (naming the offending
+    monomial) when h is not divisible by s^m, which signals a wrong m or
+    a non-normal input.
     """
     if m is None:
         m = levi.m
     n = frame.n
     h0 = [[levi.h[a][b].divide_by_power("s", m) for b in range(n)]
           for a in range(n)]
-    s_pow_field = frame.S(m)
     h0_bar = []
     a_bar = []
     for a in range(n):
-        br = bracket(frame.Lbar[a], s_pow_field, frame.trunc)
-        # [L_Abar, s^m T] must be a multiple of T
-        for v in frame.vars[:-1]:
-            if not br.comp(v, frame.trunc).is_zero():
+        # [L_Abar, T] must be a multiple of T
+        for k, comp in enumerate(frame.c[a][0][1:], start=1):
+            if not comp.is_zero():
                 raise InvariantViolation(
-                    f"[L_{a+1}bar, s^m T] has a {v}-component; frame corrupt")
-        s_comp = br.comp("s", frame.trunc)
-        h0_bar.append(-(s_comp.divide_by_power("s", m)))
+                    f"[L_{a+1}bar, T] has a component along frame field "
+                    f"{k}; frame corrupt")
         lbar_s = frame.Lbar[a].comp("s", frame.trunc)
         a_bar.append(lbar_s.divide_by_power("s", 1) * GaussRational(m))
-    return LeviData(m=m, h=levi.h, h0=h0, h0_bar=h0_bar, a_bar=a_bar,
-                    higher=dict(levi.higher))
+        h0_bar.append(-(a_bar[a] + frame.c[a][0][0]).truncate(
+            frame.trunc - 1 - m))
+    return LeviData(m=m, h=levi.h, h0=h0, h0_bar=h0_bar, a_bar=a_bar)
 
 
 def iterated_h0_at_origin(frame: Frame, m: int, max_len: int
-                          ) -> Dict[Tuple[int, ...], List[GaussRational]]:
-    """Values (h^0_{word D}(0))_D for every word of length 1..max_len.
-
-    Uses the iterated-family normalization; only kernels of these value
-    matrices are consumed downstream, so the scalar convention is
-    irrelevant there.
-    """
-    n = frame.n
-    out: Dict[Tuple[int, ...], List[GaussRational]] = {}
-    for length in range(1, max_len + 1):
-        if frame.trunc - length < m:
-            raise TruncationError(
-                f"truncation exhausted for words of length {length}")
-        for word in itertools.product(range(1, n + 1), repeat=length):
-            omega = iterated_theta(frame, word)
-            vals = []
-            for d in range(1, n + 1):
-                h_word_d = frame.pair(omega, frame.L[d - 1])
-                vals.append(h_word_d.divide_by_power("s", m).constant_term())
-            out[word] = vals
-    return out
+                          ) -> Iterator[Tuple[Tuple[int, ...], List[GaussRational]]]:
+    """(word, (h^0_{word D}(0))_D) for every word of length 1..max_len,
+    in the order of iterated_forms."""
+    # a word of length k leaves its form exact through order trunc - k,
+    # which must reach s^m
+    if max_len >= 1 and frame.trunc - max_len < m:
+        raise TruncationError("truncation exhausted for words of length "
+                              f"{max(1, frame.trunc - m + 1)}")
+    for word, omega in iterated_forms(frame, max_len):
+        yield word, [omega[d].divide_by_power("s", m).constant_term()
+                     for d in range(1, frame.n + 1)]
 
 
 def filtration(frame: Frame, m: int, ell_max: int) -> Filtration:
     """The nested kernels F_k(0), their ranks r_k = n - dim F_k(0), the
     stabilization order ell, and a constant basis change adapting L_A to
-    the filtration (column-pivoted exact elimination, lowest index first)."""
+    the filtration (column-pivoted exact elimination, lowest index first).
+    Words are built only up to the length at which the kernels settle."""
     n = frame.n
     values = iterated_h0_at_origin(frame, m, ell_max)
     ranks = [0]                       # r_0 = n - dim F_0 = 0
@@ -307,9 +253,7 @@ def filtration(frame: Frame, m: int, ell_max: int) -> Filtration:
     nondeg = False
     prev_dim = n
     for k in range(1, ell_max + 1):
-        for word, vals in values.items():
-            if len(word) == k:
-                rows_so_far.append(vals)
+        rows_so_far.extend(vals for _, vals in itertools.islice(values, n ** k))
         kb = kernel_basis(rows_so_far, n)
         dim = len(kb)
         ranks.append(n - dim)
@@ -366,27 +310,3 @@ def _adapted_basis(kernels: List[List[List[GaussRational]]], n: int
         ordered.extend(group)
     # columns of the basis-change matrix
     return [[ordered[j][a] for j in range(n)] for a in range(n)]
-
-
-def transform_word_values(values: Dict[Tuple[int, ...], List[GaussRational]],
-                          p: List[List[GaussRational]], n: int
-                          ) -> Dict[Tuple[int, ...], List[GaussRational]]:
-    """Iterated h^0 values at 0 after the constant frame change
-    L'_B = sum_A p[A][B] L_A (word slots transform by conj(p))."""
-    out = {}
-    for word, _ in values.items():
-        k = len(word)
-        new_vals = []
-        for d in range(n):
-            total = GaussRational(0)
-            for old in itertools.product(range(n), repeat=k):
-                for old_d in range(n):
-                    coeff = GaussRational(1)
-                    for slot, a in enumerate(word):
-                        coeff = coeff * p[old[slot]][a - 1].conjugate()
-                    coeff = coeff * p[old_d][d]
-                    key = tuple(x + 1 for x in old)
-                    total = total + coeff * values[key][old_d]
-            new_vals.append(total)
-        out[word] = new_vals
-    return out

@@ -43,11 +43,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence[GaussRational]) -> List[GaussRational]:
-    return [sum((a[i][j] * v[j] for j in range(len(v))), _ZERO)
-            for i in range(len(a))]
-
-
 def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form with lowest-index pivoting; returns
     (rref matrix, pivot column list)."""

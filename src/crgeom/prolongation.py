@@ -199,6 +199,16 @@ def assemble_and_solve(ps: ProlongedSystem, order: int) -> ProlongationReport:
         if nm not in ps.supplied:
             raise ValidationError(f"missing right-hand side for {nm}")
 
+    if n > 0 and not ps.frozen_x:
+        xs = base_vars(n)
+        for nm in needed:
+            g = ps.supplied[nm]
+            idx = [g.vars.index(x) for x in xs]
+            if any(exps[j] for exps in g.terms for j in idx):
+                raise ValidationError(
+                    f"right-hand side for {nm} depends on {', '.join(xs)}: "
+                    "base points must be given with the 'samples' key")
+
     bbv = bb_vars(N)
     results = []
     samples = ps.frozen_x or [tuple()]

@@ -30,6 +30,11 @@ from .series import hypersurface_vars
 
 SCHEMA_VERSION = 1
 
+# Reports print the Levi matrix as (1/2i) <theta, [L_Abar, L_B]>, whose
+# desingularized leading term is the mixed Hessian of the lowest-order
+# part of phi_m; inside the package it stays <theta, [L_Abar, L_B]>.
+HALF_OVER_I = GaussRational(0, Fraction(-1, 2))   # 1/(2i) = -i/2
+
 
 # ---------------------------------------------------------------------------
 # key = value input files
@@ -185,13 +190,15 @@ def hypersurface_report(h: Hypersurface, ell_max: int = 4,
     inv["filtration_ranks"] = filt.ranks
     inv["filtration_ell"] = filt.ell
     inv["filtration_nondegenerate"] = filt.nondegenerate
+    hs = [[levi.h[a][b] * HALF_OVER_I for b in range(h.n)]
+          for a in range(h.n)]
+    h0s = [[levi.h0[a][b] * HALF_OVER_I for b in range(h.n)]
+           for a in range(h.n)]
     out["levi"] = {
-        "h": [[levi.h[a][b].to_literal() for b in range(h.n)]
-              for a in range(h.n)],
-        "h0": [[levi.h0[a][b].to_literal() for b in range(h.n)]
-               for a in range(h.n)],
-        "h0_at_origin": [[_fmt(levi.h0[a][b].constant_term())
-                          for b in range(h.n)] for a in range(h.n)],
+        "h": [[x.to_literal() for x in row] for row in hs],
+        "h0": [[x.to_literal() for x in row] for row in h0s],
+        "h0_at_origin": [[_fmt(x.constant_term()) for x in row]
+                         for row in h0s],
     }
     return out
 
@@ -303,7 +310,7 @@ def examples_report(trunc: Optional[int] = None) -> dict:
     fr0 = Frame(m0)
     levi0 = desingularize(fr0, levi_matrix(fr0, 1), 1)
     check("model-surface type-2 leading term", "1",
-          _fmt(levi0.h0[0][0].constant_term()))
+          _fmt(levi0.h0[0][0].constant_term() * HALF_OVER_I))
 
     e12 = corpus.two_infinite_type_surface(t)
     rep12 = full_report(e12)

@@ -114,6 +114,18 @@ def test_prolong_toy(tmp_path, capsys):
     assert sample["coefficients"] == [{"k": 1, "r": 0, "vector": ["-1"]}]
 
 
+def test_prolong_x_dependent_without_samples_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "nox.pr",
+                 'n = 1\nk = 0\norder = 6\ntrunc = 8\n'
+                 'u1_00_0 = "2*u1_00_0 + x1*s"\n'
+                 'u2_00_0 = "3*u2_00_0 + s"\n'
+                 'u3_00_0 = "1/2*u3_00_0"\n')
+    assert main(["prolong", path]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert "'samples'" in err and "u1_00_0" in err
+
+
 def test_examples_json_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -118,17 +118,19 @@ def test_levi_flat_target_is_xi_singular():
 
 
 def test_origin_value_of_levi_identity():
-    # at the origin the first identity reads xi * h0 = |gamma|^2 * h0hat:
-    # 2 * 1 = 1 * 1 * 2 for (z, w^2): model -> power target
+    # at the origin the first identity reads xi * h0 = |gamma|^2 * h0hat;
+    # with the reported (1/2i) factor, 2 * 1 = 1 * 1 * 2 for (z, w^2):
+    # model -> power target
     m0 = corpus.model_surface(T)
     m2 = corpus.power_target(2, T)
     fd = frame_data(corpus.power_map(2, T), m0, m2)
     from crgeom.frame import Frame, desingularize, levi_matrix
+    from crgeom.report import HALF_OVER_I
     h0 = desingularize(Frame(m0), levi_matrix(Frame(m0), 1), 1)
     h0hat = desingularize(Frame(m2), levi_matrix(Frame(m2), 1), 1)
     xi0 = fd.xi.constant_term()
     g0 = fd.gamma[0][0].constant_term()
-    lhs = xi0 * h0.h0[0][0].constant_term()
-    rhs = g0 * g0.conjugate() * h0hat.h0[0][0].constant_term()
+    lhs = xi0 * h0.h0[0][0].constant_term() * HALF_OVER_I
+    rhs = g0 * g0.conjugate() * h0hat.h0[0][0].constant_term() * HALF_OVER_I
     assert lhs == rhs
     assert lhs == GaussRational(2)

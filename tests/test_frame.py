@@ -1,10 +1,10 @@
 import itertools
 
 from crgeom import corpus
-from crgeom.frame import (Frame, bracket, bracket_decompose, desingularize,
-                          filtration, iterated_h, iterated_h0_at_origin,
-                          levi_matrix, transform_word_values)
+from crgeom.frame import (Frame, bracket, desingularize, filtration,
+                          iterated_forms, iterated_h0_at_origin, levi_matrix)
 from crgeom.hypersurface import Hypersurface, compute_infinite_type
+from crgeom.report import HALF_OVER_I
 from crgeom.scalars import GaussRational
 from crgeom.series import Series, hypersurface_vars
 
@@ -34,11 +34,14 @@ def test_frame_duality():
 
 
 def test_cr_fields_commute():
-    h = corpus.filtration_example_surface(T)
-    fr = Frame(h)
-    for a, b in itertools.combinations(range(2), 2):
-        br = bracket(fr.L[a], fr.L[b], fr.trunc)
-        assert all(c.is_zero() for c in br.comps.values())
+    # [L_a, L_b] = 0, and [L_abar, L_bbar] = 0 keeps the L_bar-components
+    # of every iterated form of theta zero
+    for h in surfaces():
+        fr = Frame(h)
+        for fields in (fr.L, fr.Lbar):
+            for x, y in itertools.combinations(fields, 2):
+                br = bracket(x, y, fr.trunc)
+                assert all(c.is_zero() for c in br.comps.values())
 
 
 def test_brackets_are_multiples_of_t():
@@ -47,26 +50,27 @@ def test_brackets_are_multiples_of_t():
         n = fr.n
         fields = fr.L + fr.Lbar + [fr.T]
         for x, y in itertools.combinations(fields, 2):
-            dec = bracket_decompose(fr, x, y)
+            dec = fr.frame_components(bracket(x, y, fr.trunc))
             for j in range(1, 2 * n + 1):
                 assert dec[j].is_zero()
 
 
 def test_levi_matrix_hermitian():
+    # (1/2i) <theta, [L_Abar, L_B]> is Hermitian
     for h in surfaces():
         fr = Frame(h)
         levi = levi_matrix(fr)
         n = fr.n
         for a in range(n):
             for b in range(n):
-                lhs = levi.h[a][b]
-                rhs = levi.h[b][a].conjugate()
+                lhs = levi.h[a][b] * HALF_OVER_I
+                rhs = (levi.h[b][a] * HALF_OVER_I).conjugate()
                 assert lhs == rhs.truncate(lhs.trunc)
 
 
 def test_desingularized_leading_term_is_mixed_hessian():
-    # h0(0)[A][B] equals the coefficient of z_B * c_A in the lowest-order
-    # part of phi_m
+    # (1/2i) h0(0)[A][B] equals the coefficient of z_B * c_A in the
+    # lowest-order part of phi_m
     for h in surfaces():
         rep = compute_infinite_type(h)
         fr = Frame(h)
@@ -79,17 +83,18 @@ def test_desingularized_leading_term_is_mixed_hessian():
                 exps = tuple(1 if j == b else 0 for j in range(n)) + \
                     tuple(1 if j == a else 0 for j in range(n)) + (0,)
                 expected = lowest.get(exps, GaussRational(0))
-                assert levi.h0[a][b].constant_term() == expected
+                assert levi.h0[a][b].constant_term() * HALF_OVER_I == expected
 
 
 def test_model_bracket_and_levi_values():
     fr = Frame(corpus.model_surface(9))
-    dec = bracket_decompose(fr, fr.Lbar[0], fr.L[0])
+    dec = fr.frame_components(bracket(fr.Lbar[0], fr.L[0], fr.trunc))
     # [L_1bar, L_1] = (2is + O(3)) T
     assert dec[0].coefficient((0, 0, 1)) == GaussRational(0, 2)
+    assert fr.c[0][1][0] == dec[0]
     levi = desingularize(fr, levi_matrix(fr, 1), 1)
-    assert levi.h[0][0].coefficient((0, 0, 1)) == GaussRational(1)
-    assert levi.h0[0][0].constant_term() == GaussRational(1)
+    assert levi.h[0][0].coefficient((0, 0, 1)) == GaussRational(0, 2)
+    assert levi.h0[0][0].constant_term() == GaussRational(0, 2)
     # phi = s*g(z,c) makes the bracket with s^m T collapse exactly
     assert levi.h0_bar[0].is_zero()
     # a_1bar = m (L_1bar s)/s = -i z/(1 + i z c)
@@ -98,37 +103,55 @@ def test_model_bracket_and_levi_values():
 
 
 def test_iterated_recursion():
-    # h_{word Cbar D} = L_Cbar h_{word D} + h_word * h_{Cbar D}
+    # h_{word Cbar D} = L_Cbar h_{word D} + h_{word T} * h_{Cbar D}
     for h in [corpus.model_surface(T), corpus.filtration_example_surface(T),
               next(s for s in surfaces() if s.phi.min_degree_in("s") == 1
                    and s.n == 1 and len(s.phi.terms) > 1)]:
         fr = Frame(h)
         n = fr.n
-        for length in (1, 2):
-            for word in itertools.product(range(1, n + 1), repeat=length):
-                for c in range(1, n + 1):
-                    for d in range(1, n + 1):
-                        lhs = iterated_h(fr, list(word) + [c], d)
-                        h_word_d = iterated_h(fr, list(word), d)
-                        h_word_t = iterated_h(fr, list(word), "T")
-                        h_cd = iterated_h(fr, [c], d)
-                        rhs = fr.Lbar[c - 1].apply(h_word_d) + h_word_t * h_cd
-                        tr = min(lhs.trunc, rhs.trunc)
-                        assert (lhs.truncate(tr) - rhs.truncate(tr)).is_zero()
+        forms = dict(iterated_forms(fr, 3))
+        for word in forms:
+            if len(word) == 3:
+                continue
+            for c in range(1, n + 1):
+                for d in range(1, n + 1):
+                    lhs = forms[word + (c,)][d]
+                    rhs = fr.Lbar[c - 1].apply(forms[word][d]) + \
+                        forms[word][0] * forms[(c,)][d]
+                    tr = min(lhs.trunc, rhs.trunc)
+                    assert (lhs.truncate(tr) - rhs.truncate(tr)).is_zero()
 
 
-def test_length_one_iterated_matches_bracket_pairing():
-    # <Lie_Abar theta, L_B> = -<theta, [L_Abar, L_B]>
+def coordinate_lie_derivative(x, omega):
+    """(L_X omega)_v = X(omega_v) + sum_u omega_u d_v X^u for a 1-form
+    omega = sum_v omega_v dv given by its coordinate components."""
+    out = {}
+    for v, w in omega.items():
+        acc = x.apply(w)
+        for u, xu in x.comps.items():
+            acc = acc + omega[u] * xu.diff(v)
+        out[v] = acc
+    return out
+
+
+def test_iterated_forms_match_coordinate_lie_derivative():
+    # theta = sum_v minv[v][0] dv, differentiated in coordinates with no
+    # bracket and no structure constant, paired with every frame field
     for h in surfaces():
         fr = Frame(h)
         n = fr.n
-        theta = fr.theta()
-        for a in range(n):
-            for b in range(n):
-                lhs = iterated_h(fr, [a + 1], b + 1)
-                rhs = -fr.pair(theta, bracket(fr.Lbar[a], fr.L[b], fr.trunc))
-                tr = min(lhs.trunc, rhs.trunc)
-                assert lhs.truncate(tr) == rhs.truncate(tr)
+        theta = {v: fr.minv[i][0] for i, v in enumerate(fr.vars)}
+        coord = {(): theta}
+        for word, omega in iterated_forms(fr, 2):
+            coord[word] = coordinate_lie_derivative(fr.Lbar[word[-1] - 1],
+                                                    coord[word[:-1]])
+            for j, e in enumerate(fr.fields):
+                paired = sum((coord[word][v] * e.comp(v, fr.trunc)
+                              for v in fr.vars), Series.zero(fr.vars, fr.trunc))
+                want = omega[j] if j <= n else Series.zero(fr.vars, fr.trunc)
+                tr = min(paired.trunc, want.trunc)
+                assert (paired.truncate(tr) - want.truncate(tr)).is_zero()
+        assert len(coord) == 1 + n + n * n
 
 
 def test_filtration_model():
@@ -167,8 +190,8 @@ def test_adapted_basis_kills_short_words():
     h = corpus.filtration_example_surface(T)
     fr = Frame(h)
     filt = filtration(fr, 1, 4)
-    values = iterated_h0_at_origin(fr, 1, filt.ell)
-    tv = transform_word_values(values, filt.basis_change, fr.n)
+    values = dict(iterated_h0_at_origin(fr, 1, filt.ell))
+    tv = _transform_word_values(values, filt.basis_change, fr.n)
     n = fr.n
     for k in range(1, filt.ell + 1):
         r_k = filt.ranks[k]
@@ -183,7 +206,7 @@ def test_kernel_lemma():
     # example surface F_1 = span(e2) and F_2 = 0
     h = corpus.filtration_example_surface(T)
     fr = Frame(h)
-    values = iterated_h0_at_origin(fr, 1, 2)
+    values = dict(iterated_h0_at_origin(fr, 1, 2))
     rows_1 = [v for w, v in values.items() if len(w) == 1]
     rows_12 = list(values.values())
     from crgeom.linalg import kernel_basis
@@ -201,3 +224,25 @@ def test_type_two_detection():
         some_nonzero = any(not levi.h0[a][b].constant_term().is_zero()
                            for a in range(h.n) for b in range(h.n))
         assert some_nonzero == (rep.r == 2)
+
+
+def _transform_word_values(values, p, n):
+    """Iterated h^0 values at 0 after the constant frame change
+    L'_B = sum_A p[A][B] L_A (word slots transform by conj(p))."""
+    out = {}
+    for word, _ in values.items():
+        k = len(word)
+        new_vals = []
+        for d in range(n):
+            total = GaussRational(0)
+            for old in itertools.product(range(n), repeat=k):
+                for old_d in range(n):
+                    coeff = GaussRational(1)
+                    for slot, a in enumerate(word):
+                        coeff = coeff * p[old[slot]][a - 1].conjugate()
+                    coeff = coeff * p[old_d][d]
+                    key = tuple(x + 1 for x in old)
+                    total = total + coeff * values[key][old_d]
+            new_vals.append(total)
+        out[word] = new_vals
+    return out
