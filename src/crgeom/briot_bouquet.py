@@ -7,10 +7,14 @@ against f = p*t + A*y + Q(t,y) gives, per power k and log degree r,
 
     (k I - A) c_{k,r} + (r+1) c_{k,r+1} = g_{k,r},
 
-where g_k depends only on lower-order coefficients.  Nonresonant k
-(det(kI - A) != 0) solve uniquely top-down in r; resonant k solve as one
-stacked triangular system with free kernel parameters set to zero and
-the kernel dimension recorded in family_dim.
+where g_k depends only on lower-order coefficients.  The linear part
+(p, A) is read off f once.  k is resonant when kI - A is singular,
+decided by its rank alone; the characteristic polynomial of A is formed
+only for the Dulac eigenvalue count.  Nonresonant k solve uniquely
+top-down in r; resonant k solve as one stacked triangular system with
+free kernel parameters set to zero and the kernel dimension recorded in
+family_dim.  Every solution is checked by substituting it back into
+t*y' - f(t, y) through t^K, without the recurrence that produced it.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import InvariantViolation, ValidationError
-from .linalg import (char_poly, count_eigenvalues_nonpositive_real,
-                     poly_eval, rank, solve_linear)
+from .linalg import (char_poly, count_eigenvalues_nonpositive_real, rank,
+                     solve_linear)
 from .scalars import GaussRational
 from .series import Series
 
 _ZERO = GaussRational(0)
+_ONE = GaussRational(1)
 
 
 def bb_vars(N: int) -> Tuple[str, ...]:
@@ -51,6 +56,12 @@ class BBSystem:
             if not g.constant_term().is_zero():
                 raise ValidationError(
                     f"invalid system: f{j+1}(0,0) = {g.constant_term()} != 0")
+            # the t^order coefficient of y needs every term of f of total
+            # degree <= order
+            if order > g.trunc:
+                raise ValidationError(
+                    f"order {order} exceeds trunc {g.trunc} of f{j+1}: "
+                    f"coefficients past t^{g.trunc} are not determined")
         return BBSystem(N=N, f=comps, order=order)
 
 
@@ -59,7 +70,6 @@ class LinearPart:
     N: int
     p: List[GaussRational]            # coefficient of t
     A: List[List[GaussRational]]      # coefficient of y
-    char: List[GaussRational]         # char poly of A, low degree first
 
 
 @dataclass
@@ -72,15 +82,6 @@ class FormalLogSolution:
     def has_log_terms(self) -> bool:
         return any(r > 0 and any(not c.is_zero() for c in v)
                    for (k, r), v in self.coeffs.items())
-
-    def vector_coeff(self, k: int, r: int) -> List[GaussRational]:
-        return self.coeffs.get((k, r), [_ZERO] * _infer_n(self.coeffs))
-
-
-def _infer_n(coeffs) -> int:
-    for v in coeffs.values():
-        return len(v)
-    return 0
 
 
 def linear_part(sys: BBSystem) -> LinearPart:
@@ -95,18 +96,18 @@ def linear_part(sys: BBSystem) -> LinearPart:
             y_exp = tuple(1 if i == b + 1 else 0 for i in range(N + 1))
             row.append(sys.f[j].coefficient(y_exp))
         A.append(row)
-    return LinearPart(N=N, p=p, A=A, char=char_poly(A))
+    return LinearPart(N=N, p=p, A=A)
 
 
 def resonances(lp: LinearPart, K: int) -> List[Tuple[int, int]]:
-    """Positive integers k <= K with det(kI - A) = 0, i.e. integer
-    eigenvalues of A, with the kernel dimension of kI - A."""
+    """Positive integers k <= K at which kI - A is singular (the integer
+    eigenvalues of A), each with its kernel dimension N - rank(kI - A),
+    found by that one rank test."""
     out = []
     for k in range(1, K + 1):
-        val = poly_eval(lp.char, GaussRational(k))
-        if val.is_zero():
-            B = _shifted(lp.A, k)
-            out.append((k, lp.N - rank(B)))
+        dim = lp.N - rank(_shifted(lp.A, k))
+        if dim:
+            out.append((k, dim))
     return out
 
 
@@ -118,19 +119,20 @@ def _shifted(A, k: int):
 
 # polynomial-in-(t, log) arithmetic: dict {(t_deg, log_deg): GaussRational}
 
+def _add_term(poly: Dict, key, c: GaussRational) -> None:
+    cur = poly.get(key, _ZERO) + c
+    if cur.is_zero():
+        poly.pop(key, None)
+    else:
+        poly[key] = cur
+
+
 def _poly_mul(a, b, K: int):
     out: Dict[Tuple[int, int], GaussRational] = {}
     for (ka, ra), ca in a.items():
         for (kb, rb), cb in b.items():
-            k = ka + kb
-            if k > K:
-                continue
-            key = (k, ra + rb)
-            cur = out.get(key, _ZERO) + ca * cb
-            if cur.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cur
+            if ka + kb <= K:
+                _add_term(out, (ka + kb, ra + rb), ca * cb)
     return out
 
 
@@ -163,11 +165,7 @@ def _rhs_at_order(sys: BBSystem, sol: Dict[Tuple[int, int], List[GaussRational]]
                 continue
             for (kk, r), cc in prod.items():
                 if kk == k:
-                    cur = out[j].get(r, _ZERO) + cc
-                    if cur.is_zero():
-                        out[j].pop(r, None)
-                    else:
-                        out[j][r] = cur
+                    _add_term(out[j], r, cc)
     return out
 
 
@@ -227,39 +225,36 @@ def formal_solve(sys: BBSystem) -> FormalLogSolution:
 
 
 def _check_residual(sys: BBSystem, sol, K: int) -> None:
-    """Back-substitution: t*y' - f(t,y) must vanish through order K."""
+    """Back-substitution in one pass, independent of the recurrence:
+    expand t*y' - f(t, y) over the whole solution through t^K and require
+    every t^k (log t)^r coefficient to vanish.  Each power of each y_j is
+    built once as a (t, log t)-polynomial, and every monomial of f is
+    summed, the linear A*y terms included."""
     N = sys.N
-    lhs: List[Dict[Tuple[int, int], GaussRational]] = [dict() for _ in range(N)]
-    for (k, r), v in sol.items():
-        for j in range(N):
-            if v[j].is_zero():
+    y_polys = [{kr: v[j] for kr, v in sol.items() if not v[j].is_zero()}
+               for j in range(N)]
+    powers = [[{(0, 0): _ONE}] for _ in range(N)]      # powers[j][e] = y_j^e
+    for j in range(N):
+        residual: Dict[Tuple[int, int], GaussRational] = {}
+        for (k, r), c in y_polys[j].items():
+            _add_term(residual, (k, r), GaussRational(k) * c)
+            if r:
+                _add_term(residual, (k, r - 1), GaussRational(r) * c)
+        for exps, c in sys.f[j].terms.items():
+            if exps[0] > K:
                 continue
-            for key, factor in (((k, r), GaussRational(k)),
-                                ((k, r - 1), GaussRational(r))):
-                if factor.is_zero():
-                    continue
-                cur = lhs[j].get(key, _ZERO) + factor * v[j]
-                if cur.is_zero():
-                    lhs[j].pop(key, None)
-                else:
-                    lhs[j][key] = cur
-    for k in range(1, K + 1):
-        g = _rhs_at_order(sys, {kr: v for kr, v in sol.items()}, k + 0)
-        # _rhs_at_order uses coefficients of t-degree < k; for the residual
-        # at order k every contributing monomial has all factors of lower
-        # degree except the pure linear A*y term, handled here directly
-        lpart = linear_part(sys)
-        for j in range(N):
-            for r in set(list(g[j].keys()) +
-                         [rr for (kk, rr) in lhs[j] if kk == k] +
-                         [rr for (kk, rr), v in sol.items() if kk == k]):
-                ay = _ZERO
-                for b in range(N):
-                    ay = ay + lpart.A[j][b] * sol.get((k, r), [_ZERO] * N)[b]
-                total = lhs[j].get((k, r), _ZERO) - g[j].get(r, _ZERO) - ay
-                if not total.is_zero():
-                    raise InvariantViolation(
-                        f"residual {total} at t^{k} log^{r} component {j+1}")
+            prod = {(exps[0], 0): c}
+            for b, e in enumerate(exps[1:]):
+                while len(powers[b]) <= e:
+                    powers[b].append(_poly_mul(powers[b][-1], y_polys[b], K))
+                if e:
+                    prod = _poly_mul(prod, powers[b][e], K)
+            for key, cc in prod.items():
+                _add_term(residual, key, -cc)
+        if residual:
+            (k, r), total = min(residual.items())
+            raise InvariantViolation(
+                f"residual {total} at t^{k} log^{r} component {j+1}")
 
 
 @dataclass
@@ -272,9 +267,11 @@ class DulacReport:
 
 def dulac_classify(lp: LinearPart) -> DulacReport:
     """p = number of eigenvalues of A (with multiplicity) not lying on the
-    closed negative real axis."""
-    k = count_eigenvalues_nonpositive_real(lp.char)
-    return DulacReport(N=lp.N, nonpositive_real=k, p=lp.N - k, char=lp.char)
+    closed negative real axis, counted from the characteristic polynomial
+    of A (the solver itself never forms it)."""
+    char = char_poly(lp.A)
+    k = count_eigenvalues_nonpositive_real(char)
+    return DulacReport(N=lp.N, nonpositive_real=k, p=lp.N - k, char=char)
 
 
 def series_value(sol: FormalLogSolution, N: int, t: float) -> np.ndarray:

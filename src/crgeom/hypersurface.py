@@ -165,7 +165,6 @@ def essentiality_check(h: Hypersurface, D: int) -> EssentialityVerdict:
             break
         # span of z^delta * a_alpha (mod degree > d), as vectors over the
         # monomial basis of C[z] of degree <= d
-        basis = []
         index = {}
         for deg in range(d + 1):
             for mono in _z_monomials(n, deg):
@@ -187,27 +186,13 @@ def essentiality_check(h: Hypersurface, D: int) -> EssentialityVerdict:
         if not rows:
             continue
         red, pivots = rref(rows)
-        target = {index[mono] for mono in _z_monomials(n, d)}
-        if target <= set(pivots):
-            # every degree-d monomial is reachable: check it is actually in
-            # the span, not merely that its column is pivotal
-            if _degree_monomials_in_span(rows, index, n, d):
-                return EssentialityVerdict("certified-essential", d, "")
+        # e_c lies in the row span iff c is a pivot whose reduced row is e_c
+        units = {c for c, row in zip(pivots, red)
+                 if sum(not x.is_zero() for x in row) == 1}
+        if all(index[mono] in units for mono in _z_monomials(n, d)):
+            return EssentialityVerdict("certified-essential", d, "")
     return EssentialityVerdict("inconclusive", D,
                                f"no certificate found up to degree {D}")
-
-
-def _degree_monomials_in_span(rows, index, n: int, d: int) -> bool:
-    from .linalg import solve_linear
-    ncols = len(index)
-    # transpose: columns of the span matrix are the generators
-    mat = [[rows[r][c] for r in range(len(rows))] for c in range(ncols)]
-    for mono in _z_monomials(n, d):
-        b = [GaussRational(1) if c == index[mono] else GaussRational(0)
-             for c in range(ncols)]
-        if solve_linear(mat, b) is None:
-            return False
-    return True
 
 
 def nondegeneracy_ell(h: Hypersurface, ell_max: int) -> EllVerdict:

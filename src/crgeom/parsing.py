@@ -3,7 +3,9 @@
 Accepted syntax: sums/differences of terms like ``3/2*z1^2*c1*s``,
 ``(1/2+1/3*i)*z2``, the imaginary unit ``i``, parenthesized
 subexpressions, and division by unit subexpressions.  Whitespace is
-insignificant; ``^`` denotes powers with nonnegative integer exponents.
+insignificant; ``^`` denotes powers with nonnegative integer exponents
+of at most ``MAX_EXPONENT``, so a short literal cannot demand unbounded
+work.
 Which variable names are legal depends on context (z1..zn, c1..cn, s, t,
 w, y1..yN, x1..x2n) and is supplied by the caller as the variable tuple.
 """
@@ -16,6 +18,8 @@ from typing import Tuple
 from .errors import ParseError, UnitRequiredError
 from .scalars import GaussRational
 from .series import Series
+
+MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
 
@@ -131,6 +135,8 @@ class _Parser:
             tok = self.lx.next()
             if tok[0] != "INT":
                 self.lx.error("exponent must be a nonnegative integer", tok)
+            if int(tok[1]) > MAX_EXPONENT:
+                self.lx.error(f"exponent {tok[1]} exceeds {MAX_EXPONENT}", tok)
             return base ** int(tok[1])
         return base
 

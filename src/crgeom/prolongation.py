@@ -92,7 +92,6 @@ class ProlongedSystem:
     closure_slots: List[Tuple[int, Tuple[int, ...], int]]   # need supplied rhs
     supplied: Dict[str, Series] = field(default_factory=dict)
     frozen_x: List[Tuple[Fraction, ...]] = field(default_factory=list)
-    initial: Dict[str, GaussRational] = field(default_factory=dict)
 
     def needed_rhs_names(self) -> List[str]:
         names = [var_name(i, a, p) for (i, a, p) in self.closure_slots]
@@ -152,28 +151,10 @@ def freeze_x(g: Series, n: int, sample: Sequence[Fraction]) -> Series:
     return Series(new_vars, g.trunc, terms)
 
 
-def shift_variable(g: Series, name: str, c0: GaussRational) -> Series:
-    """g with the variable replaced by (variable + c0), expanded
-    binomially; used for centering at a nonzero initial value."""
-    if c0.is_zero():
-        return g
-    i = g.vars.index(name)
-    out = Series.zero(g.vars, g.trunc)
-    from math import comb
-    for exps, c in g.terms.items():
-        e = exps[i]
-        for j in range(e + 1):
-            coeff = c * GaussRational(comb(e, j)) * c0 ** (e - j)
-            key = exps[:i] + (j,) + exps[i + 1:]
-            out = out + Series(g.vars, g.trunc, {key: coeff})
-    return out
-
-
 @dataclass
 class SampleSolution:
     sample: Tuple[Fraction, ...]
     solution: FormalLogSolution
-    resonances: List[Tuple[int, int]]
     growth: float                # max_k ||c_k||_inf^{1/k} (0 if trivial)
     radius_proxy: Optional[float]
 
@@ -186,9 +167,8 @@ class ProlongationReport:
 
 
 def assemble_and_solve(ps: ProlongedSystem, order: int) -> ProlongationReport:
-    """Per frozen sample: freeze x, center at the supplied initial values,
-    build the Briot-Bouquet system over (t = s, y = jet variables), and
-    solve formally to the given order."""
+    """Per frozen sample: freeze x, build the Briot-Bouquet system over
+    (t = s, y = jet variables), and solve formally to the given order."""
     jets = ps.jets
     n = jets.n
     names = jets.var_names()
@@ -221,16 +201,13 @@ def assemble_and_solve(ps: ProlongedSystem, order: int) -> ProlongationReport:
             if eq.target_in_jet:
                 rhs_list[name_index[eq.lhs_name]] = Series.variable(
                     f"y{name_index[eq.target_name] + 1}", bbv, trunc)
-        # supplied equations: freeze x, center, translate variables
+        # supplied equations: freeze x, translate variables
         translation = {"s": Series.variable("t", bbv, trunc)}
         for nm, j in name_index.items():
             translation[nm] = Series.variable(f"y{j + 1}", bbv, trunc)
         for nm in needed:
             g = ps.supplied[nm]
             frozen = freeze_x(g, n, sample) if n > 0 else g
-            for vn, c0 in ps.initial.items():
-                if not c0.is_zero():
-                    frozen = shift_variable(frozen, vn, c0)
             if not frozen.constant_term().is_zero():
                 raise ValidationError(
                     f"centering failure at sample {tuple(map(str, sample))}: "
@@ -245,7 +222,6 @@ def assemble_and_solve(ps: ProlongedSystem, order: int) -> ProlongationReport:
                 growth = max(growth, mag ** (1.0 / k))
         radius = (1.0 / growth) if growth > 0 else None
         results.append(SampleSolution(sample=tuple(sample), solution=sol,
-                                      resonances=sol.resonances,
                                       growth=growth, radius_proxy=radius))
     return ProlongationReport(system=ps, order=order, samples=results)
 

@@ -238,7 +238,7 @@ def bb_report(sys: BBSystem, oracle_t0: Optional[float] = None) -> dict:
         "linear_part": {
             "p": [_fmt(x) for x in lp.p],
             "A": [[_fmt(x) for x in row] for row in lp.A],
-            "char_poly": [_fmt(c) for c in lp.char],
+            "char_poly": [_fmt(c) for c in dul.char],
         },
         "resonances": [{"k": k, "kernel_dim": d} for k, d in sol.resonances],
         "dulac": {"p": dul.p, "nonpositive_real": dul.nonpositive_real},
@@ -276,7 +276,7 @@ def prolong_report(ps: ProlongedSystem, order: int) -> dict:
                     {"k": k, "r": r, "vector": [_fmt(x) for x in v]}
                     for (k, r), v in sorted(ss.solution.coeffs.items())],
                 "resonances": [{"k": k, "kernel_dim": d}
-                               for k, d in ss.resonances],
+                               for k, d in ss.solution.resonances],
                 "family_dim": ss.solution.family_dim,
                 "diagnostics": {"growth": ss.growth,
                                 "radius_proxy": ss.radius_proxy},

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+import crgeom.briot_bouquet as bb
 from crgeom.briot_bouquet import (BBSystem, bb_vars, dulac_classify,
                                   formal_solve, linear_part, numeric_oracle,
                                   resonances)
-from crgeom.errors import ValidationError
+from crgeom.errors import InvariantViolation, ValidationError
 from crgeom.linalg import mat_mul
 from crgeom.parsing import parse_series
 from crgeom.scalars import GaussRational
@@ -34,7 +35,8 @@ def test_linear_part_readoff():
     lp2 = linear_part(mk(2, ["y2 + t^2", "y1"]))
     assert [str(x) for x in lp2.p] == ["0", "0"]
     assert [[str(x) for x in r] for r in lp2.A] == [["0", "1"], ["1", "0"]]
-    assert [str(c) for c in lp2.char] == ["-1", "0", "1"]    # k^2 - 1
+    char = dulac_classify(lp2).char
+    assert [str(c) for c in char] == ["-1", "0", "1"]    # k^2 - 1
 
 
 def test_resonances():
@@ -78,6 +80,23 @@ def test_nonlinear_solution_residual():
     assert str(sol.coeffs[(1, 0)][0]) == "2"
     # c2: (2 - 1/2) c2 = c1^2 -> c2 = 8/3
     assert str(sol.coeffs[(2, 0)][0]) == "8/3"
+
+
+def test_residual_check_is_independent_of_the_recurrence(monkeypatch):
+    # a fault in the recurrence's right-hand side (the t^2 forcing counted
+    # twice) must be caught by the back-substitution, not reproduced by it
+    recurrence_rhs = bb._rhs_at_order
+
+    def doubled_t2_forcing(sys_, sol, k):
+        g = recurrence_rhs(sys_, sol, k)
+        if k == 2:
+            forcing = sys_.f[0].coefficient((2, 0))
+            g[0][0] = g[0].get(0, GaussRational(0)) + forcing
+        return g
+
+    monkeypatch.setattr(bb, "_rhs_at_order", doubled_t2_forcing)
+    with pytest.raises(InvariantViolation, match="residual"):
+        formal_solve(mk(1, ["1/2*y1 + t + t^2 + y1^2"]))
 
 
 def test_scaling_covariance():

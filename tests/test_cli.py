@@ -81,6 +81,13 @@ def test_parse_error_exit_3(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
     path2 = write(tmp_path, "badexpr.hs", 'n = 1\ntrunc = 8\nphi = "s*%"\n')
     assert main(["report", path2]) == 3
+    capsys.readouterr()
+    # an exponent past the cap is refused before any arithmetic, at its token
+    path3 = write(tmp_path, "bigexp.hs", 'n = 1\ntrunc = 8\n'
+                  'phi = "z1*c1*s + 2^99999999*z1*c1"\n')
+    assert main(["report", path3]) == 3
+    err = capsys.readouterr().err
+    assert "col 13" in err and "exponent 99999999 exceeds 1000" in err
 
 
 def test_bb_solve_with_oracle(tmp_path, capsys):
@@ -102,6 +109,19 @@ def test_bb_solve_resonant(tmp_path, capsys):
     assert code == 0
     assert rep["solution"]["has_log_terms"] is True
     assert rep["solution"]["family_dim"] == 1
+
+
+def test_bb_solve_order_beyond_trunc_exit_1(tmp_path, capsys):
+    # f known through degree 3 does not determine coefficients past t^3
+    path = write(tmp_path, "short.bb",
+                 'N = 1\norder = 10\ntrunc = 3\nf1 = "1/2*y1 + t + y1^2"\n')
+    assert main(["bb-solve", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error" in captured.err and "trunc 3" in captured.err
+    code, rep = run_json(capsys, ["bb-solve", path, "--order", "3"])
+    assert code == 0
+    assert [c["k"] for c in rep["solution"]["coefficients"]] == [1, 2, 3]
 
 
 def test_prolong_toy(tmp_path, capsys):
