@@ -8,9 +8,8 @@ order m of phi in s = Re w, the lowest degree r of the leading slice,
 essentiality of the coefficient ideal, and the nondegeneracy order ell.
 """
 
-from crgeom import (Frame, compute_infinite_type, corpus, desingularize,
-                    essentiality_check, filtration, full_report, levi_matrix,
-                    nondegeneracy_ell)
+from crgeom import (Frame, compute_infinite_type, corpus, essentiality_check,
+                    filtration, full_report, levi, nondegeneracy_ell)
 from crgeom.report import HALF_OVER_I
 
 TRUNC = 8
@@ -31,10 +30,9 @@ print("  nondegeneracy order ell =", ell.ell)
 
 # the desingularized Levi matrix h0 = h / s^m and its origin value, in
 # the reports' normalization h = (1/2i) <theta, [L_1bar, L_1]>
-fr = Frame(m0)
-levi = desingularize(fr, levi_matrix(fr, rep.m), rep.m)
-h = levi.h[0][0] * HALF_OVER_I
-h0 = levi.h0[0][0] * HALF_OVER_I
+ld = levi(Frame(m0), rep.m)
+h = ld.h[0][0] * HALF_OVER_I
+h0 = ld.h0[0][0] * HALF_OVER_I
 print("  h   =", h.to_literal())
 print("  h0  =", h0.to_literal())
 print("  h0(0) =", h0.constant_term())

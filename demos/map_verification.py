@@ -9,7 +9,8 @@ a truncated series with rational coefficients; "zero" means identically
 zero, not small.
 """
 
-from crgeom import check_identities, corpus, frame_data, maps_into
+from crgeom import (Frame, check_identities, corpus, frame_data, maps_into,
+                    restriction_data)
 
 for k in (2, 3, 4):
     trunc = 2 * k + 4
@@ -18,13 +19,16 @@ for k in (2, 3, 4):
     f = corpus.power_map(k, trunc)
     print(f"map (z, w^{k}) at truncation {trunc}")
 
+    # F restricted to the source: F(z, s + i*phi), and its conjugate
+    rd = restriction_data(f, src)
+
     # containment: Im F_2 - phi_hat(F, Fbar, Re F_2) restricted to M
-    res = maps_into(f, src, tgt)
+    res = maps_into(rd, tgt)
     print("  containment residual zero:", res.is_zero())
 
     # frame data along the map: gamma (CR component matrix), eta
     # (characteristic component), and the multiplier xi
-    fd = frame_data(f, src, tgt)
+    fd = frame_data(Frame(src), Frame(tgt), rd)
     print("  xi  =", fd.xi.to_literal(), " smooth:", fd.xi_smooth)
     print("  eta =", [e.to_literal() for e in fd.eta])
 

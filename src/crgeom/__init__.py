@@ -13,10 +13,11 @@ from .hypersurface import (EllVerdict, EssentialityVerdict, Hypersurface,
                            InvariantReport, compute_infinite_type,
                            essentiality_check, full_report, nondegeneracy_ell,
                            validate)
-from .frame import (Frame, FrameField, Filtration, LeviData, bracket,
-                    desingularize, filtration, iterated_forms, levi_matrix)
-from .crmap import (HoloMap, MapFrameData, ResidualReport, check_identities,
-                    frame_data, map_vars, maps_into, restrict_map)
+from .frame import (Frame, FrameField, Filtration, LeviData, filtration,
+                    iterated_forms, levi)
+from .crmap import (HoloMap, MapFrameData, ResidualReport, RestrictionData,
+                    check_identities, frame_data, map_vars, maps_into,
+                    restrict_map, restriction_data)
 from .briot_bouquet import (BBSystem, DulacReport, FormalLogSolution,
                             LinearPart, bb_vars, dulac_classify, formal_solve,
                             linear_part, numeric_oracle, resonances)
@@ -35,10 +36,11 @@ __all__ = [
     "EllVerdict", "EssentialityVerdict", "Hypersurface", "InvariantReport",
     "compute_infinite_type", "essentiality_check", "full_report",
     "nondegeneracy_ell", "validate",
-    "Frame", "FrameField", "Filtration", "LeviData", "bracket",
-    "desingularize", "filtration", "iterated_forms", "levi_matrix",
-    "HoloMap", "MapFrameData", "ResidualReport", "check_identities",
-    "frame_data", "map_vars", "maps_into", "restrict_map",
+    "Frame", "FrameField", "Filtration", "LeviData", "filtration",
+    "iterated_forms", "levi",
+    "HoloMap", "MapFrameData", "ResidualReport", "RestrictionData",
+    "check_identities", "frame_data", "map_vars", "maps_into",
+    "restrict_map", "restriction_data",
     "BBSystem", "DulacReport", "FormalLogSolution", "LinearPart", "bb_vars",
     "dulac_classify", "formal_solve", "linear_part", "numeric_oracle",
     "resonances",

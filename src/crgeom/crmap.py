@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import (DivisibilityError, InvariantViolation, UnitRequiredError,
                      ValidationError)
-from .frame import Frame, desingularize, levi_matrix
+from .frame import Frame, levi
 from .hypersurface import Hypersurface, compute_infinite_type
 from .scalars import GaussRational
 from .series import Series
@@ -54,10 +54,6 @@ class HoloMap:
                 raise ValidationError(
                     f"map component {j + 1} must be a series in {map_vars(n)}")
         return HoloMap(n=n, components=comps)
-
-    @property
-    def n_target(self) -> int:
-        return len(self.components) - 1
 
 
 def restrict_map(f: HoloMap, source: Hypersurface) -> List[Series]:
@@ -91,25 +87,24 @@ def restriction_data(f: HoloMap, source: Hypersurface) -> RestrictionData:
     return RestrictionData(F=F, Fbar=Fbar, s_hat=s_hat)
 
 
-def compose_with_map(g: Series, rd: RestrictionData, nhat: int) -> Series:
+def compose_with_map(g: Series, rd: RestrictionData) -> Series:
     """g(zhat, chat, shat) o f as a series on the source hypersurface."""
     mapping = {}
-    for j in range(1, nhat + 1):
+    for j in range(1, len(rd.F)):
         mapping[f"z{j}"] = rd.F[j - 1]
         mapping[f"c{j}"] = rd.Fbar[j - 1]
     mapping["s"] = rd.s_hat
     return g.subs(mapping)
 
 
-def maps_into(f: HoloMap, source: Hypersurface, target: Hypersurface) -> Series:
+def maps_into(rd: RestrictionData, target: Hypersurface) -> Series:
     """Target-containment residual Im(F_{nhat+1}|M) - phihat o f; the zero
     series exactly at truncation iff f maps the source into the target."""
-    if f.n_target != target.n:
+    if len(rd.F) - 1 != target.n:
         raise ValidationError("map target dimension mismatch")
-    rd = restriction_data(f, source)
     minus_half_i = GaussRational(0, Fraction(-1, 2))
     im_last = (rd.F[-1] - rd.Fbar[-1]) * minus_half_i
-    phihat_f = compose_with_map(target.phi, rd, target.n)
+    phihat_f = compose_with_map(target.phi, rd)
     return (im_last - phihat_f).truncate(min(im_last.trunc, phihat_f.trunc))
 
 
@@ -119,22 +114,20 @@ class MapFrameData:
     eta: List[Series]                # eta[C] = S(F_C|M)
     xi: Series
     xi_smooth: bool
-    s_hat: Series
     m: int
     m_hat: int
-    restriction: RestrictionData
     tangency_ok: bool                # That-component of f_* L_B vanishes
 
 
-def frame_data(f: HoloMap, source: Hypersurface, target: Hypersurface,
-               source_frame: Optional[Frame] = None,
-               target_frame: Optional[Frame] = None) -> MapFrameData:
-    """The pushforward data (gamma, eta, xi) in the source/target frames.
+def frame_data(fr: Frame, fr_hat: Frame, rd: RestrictionData) -> MapFrameData:
+    """The pushforward data (gamma, eta, xi) in the source frame fr and the
+    target frame fr_hat, for the map whose restriction to the source is rd.
 
     Raises InvariantViolation("xi-singular ...") when the That-component of
     f_* S is not divisible by (s_hat)^m_hat, e.g. for Levi-flat sources.
     """
-    if f.n != source.n or f.n_target != target.n:
+    source, target = fr.hypersurface, fr_hat.hypersurface
+    if len(rd.F) - 1 != target.n:
         raise ValidationError("map/hypersurface dimension mismatch")
     if source.n != target.n:
         raise ValidationError(
@@ -149,9 +142,6 @@ def frame_data(f: HoloMap, source: Hypersurface, target: Hypersurface,
         raise InvariantViolation(
             "xi-singular: target is Levi flat (m_hat = infinity)")
     m, m_hat = rep.m, rep_hat.m
-    fr = source_frame or Frame(source)
-    fr_hat = target_frame or Frame(target)
-    rd = restriction_data(f, source)
 
     # holomorphy of the restriction: CR fields annihilate conj components
     for B in range(n):
@@ -165,14 +155,13 @@ def frame_data(f: HoloMap, source: Hypersurface, target: Hypersurface,
     S = fr.S(m)
     eta = [S.apply(rd.F[C]) for C in range(n)]
 
-    # decompose f_* S in the target frame (coefficients composed with f)
-    trunc = min(x.trunc for x in (rd.F + rd.Fbar + [rd.s_hat]))
-    comp_by_var: Dict[str, Series] = {}
+    # the That-component of f_* S is theta_hat o f paired with it
+    theta_f = _theta_hat_f(fr_hat, rd)
+    push_s = {"s": S.apply(rd.s_hat)}
     for C in range(n):
-        comp_by_var[f"z{C+1}"] = S.apply(rd.F[C])
-        comp_by_var[f"c{C+1}"] = S.apply(rd.Fbar[C])
-    comp_by_var["s"] = S.apply(rd.s_hat)
-    t_hat_comp = _pushforward_frame_component(comp_by_var, fr_hat, rd, 0)
+        push_s[f"z{C+1}"] = eta[C]
+        push_s[f"c{C+1}"] = eta[C].conjugate()
+    t_hat_comp = _pair(theta_f, push_s)
 
     try:
         xi = t_hat_comp.divide_unit_form(rd.s_hat ** m_hat, unit_var="s")
@@ -180,41 +169,39 @@ def frame_data(f: HoloMap, source: Hypersurface, target: Hypersurface,
     except (UnitRequiredError, DivisibilityError) as exc:
         raise InvariantViolation(f"xi-singular: {exc}")
 
-    # tangency: f_* L_B has no That-component
+    # tangency: f_* L_B has no That-component (its c-components vanish)
     tangency_ok = True
     for B in range(n):
-        cb: Dict[str, Series] = {}
+        push_l = {"s": fr.L[B].apply(rd.s_hat)}
         for C in range(n):
-            cb[f"z{C+1}"] = gamma[C][B]
-            cb[f"c{C+1}"] = Series.zero(source.vars(), trunc)
-        cb["s"] = fr.L[B].apply(rd.s_hat)
-        if not _pushforward_frame_component(cb, fr_hat, rd, 0).is_zero():
+            push_l[f"z{C+1}"] = gamma[C][B]
+        if not _pair(theta_f, push_l).is_zero():
             tangency_ok = False
     return MapFrameData(gamma=gamma, eta=eta, xi=xi, xi_smooth=xi_smooth,
-                        s_hat=rd.s_hat, m=m, m_hat=m_hat, restriction=rd,
-                        tangency_ok=tangency_ok)
+                        m=m, m_hat=m_hat, tangency_ok=tangency_ok)
 
 
-def _pushforward_frame_component(comp_by_var: Dict[str, Series],
-                                 fr_hat: Frame, rd: RestrictionData,
-                                 j: int) -> Series:
-    """Component along the j-th target frame field of a pushed-forward
-    vector with the given target-coordinate components (series on the
-    source)."""
-    nhat = fr_hat.n
-    out = None
-    for vi, v in enumerate(fr_hat.vars):
-        c = comp_by_var.get(v)
-        if c is None or c.is_zero():
-            continue
-        entry = compose_with_map(fr_hat.minv[vi][j], rd, nhat)
-        term = c * entry
-        out = term if out is None else out + term
-    if out is None:
-        tr = min(c.trunc for c in comp_by_var.values())
-        first = next(iter(comp_by_var.values()))
-        return Series.zero(first.vars, tr)
+def _theta_hat_f(fr_hat: Frame, rd: RestrictionData) -> Dict[str, Series]:
+    """The coordinate components of theta_hat composed with f.  Fbar is
+    conj(F) and s_hat is real, so composing with f commutes with
+    conjugation: each c_C component is the conjugate of the z_C one.  The
+    ds component is 1, at the target frame's truncation."""
+    out = {"s": Series.const(1, rd.s_hat.vars, fr_hat.trunc)}
+    for C in range(1, fr_hat.n + 1):
+        out[f"z{C}"] = compose_with_map(fr_hat.theta[f"z{C}"], rd)
+        out[f"c{C}"] = out[f"z{C}"].conjugate()
     return out
+
+
+def _pair(theta_f: Dict[str, Series], push: Dict[str, Series]) -> Series:
+    """theta_hat o f paired with a pushed-forward vector given by its
+    target-coordinate components (series on the source); zero components
+    are skipped."""
+    terms = [c * theta_f[v] for v, c in push.items() if not c.is_zero()]
+    if not terms:
+        first = next(iter(push.values()))
+        return Series.zero(first.vars, min(c.trunc for c in push.values()))
+    return sum(terms[1:], terms[0])
 
 
 @dataclass
@@ -249,23 +236,19 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
     All vanish identically for a map with zero containment residual.
     """
     n = source.n
-    fr = Frame(source)
-    fr_hat = Frame(target)
-    data = frame_data(f, source, target, fr, fr_hat)
-    rd = data.restriction
-    m, m_hat = data.m, data.m_hat
-
-    src = desingularize(fr, levi_matrix(fr, m), m)
-    tgt = desingularize(fr_hat, levi_matrix(fr_hat, m_hat), m_hat)
+    fr, fr_hat = Frame(source), Frame(target)
+    rd = restriction_data(f, source)
+    data = frame_data(fr, fr_hat, rd)
+    src, tgt = levi(fr, data.m), levi(fr_hat, data.m_hat)
     h0 = src.h0
-    h0_hat_f = [[compose_with_map(tgt.h0[a][b], rd, n) for b in range(n)]
+    h0_hat_f = [[compose_with_map(tgt.h0[a][b], rd) for b in range(n)]
                 for a in range(n)]
     h0bar = src.h0_bar
-    h0bar_hat_f = [compose_with_map(tgt.h0_bar[a], rd, n) for a in range(n)]
+    h0bar_hat_f = [compose_with_map(tgt.h0_bar[a], rd) for a in range(n)]
 
     gamma, eta, xi = data.gamma, data.eta, data.xi
     gamma_bar = [[gamma[C][A].conjugate() for A in range(n)] for C in range(n)]
-    S = fr.S(m)
+    S = fr.S(data.m)
 
     res: Dict[str, List[Series]] = {
         "levi": [], "levi-tail": [], "gamma-cr": [], "eta-cr": [], "gamma-s": []}
@@ -299,7 +282,7 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
                 - eta[E] * h0bar[A].conjugate()
             res["gamma-s"].append(acc)
 
-    mr = maps_into(f, source, target)
+    mr = maps_into(rd, target)
     order = min((r.trunc for rs in res.values() for r in rs), default=0)
     return ResidualReport(map_residual=mr, identity_residuals=res,
                           xi_smooth=data.xi_smooth, xi=xi,

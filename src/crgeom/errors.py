@@ -11,6 +11,7 @@ class CrgeomError(Exception):
 
 class ParseError(CrgeomError):
     def __init__(self, message, line=None, col=None):
+        self.reason = message
         self.line = line
         self.col = col
         if line is not None:

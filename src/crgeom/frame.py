@@ -1,5 +1,5 @@
-"""CR frame, its bracket structure constants, the Levi matrix, the
-desingularized data and the kernel filtration at the origin.
+"""CR frame, its coframe and bracket structure constants, the Levi data
+and the kernel filtration at the origin.
 
 Frame basis (order fixed throughout): T = d/ds, then L_1..L_n, then
 L_1bar..L_nbar with
@@ -7,17 +7,20 @@ L_1bar..L_nbar with
     L_Abar = d/dc_A - (i phi_{c_A} / (1 + i phi_s)) d/ds,
     L_A    = conjugate(L_Abar).
 
-A frame computes its structure constants once: c[a][j] holds the frame
-components of [L_abar, e_j] for e_j in (T, L_1..L_n).  Everything below
-reads them, in one normalization:
+Each field is a coordinate field plus a multiple of T, so the coframe
+theta (theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is read off the
+T-coefficients, and every bracket [L_abar, e_j] is a multiple of T.  A
+frame computes those multiples once: c[a][j] is the T-coefficient of
+[L_abar, e_j] for e_j in (T, L_1..L_n).  Everything below reads them, in
+one normalization:
 
-  * the Levi matrix h_{AbarB} = <theta, [L_Abar, L_B]> = c[A][B][0];
+  * the Levi matrix h_{AbarB} = <theta, [L_Abar, L_B]> = c[A][B+1];
     reports print (1/2i) h, whose desingularized leading term is the
     mixed Hessian of the lowest-order part of phi_m;
   * the tail functions h0_Abar, from [L_Abar, s^m T] = -s^m h0_Abar T;
   * the iterated forms of theta along words in the L_Abar, grown one
     letter at a time by
-        (L_{L_abar} omega)_j = L_abar(omega_j) - sum_k omega_k c[a][j][k];
+        (L_{L_abar} omega)_j = L_abar(omega_j) - omega_0 c[a][j];
     their L_D-components h_{A1bar..Akbar D} satisfy
     h_{word Cbar D} = L_Cbar h_{word D} + h_{word T} h_{Cbar D}, and the
     length-1 member is h_{Abar D} = -h_{AbarD}.  Their values at the
@@ -28,11 +31,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .errors import InvariantViolation, TruncationError
-from .hypersurface import Hypersurface, compute_infinite_type, validate
-from .linalg import kernel_basis, rank, series_mat_inverse
+from .errors import TruncationError
+from .hypersurface import Hypersurface, validate
+from .linalg import kernel_basis, rank
 from .scalars import GaussRational
 from .series import Series
 
@@ -60,19 +63,9 @@ class FrameField:
         return out
 
 
-def bracket(x: FrameField, y: FrameField, trunc: int) -> FrameField:
-    """Coordinate Lie bracket [x, y]."""
-    comps: Dict[str, Series] = {}
-    for v in set(x.comps) | set(y.comps):
-        a = x.apply(y.comp(v, trunc))
-        b = y.apply(x.comp(v, trunc))
-        comps[v] = a - b
-    return FrameField(x.vars, comps)
-
-
 class Frame:
-    """The frame (T, L_A, L_Abar) on a validated hypersurface, with the
-    exact inverse frame matrix and the structure constants c."""
+    """The frame (T, L_A, L_Abar) on a validated hypersurface, with its
+    coframe theta and the structure constants c."""
 
     def __init__(self, h: Hypersurface):
         validate(h)
@@ -91,6 +84,9 @@ class Frame:
         self.T = FrameField(self.vars, {"s": one})
         self.L: List[FrameField] = []
         self.Lbar: List[FrameField] = []
+        # theta = ds - sum a_A dz_A - sum conj(a_A) dc_A, by its coordinate
+        # components, where L_A = d/dz_A + a_A d/ds
+        self.theta: Dict[str, Series] = {"s": one}
         for A in range(1, self.n + 1):
             phi_c = phi.diff(f"c{A}")
             phi_z = phi.diff(f"z{A}")
@@ -104,32 +100,21 @@ class Frame:
             })
             self.L.append(la)
             self.Lbar.append(lbar)
+            self.theta[f"z{A}"] = -la.comp("s", trunc)
+            self.theta[f"c{A}"] = -lbar.comp("s", trunc)
 
-        self.fields: List[FrameField] = [self.T] + self.L + self.Lbar
-        # frame matrix: rows = frame fields, columns = coordinate basis vars
-        mat = [[f.comp(v, trunc) for v in self.vars] for f in self.fields]
-        self.minv = series_mat_inverse(mat)   # minv[var][frame index]
-        self._var_index = {v: i for i, v in enumerate(self.vars)}
-        # c[a][j] = frame components of [L_abar, e_j], e_j in (T, L_1..L_n).
-        # [L_abar, L_bbar] = 0: the CR bundle is integrable and the L_bbar
-        # have constant c-components, so the bracket has no c-component and
-        # is a multiple of d/ds inside span(L_bar), hence zero.  So the
+        # c[a][j] = T-coefficient of [L_abar, e_j], e_j in (T, L_1..L_n).
+        # Every frame field is a coordinate field plus a multiple of T, so
+        # these brackets (and [L_abar, L_bbar], which vanishes because the
+        # CR bundle is integrable) are multiples of T.  So the
         # L_bar-components of every iterated form of theta stay zero and
-        # these n(n+1) brackets are all the Lie derivative needs.
-        self.c: List[List[List[Series]]] = [
-            [self.frame_components(bracket(lbar, e, trunc))
-             for e in self.fields[:self.n + 1]] for lbar in self.Lbar]
-
-    def frame_components(self, x: FrameField) -> List[Series]:
-        """Components of a coordinate vector field in the frame basis."""
-        k = 2 * self.n + 1
-        out = []
-        for j in range(k):
-            s = Series.zero(self.vars, self.trunc)
-            for v, c in x.comps.items():
-                s = s + c * self.minv[self._var_index[v]][j]
-            out.append(s)
-        return out
+        # these n(n+1) coefficients are all the Lie derivative needs.
+        self.c: List[List[Series]] = []
+        for lbar in self.Lbar:
+            lbar_s = lbar.comp("s", trunc)
+            self.c.append([-lbar_s.diff("s")] + [
+                lbar.apply(la.comp("s", trunc)) - la.apply(lbar_s)
+                for la in self.L])
 
     def S(self, m: int) -> FrameField:
         s_pow = Series.variable("s", self.vars, self.trunc) ** m
@@ -153,12 +138,8 @@ def iterated_forms(frame: Frame, max_len: int
         grown = []
         for word, omega in level:
             for a, (lbar, ca) in enumerate(zip(frame.Lbar, frame.c)):
-                new = []
-                for j in range(n + 1):
-                    acc = lbar.apply(omega[j])
-                    for k in range(n + 1):
-                        acc = acc - omega[k] * ca[j][k]
-                    new.append(acc)
+                new = [lbar.apply(omega[j]) - omega[0] * ca[j]
+                       for j in range(n + 1)]
                 grown.append((word + (a + 1,), new))
                 yield grown[-1]
         level = grown
@@ -168,9 +149,9 @@ def iterated_forms(frame: Frame, max_len: int
 class LeviData:
     m: int
     h: List[List[Series]]            # <theta,[L_Abar, L_B]>
-    h0: Optional[List[List[Series]]] = None      # h / s^m
-    h0_bar: Optional[List[Series]] = None        # from [L_Abar, s^m T] = -s^m h0_Abar T
-    a_bar: Optional[List[Series]] = None         # m (L_Cbar s)/s
+    h0: List[List[Series]]           # h / s^m
+    h0_bar: List[Series]             # from [L_Abar, s^m T] = -s^m h0_Abar T
+    a_bar: List[Series]              # m (L_Cbar s)/s
 
 
 @dataclass
@@ -182,47 +163,24 @@ class Filtration:
     basis_change: List[List[GaussRational]]   # columns = adapted L'_B in terms of L_A
 
 
-def levi_matrix(frame: Frame, m: Optional[int] = None) -> LeviData:
-    """The Levi matrix h_{AbarB} = <theta,[L_Abar,L_B]> = c[A][B][0]."""
-    n = frame.n
-    if m is None:
-        report = compute_infinite_type(frame.hypersurface)
-        if report.levi_flat:
-            m = 0
-        else:
-            m = report.m
-    h = [[frame.c[a][b + 1][0] for b in range(n)] for a in range(n)]
-    return LeviData(m=m, h=h)
+def levi(frame: Frame, m: int) -> LeviData:
+    """The Levi matrix h_{AbarB} = <theta,[L_Abar,L_B]> = c[A][B+1], its
+    quotient h0 by s^m, and the tail data h0_Abar and a_Cbar.
 
-
-def desingularize(frame: Frame, levi: LeviData, m: Optional[int] = None) -> LeviData:
-    """Divide the Levi data by s^m and extract h0_Abar and a_Cbar.
-
-    [L_Abar, s^m T] = s^m (a_Abar + c[A][0][0]) T, so
-    h0_Abar = -(a_Abar + c[A][0][0]), cut to the order the bracket with
+    [L_Abar, s^m T] = s^m (a_Abar + c[A][0]) T, so
+    h0_Abar = -(a_Abar + c[A][0]), cut to the order the bracket with
     s^m T leaves exact.  Raises DivisibilityError (naming the offending
     monomial) when h is not divisible by s^m, which signals a wrong m or
     a non-normal input.
     """
-    if m is None:
-        m = levi.m
     n = frame.n
-    h0 = [[levi.h[a][b].divide_by_power("s", m) for b in range(n)]
-          for a in range(n)]
-    h0_bar = []
-    a_bar = []
-    for a in range(n):
-        # [L_Abar, T] must be a multiple of T
-        for k, comp in enumerate(frame.c[a][0][1:], start=1):
-            if not comp.is_zero():
-                raise InvariantViolation(
-                    f"[L_{a+1}bar, T] has a component along frame field "
-                    f"{k}; frame corrupt")
-        lbar_s = frame.Lbar[a].comp("s", frame.trunc)
-        a_bar.append(lbar_s.divide_by_power("s", 1) * GaussRational(m))
-        h0_bar.append(-(a_bar[a] + frame.c[a][0][0]).truncate(
-            frame.trunc - 1 - m))
-    return LeviData(m=m, h=levi.h, h0=h0, h0_bar=h0_bar, a_bar=a_bar)
+    h = [[frame.c[a][b + 1] for b in range(n)] for a in range(n)]
+    h0 = [[x.divide_by_power("s", m) for x in row] for row in h]
+    a_bar = [lbar.comp("s", frame.trunc).divide_by_power("s", 1) *
+             GaussRational(m) for lbar in frame.Lbar]
+    h0_bar = [-(a_bar[a] + frame.c[a][0]).truncate(frame.trunc - 1 - m)
+              for a in range(n)]
+    return LeviData(m=m, h=h, h0=h0, h0_bar=h0_bar, a_bar=a_bar)
 
 
 def iterated_h0_at_origin(frame: Frame, m: int, max_len: int

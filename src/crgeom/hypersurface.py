@@ -13,7 +13,7 @@ A hypersurface is Im w = phi(z, zbar, Re w) with phi(z,0,s) = phi(0,chi,s)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import TruncationError, ValidationError
@@ -65,7 +65,7 @@ class InvariantReport:
     psi: Optional[Series]
     essential: Optional[EssentialityVerdict] = None
     ell: Optional[EllVerdict] = None
-    filtration_ranks: List[int] = field(default_factory=list)
+    ell_max: Optional[int] = None    # word length probed by ell and the filtration
 
     @property
     def levi_flat(self) -> bool:
@@ -231,8 +231,9 @@ def full_report(h: Hypersurface, D: int = 4, ell_max: int = 4) -> InvariantRepor
     report = compute_infinite_type(h)
     if not report.levi_flat:
         report.essential = essentiality_check(h, D)
-        try:
-            report.ell = nondegeneracy_ell(h, ell_max)
-        except TruncationError:
-            report.ell = nondegeneracy_ell(h, max(1, h.phi.trunc - (report.m or 0) - 1))
+        # psi = phi / s^m is known through order trunc - m, and a word of
+        # length ell needs order ell + 1; a nonzero normal-form phi has
+        # trunc >= m + 2, so the bound is at least 1
+        report.ell_max = min(ell_max, h.phi.trunc - report.m - 1)
+        report.ell = nondegeneracy_ell(h, report.ell_max)
     return report

@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import UnitRequiredError
 from .scalars import GaussRational
 
 Matrix = List[List[GaussRational]]
@@ -140,10 +139,6 @@ def poly_trim(p):
     return list(p)
 
 
-def poly_is_zero(p) -> bool:
-    return len(poly_trim(p)) == 0
-
-
 def poly_deg(p) -> int:
     return len(poly_trim(p)) - 1
 
@@ -159,17 +154,6 @@ def poly_eval(p, x):
 
 def poly_deriv(p):
     return [c * k for k, c in enumerate(p)][1:]
-
-
-def poly_mul(a, b):
-    a, b = poly_trim(a), poly_trim(b)
-    if not a or not b:
-        return []
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return out
 
 
 def poly_divmod(a, b):
@@ -301,38 +285,3 @@ def count_eigenvalues_nonpositive_real(p: GPoly) -> int:
         d = [Fraction(c) for c in d]
         total += mult * count_real_roots_nonpositive(d)
     return total
-
-
-# ---------------------------------------------------------------------------
-# matrices of series (for coframe inversion)
-# ---------------------------------------------------------------------------
-
-def series_mat_inverse(m):
-    """Exact inverse of a square matrix of Series whose pivots are units
-    (constant-term matrix invertible with unit diagonal after row swaps)."""
-    n = len(m)
-    a = [list(row) for row in m]
-    vars0 = a[0][0].vars
-    trunc = min(e.trunc for row in a for e in row)
-    from .series import Series
-    inv = [[Series.const(1 if i == j else 0, vars0, trunc) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].constant_term().is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise UnitRequiredError("series matrix has no unit pivot; not invertible")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pr = a[col][col].reciprocal()
-        a[col] = [x * pr for x in a[col]]
-        inv[col] = [x * pr for x in inv[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv

@@ -4,8 +4,9 @@ Accepted syntax: sums/differences of terms like ``3/2*z1^2*c1*s``,
 ``(1/2+1/3*i)*z2``, the imaginary unit ``i``, parenthesized
 subexpressions, and division by unit subexpressions.  Whitespace is
 insignificant; ``^`` denotes powers with nonnegative integer exponents
-of at most ``MAX_EXPONENT``, so a short literal cannot demand unbounded
-work.
+of at most ``MAX_EXPONENT``, and no numerator or denominator may exceed
+``MAX_COEFF_BITS`` bits, so a short literal cannot demand unbounded work
+and its own coefficients stay printable.
 Which variable names are legal depends on context (z1..zn, c1..cn, s, t,
 w, y1..yN, x1..x2n) and is supplied by the caller as the variable tuple.
 """
@@ -20,6 +21,9 @@ from .scalars import GaussRational
 from .series import Series
 
 MAX_EXPONENT = 1000
+# below the 4300 decimal digits (about 14284 bits) Python will convert
+# between int and str by default
+MAX_COEFF_BITS = 14000
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
 
@@ -74,6 +78,13 @@ class _Lexer:
         raise ParseError(msg, line, col)
 
 
+def _coeff_bits(s: Series) -> int:
+    """Largest bit length of a numerator or denominator in s."""
+    return max((max(abs(c.re.numerator), c.re.denominator,
+                     abs(c.im.numerator), c.im.denominator)
+                 for c in s.terms.values()), default=0).bit_length()
+
+
 class _Parser:
     def __init__(self, lexer: _Lexer, vars: Tuple[str, ...], trunc: int):
         self.lx = lexer
@@ -99,9 +110,10 @@ class _Parser:
         while True:
             kind, val, _ = self.lx.peek()
             if kind == "OP" and val in "+-":
-                self.lx.next()
+                tok = self.lx.next()
                 rhs = self.term()
                 acc = acc + rhs if val == "+" else acc - rhs
+                self._check_bits(_coeff_bits(acc), tok)
             else:
                 return acc
 
@@ -119,6 +131,7 @@ class _Parser:
                         acc = acc * rhs.reciprocal()
                     except UnitRequiredError:
                         self.lx.error("division by a non-unit series", tok)
+                self._check_bits(_coeff_bits(acc), tok)
             else:
                 return acc
 
@@ -131,20 +144,36 @@ class _Parser:
         base = self.atom()
         kind, val, _ = self.lx.peek()
         if kind == "OP" and val == "^":
-            self.lx.next()
+            op = self.lx.next()
             tok = self.lx.next()
             if tok[0] != "INT":
                 self.lx.error("exponent must be a nonnegative integer", tok)
-            if int(tok[1]) > MAX_EXPONENT:
+            exp = tok[1].lstrip("0") or "0"
+            if len(exp) > len(str(MAX_EXPONENT)) or int(exp) > MAX_EXPONENT:
                 self.lx.error(f"exponent {tok[1]} exceeds {MAX_EXPONENT}", tok)
-            return base ** int(tok[1])
+            k = int(exp)
+            # a power's coefficients have at most k times the bits of the
+            # base's when the base is a monomial; refuse before the work
+            self._check_bits(k * _coeff_bits(base), op)
+            base = base ** k
+            self._check_bits(_coeff_bits(base), op)
         return base
+
+    def _check_bits(self, bits: int, tok) -> None:
+        if bits > MAX_COEFF_BITS:
+            self.lx.error(f"coefficient exceeds {MAX_COEFF_BITS} bits", tok)
 
     def atom(self) -> Series:
         tok = self.lx.next()
         kind, val, _ = tok
         if kind == "INT":
-            return Series.const(int(val), self.vars, self.trunc)
+            digits = val.lstrip("0") or "0"
+            # d digits carry more than 3.3 * (d - 1) bits; test that before
+            # int() refuses a literal over its digit limit
+            self._check_bits((len(digits) - 1) * 33 // 10, tok)
+            value = int(digits)
+            self._check_bits(value.bit_length(), tok)
+            return Series.const(value, self.vars, self.trunc)
         if kind == "NAME":
             if val == "i":
                 return Series.const(GaussRational(0, 1), self.vars, self.trunc)

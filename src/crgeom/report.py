@@ -20,13 +20,13 @@ from .briot_bouquet import (BBSystem, bb_vars, dulac_classify, formal_solve,
                             linear_part, numeric_oracle)
 from .crmap import HoloMap, check_identities, map_vars
 from .errors import ParseError, ValidationError
-from .frame import Frame, desingularize, filtration, levi_matrix
+from .frame import Frame, filtration, levi
 from .hypersurface import Hypersurface, full_report, validate
 from .parsing import parse_series
 from .prolongation import (ProlongedSystem, assemble_and_solve,
                            contact_prolong, rhs_vars)
 from .scalars import GaussRational, format_coefficient
-from .series import hypersurface_vars
+from .series import Series, hypersurface_vars
 
 SCHEMA_VERSION = 1
 
@@ -40,8 +40,12 @@ HALF_OVER_I = GaussRational(0, Fraction(-1, 2))   # 1/(2i) = -i/2
 # key = value input files
 # ---------------------------------------------------------------------------
 
-def parse_keyvalue_file(path: str) -> Dict[str, str]:
+def parse_keyvalue_file(path: str
+                        ) -> Tuple[Dict[str, str], Dict[str, Tuple[int, int]]]:
+    """The key = value pairs of a file, and the (line, column) at which
+    each value starts (inside the quotes, for a quoted value)."""
     pairs: Dict[str, str] = {}
+    where: Dict[str, Tuple[int, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -56,13 +60,29 @@ def parse_keyvalue_file(path: str) -> Dict[str, str]:
                 raise ParseError(f"bad key {key!r}", lineno, 1)
             if key in pairs:
                 raise ParseError(f"duplicate key {key!r}", lineno, 1)
+            col = len(raw) - len(raw[raw.index("=") + 1:].lstrip()) + 1
             if value.startswith('"'):
                 if not value.endswith('"') or len(value) < 2:
                     raise ParseError("unterminated string", lineno,
                                      len(line))
                 value = value[1:-1]
+                col += 1
             pairs[key] = value
-    return pairs
+            where[key] = (lineno, col)
+    return pairs, where
+
+
+def _series(pairs: Dict[str, str], where: Dict[str, Tuple[int, int]],
+            key: str, path: str, vars: Tuple[str, ...], trunc: int) -> Series:
+    """Parse the series literal under key; a ParseError names the key and
+    its position in the file."""
+    text = _require(pairs, key, path)
+    try:
+        return parse_series(text, vars, trunc)
+    except ParseError as exc:
+        line, col = where[key]
+        raise ParseError(f"key {key!r}, line {line}, "
+                         f"col {col + exc.col - 1}: {exc.reason}") from None
 
 
 def _require(pairs: Dict[str, str], key: str, path: str) -> str:
@@ -85,11 +105,10 @@ def _int(pairs: Dict[str, str], key: str, path: str,
 
 def load_hypersurface(path: str, trunc_override: Optional[int] = None
                       ) -> Hypersurface:
-    pairs = parse_keyvalue_file(path)
+    pairs, where = parse_keyvalue_file(path)
     n = _int(pairs, "n", path)
     trunc = trunc_override or _int(pairs, "trunc", path, default=8)
-    phi_text = _require(pairs, "phi", path)
-    phi = parse_series(phi_text, hypersurface_vars(n), trunc)
+    phi = _series(pairs, where, "phi", path, hypersurface_vars(n), trunc)
     h = Hypersurface.from_phi(n, phi)
     validate(h)
     return h
@@ -97,7 +116,7 @@ def load_hypersurface(path: str, trunc_override: Optional[int] = None
 
 def load_map(path: str, trunc_override: Optional[int] = None
              ) -> Tuple[HoloMap, Hypersurface, Hypersurface]:
-    pairs = parse_keyvalue_file(path)
+    pairs, where = parse_keyvalue_file(path)
     n = _int(pairs, "n", path)
     trunc = trunc_override or _int(pairs, "trunc", path, default=8)
     base = os.path.dirname(os.path.abspath(path))
@@ -108,7 +127,7 @@ def load_map(path: str, trunc_override: Optional[int] = None
     comps = []
     j = 1
     while f"F{j}" in pairs:
-        comps.append(parse_series(pairs[f"F{j}"], map_vars(n), trunc))
+        comps.append(_series(pairs, where, f"F{j}", path, map_vars(n), trunc))
         j += 1
     if len(comps) != tgt.n + 1:
         raise ValidationError(
@@ -119,17 +138,17 @@ def load_map(path: str, trunc_override: Optional[int] = None
 
 def load_bb_system(path: str, order_override: Optional[int] = None
                    ) -> BBSystem:
-    pairs = parse_keyvalue_file(path)
+    pairs, where = parse_keyvalue_file(path)
     N = _int(pairs, "N", path)
     order = order_override or _int(pairs, "order", path, default=10)
     trunc = _int(pairs, "trunc", path, default=max(order + 2, 12))
-    comps = [parse_series(_require(pairs, f"f{j}", path), bb_vars(N), trunc)
+    comps = [_series(pairs, where, f"f{j}", path, bb_vars(N), trunc)
              for j in range(1, N + 1)]
     return BBSystem.make(N, comps, order)
 
 
 def load_prolonged_system(path: str) -> Tuple[ProlongedSystem, int]:
-    pairs = parse_keyvalue_file(path)
+    pairs, where = parse_keyvalue_file(path)
     n = _int(pairs, "n", path)
     k = _int(pairs, "k", path)
     order = _int(pairs, "order", path, default=8)
@@ -137,7 +156,7 @@ def load_prolonged_system(path: str) -> Tuple[ProlongedSystem, int]:
     ps = contact_prolong(n, k)
     rv = rhs_vars(n, k)
     for name in ps.needed_rhs_names():
-        ps.supplied[name] = parse_series(_require(pairs, name, path), rv, trunc)
+        ps.supplied[name] = _series(pairs, where, name, path, rv, trunc)
     if "samples" in pairs and pairs["samples"].strip():
         for chunk in pairs["samples"].split(";"):
             vals = tuple(Fraction(x.strip()) for x in chunk.split(",")
@@ -182,17 +201,17 @@ def hypersurface_report(h: Hypersurface, ell_max: int = 4,
     inv["ell"] = rep.ell.as_dict()
 
     fr = Frame(h)
-    levi = desingularize(fr, levi_matrix(fr, rep.m), rep.m)
-    type2 = any(not levi.h0[a][b].constant_term().is_zero()
+    ld = levi(fr, rep.m)
+    type2 = any(not ld.h0[a][b].constant_term().is_zero()
                 for a in range(h.n) for b in range(h.n))
     inv["type_2"] = type2
-    filt = filtration(fr, rep.m, ell_max)
+    filt = filtration(fr, rep.m, rep.ell_max)
     inv["filtration_ranks"] = filt.ranks
     inv["filtration_ell"] = filt.ell
     inv["filtration_nondegenerate"] = filt.nondegenerate
-    hs = [[levi.h[a][b] * HALF_OVER_I for b in range(h.n)]
+    hs = [[ld.h[a][b] * HALF_OVER_I for b in range(h.n)]
           for a in range(h.n)]
-    h0s = [[levi.h0[a][b] * HALF_OVER_I for b in range(h.n)]
+    h0s = [[ld.h0[a][b] * HALF_OVER_I for b in range(h.n)]
            for a in range(h.n)]
     out["levi"] = {
         "h": [[x.to_literal() for x in row] for row in hs],
@@ -307,8 +326,7 @@ def examples_report(trunc: Optional[int] = None) -> dict:
     check("model-surface essential",
           {"status": "certified-essential", "bound": 1, "detail": ""},
           rep0.essential.as_dict())
-    fr0 = Frame(m0)
-    levi0 = desingularize(fr0, levi_matrix(fr0, 1), 1)
+    levi0 = levi(Frame(m0), 1)
     check("model-surface type-2 leading term", "1",
           _fmt(levi0.h0[0][0].constant_term() * HALF_OVER_I))
 

@@ -11,8 +11,8 @@ from crgeom import corpus
 from crgeom.briot_bouquet import (bb_vars, BBSystem, dulac_classify,
                                   formal_solve, linear_part, numeric_oracle)
 from crgeom.cli import main
-from crgeom.crmap import check_identities, maps_into
-from crgeom.frame import (Frame, desingularize, iterated_forms, levi_matrix)
+from crgeom.crmap import check_identities, maps_into, restriction_data
+from crgeom.frame import Frame, iterated_forms, levi
 from crgeom.hypersurface import compute_infinite_type, full_report
 from crgeom.parsing import parse_series
 from crgeom.prolongation import (assemble_and_solve, contact_prolong,
@@ -33,13 +33,12 @@ def corpus_surfaces(t=8):
 
 def test_criterion_01_model_invariants():
     rep = full_report(corpus.model_surface(8))
-    fr = Frame(corpus.model_surface(8))
-    levi = desingularize(fr, levi_matrix(fr, 1), 1)
+    ld = levi(Frame(corpus.model_surface(8)), 1)
     ok = (rep.m == 1 and rep.r == 2
           and rep.ell.as_dict() == {"status": "nondegenerate", "ell": 1}
           and rep.essential.status == "certified-essential"
           and rep.essential.bound == 1
-          and levi.h0[0][0].constant_term() * HALF_OVER_I == GaussRational(1))
+          and ld.h0[0][0].constant_term() * HALF_OVER_I == GaussRational(1))
     _verdict("01 model-surface invariants", ok)
 
 
@@ -52,8 +51,8 @@ def test_criterion_03_power_map_containment():
     ok = True
     for k in (2, 3, 4):
         t = 2 * k + 4
-        res = maps_into(corpus.power_map(k, t), corpus.model_surface(t),
-                        corpus.power_target(k, t))
+        rd = restriction_data(corpus.power_map(k, t), corpus.model_surface(t))
+        res = maps_into(rd, corpus.power_target(k, t))
         ok = ok and res.is_zero()
     _verdict("03 power-map containment", ok)
 
@@ -62,9 +61,7 @@ def test_criterion_04_levi_divisibility_and_leading_term():
     ok = True
     for h in corpus_surfaces():
         rep = compute_infinite_type(h)
-        fr = Frame(h)
-        raw = levi_matrix(fr, rep.m)
-        levi = desingularize(fr, raw, rep.m)   # raises if not divisible
+        ld = levi(Frame(h), rep.m)   # raises if not divisible
         lowest = {e: c for e, c in rep.phi_m.terms.items()
                   if sum(e) == rep.r}
         n = h.n
@@ -73,7 +70,7 @@ def test_criterion_04_levi_divisibility_and_leading_term():
                 exps = tuple(1 if j == b else 0 for j in range(n)) + \
                     tuple(1 if j == a else 0 for j in range(n)) + (0,)
                 want = lowest.get(exps, GaussRational(0))
-                ok = ok and levi.h0[a][b].constant_term() * HALF_OVER_I == want
+                ok = ok and ld.h0[a][b].constant_term() * HALF_OVER_I == want
     _verdict("04 levi divisibility and leading term", ok)
 
 

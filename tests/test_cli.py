@@ -31,6 +31,17 @@ def test_report_model(tmp_path, capsys):
     assert rep["input"]["n"] == 1
 
 
+def test_report_at_minimal_trunc_clamps_ell(tmp_path, capsys):
+    # trunc 3 leaves psi = phi / s known through order 2: ell and the
+    # filtration probe words of length 1 only
+    path = write(tmp_path, "m0t3.hs", 'n = 1\ntrunc = 3\nphi = "s*z1*c1"\n')
+    code, rep = run_json(capsys, ["report", path])
+    assert code == 0
+    inv = rep["invariants"]
+    assert inv["ell"] == {"status": "nondegenerate", "ell": 1}
+    assert inv["filtration_ranks"] == [0, 1]
+
+
 def test_report_levi_flat_m_infinity(tmp_path, capsys):
     path = write(tmp_path, "flat.hs", FLAT)
     code, rep = run_json(capsys, ["report", path])
@@ -82,12 +93,23 @@ def test_parse_error_exit_3(tmp_path, capsys):
     path2 = write(tmp_path, "badexpr.hs", 'n = 1\ntrunc = 8\nphi = "s*%"\n')
     assert main(["report", path2]) == 3
     capsys.readouterr()
-    # an exponent past the cap is refused before any arithmetic, at its token
+    # an exponent past the cap is refused before any arithmetic, at its
+    # token, in file coordinates
     path3 = write(tmp_path, "bigexp.hs", 'n = 1\ntrunc = 8\n'
                   'phi = "z1*c1*s + 2^99999999*z1*c1"\n')
     assert main(["report", path3]) == 3
     err = capsys.readouterr().err
-    assert "col 13" in err and "exponent 99999999 exceeds 1000" in err
+    assert "key 'phi', line 3, col 20: exponent 99999999 exceeds 1000" in err
+    # coefficients past MAX_COEFF_BITS: a nested power, a long product and
+    # a long integer literal
+    for name, literal, col in [
+            ("nested.hs", "z1*c1*s + (2^1000)^1000*z1*c1*s^2", 26),
+            ("product.hs", "z1*c1*s + " + "*".join(["2^1000"] * 20), 108),
+            ("literal.hs", "z1*c1*s*1" + "0" * 5000, 16)]:
+        path = write(tmp_path, name, f'n = 1\ntrunc = 8\nphi = "{literal}"\n')
+        assert main(["report", path]) == 3
+        err = capsys.readouterr().err
+        assert f"line 3, col {col}: coefficient exceeds 14000 bits" in err
 
 
 def test_bb_solve_with_oracle(tmp_path, capsys):

@@ -1,13 +1,21 @@
 import pytest
 
+import crgeom.crmap
 from crgeom import corpus
 from crgeom.crmap import (HoloMap, check_identities, frame_data, map_vars,
-                          maps_into, restrict_map)
+                          maps_into, restrict_map, restriction_data)
 from crgeom.errors import InvariantViolation, ValidationError
+from crgeom.frame import Frame, levi
+from crgeom.hypersurface import Hypersurface
+from crgeom.report import HALF_OVER_I
 from crgeom.scalars import GaussRational
-from crgeom.series import Series
+from crgeom.series import Series, hypersurface_vars, implicit_solve
 
 T = 9
+
+
+def map_frame_data(f, source, target):
+    return frame_data(Frame(source), Frame(target), restriction_data(f, source))
 
 
 def test_restrict_substitutes_w():
@@ -31,21 +39,21 @@ def test_power_maps_into_targets():
         trunc = 2 * k + 4
         m0 = corpus.model_surface(trunc)
         mk = corpus.power_target(k, trunc)
-        res = maps_into(corpus.power_map(k, trunc), m0, mk)
+        res = maps_into(restriction_data(corpus.power_map(k, trunc), m0), mk)
         assert res.is_zero()
 
 
 def test_wrong_target_gives_nonzero_residual():
     m0 = corpus.model_surface(T)
     m3 = corpus.power_target(3, T)
-    res = maps_into(corpus.power_map(2, T), m0, m3)
+    res = maps_into(restriction_data(corpus.power_map(2, T), m0), m3)
     assert not res.is_zero()
 
 
 def test_frame_data_power_map():
     m0 = corpus.model_surface(T)
     m2 = corpus.power_target(2, T)
-    fd = frame_data(corpus.power_map(2, T), m0, m2)
+    fd = map_frame_data(corpus.power_map(2, T), m0, m2)
     assert fd.xi == Series.const(2, fd.xi.vars, fd.xi.trunc)
     assert fd.gamma[0][0].constant_term() == GaussRational(1)
     assert all(e.is_zero() for e in fd.eta)
@@ -87,15 +95,15 @@ def test_functoriality_square_map_between_targets():
     m2 = corpus.power_target(2, trunc)
     m4 = corpus.power_target(4, trunc)
     f2 = corpus.power_map(2, trunc)
-    res = maps_into(f2, m2, m4)
+    res = maps_into(restriction_data(f2, m2), m4)
     assert res.is_zero()
     rr_step = check_identities(f2, m2, m4)
     assert rr_step.all_zero()
 
     # compose: (z, (w^2)^2) = (z, w^4)
-    fd_first = frame_data(f2, m0, m2)
-    fd_second = frame_data(f2, m2, m4)
-    fd_total = frame_data(corpus.power_map(4, trunc), m0, m4)
+    fd_first = map_frame_data(f2, m0, m2)
+    fd_second = map_frame_data(f2, m2, m4)
+    fd_total = map_frame_data(corpus.power_map(4, trunc), m0, m4)
     # xi is multiplicative along the composition: 2 * (xi_2 o f) = 4
     xi2_of = fd_second.xi     # equals 2 exactly here
     prod = fd_first.xi * xi2_of.truncate(fd_first.xi.trunc)
@@ -107,14 +115,14 @@ def test_levi_flat_source_is_xi_singular():
     flat = corpus.levi_flat_surface(T)
     m0 = corpus.model_surface(T)
     with pytest.raises(InvariantViolation, match="xi-singular"):
-        frame_data(corpus.identity_map(1, T), flat, m0)
+        map_frame_data(corpus.identity_map(1, T), flat, m0)
 
 
 def test_levi_flat_target_is_xi_singular():
     flat = corpus.levi_flat_surface(T)
     m0 = corpus.model_surface(T)
     with pytest.raises(InvariantViolation, match="xi-singular"):
-        frame_data(corpus.identity_map(1, T), m0, flat)
+        map_frame_data(corpus.identity_map(1, T), m0, flat)
 
 
 def test_origin_value_of_levi_identity():
@@ -123,14 +131,70 @@ def test_origin_value_of_levi_identity():
     # model -> power target
     m0 = corpus.model_surface(T)
     m2 = corpus.power_target(2, T)
-    fd = frame_data(corpus.power_map(2, T), m0, m2)
-    from crgeom.frame import Frame, desingularize, levi_matrix
-    from crgeom.report import HALF_OVER_I
-    h0 = desingularize(Frame(m0), levi_matrix(Frame(m0), 1), 1)
-    h0hat = desingularize(Frame(m2), levi_matrix(Frame(m2), 1), 1)
+    fd = map_frame_data(corpus.power_map(2, T), m0, m2)
+    h0 = levi(Frame(m0), 1)
+    h0hat = levi(Frame(m2), 1)
     xi0 = fd.xi.constant_term()
     g0 = fd.gamma[0][0].constant_term()
     lhs = xi0 * h0.h0[0][0].constant_term() * HALF_OVER_I
     rhs = g0 * g0.conjugate() * h0hat.h0[0][0].constant_term() * HALF_OVER_I
     assert lhs == rhs
     assert lhs == GaussRational(2)
+
+
+def test_non_map_has_nonzero_residuals():
+    # (2z, w) does not map Im w = s|z|^2 into itself
+    m0 = corpus.model_surface(T)
+    mv = map_vars(1)
+    f = HoloMap.make(1, [Series.variable("z1", mv, T) * 2,
+                         Series.variable("w", mv, T)])
+    rr = check_identities(f, m0, m0)
+    assert not rr.map_residual.is_zero()
+    assert not rr.all_zero()
+
+
+def w_dependent_example(trunc):
+    """(z (1 + w), w) maps Im w = s|z|^2 into Im w = s|z|^2 / |1 + w|^2,
+    whose phi solves t = s z c / ((1 + s)^2 + t^2); its first component
+    depends on w, so eta = S(F_1|M) is nonzero."""
+    ivars = ("u", "s", "t")
+    u, s, t = (Series.variable(x, ivars, trunc) for x in ivars)
+    one = Series.const(1, ivars, trunc)
+    theta = implicit_solve(s * u * ((one + s) ** 2 + t * t).reciprocal(), "t")
+    v = hypersurface_vars(1)
+    phi = theta.subs({"u": Series.variable("z1", v, trunc) *
+                      Series.variable("c1", v, trunc),
+                      "s": Series.variable("s", v, trunc)})
+    mv = map_vars(1)
+    z, w = (Series.variable(x, mv, trunc) for x in mv)
+    f = HoloMap.make(1, [z + z * w, w])
+    return f, corpus.model_surface(trunc), Hypersurface.from_phi(1, phi)
+
+
+def test_identities_vanish_for_w_dependent_map():
+    f, src, tgt = w_dependent_example(T)
+    fd = map_frame_data(f, src, tgt)
+    assert not fd.eta[0].is_zero()
+    assert fd.tangency_ok
+    rr = check_identities(f, src, tgt)
+    assert rr.map_residual.is_zero()
+    assert rr.all_zero()
+    assert rr.xi.constant_term() == GaussRational(1)
+
+
+def test_check_identities_builds_each_piece_once(monkeypatch):
+    # one restriction, and at most n + n^2 + n + 1 compositions: theta_hat,
+    # the target's h0 and h0bar, and the containment residual
+    calls = {"restrict_map": 0, "compose_with_map": 0}
+    for name in calls:
+        original = getattr(crgeom.crmap, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(crgeom.crmap, name, counted)
+    h = corpus.filtration_example_surface(T)
+    n = h.n
+    assert check_identities(corpus.identity_map(n, T), h, h).all_zero()
+    assert calls["restrict_map"] == 1
+    assert calls["compose_with_map"] <= n + n * n + n + 1

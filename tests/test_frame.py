@@ -1,8 +1,9 @@
 import itertools
+import random
 
 from crgeom import corpus
-from crgeom.frame import (Frame, bracket, desingularize, filtration,
-                          iterated_forms, iterated_h0_at_origin, levi_matrix)
+from crgeom.frame import (Frame, FrameField, filtration, iterated_forms,
+                          iterated_h0_at_origin, levi)
 from crgeom.hypersurface import Hypersurface, compute_infinite_type
 from crgeom.report import HALF_OVER_I
 from crgeom.scalars import GaussRational
@@ -22,49 +23,99 @@ def surfaces():
     yield Hypersurface.from_phi(1, s * z * c + s * s * z * c)
 
 
+def random_surface(n=3, trunc=6, seed=7):
+    """A real normal-form phi = s*|z|^2 + (random terms z_a c_b s^k and
+    their conjugates, k = 1, 2), so psi = phi / s depends on s."""
+    rng = random.Random(seed)
+    v = hypersurface_vars(n)
+    z = [Series.variable(f"z{a}", v, trunc) for a in range(1, n + 1)]
+    c = [Series.variable(f"c{a}", v, trunc) for a in range(1, n + 1)]
+    s = Series.variable("s", v, trunc)
+    phi = s * sum((z[a] * c[a] for a in range(1, n)), z[0] * c[0])
+    for _ in range(4):
+        a, b, k = rng.randrange(n), rng.randrange(n), rng.choice((1, 2))
+        q = GaussRational(rng.randint(-3, 3), rng.randint(-3, 3))
+        extra = z[a] * c[b] * (z[rng.randrange(n)] if rng.random() < 0.5
+                               else Series.const(1, v, trunc))
+        term = extra * s ** k * q
+        phi = phi + term + term.conjugate()
+    return Hypersurface.from_phi(n, phi)
+
+
+def frame_surfaces():
+    yield from surfaces()
+    yield random_surface()
+
+
+def bracket(x, y, trunc):
+    """Coordinate Lie bracket [x, y], the independent oracle for the
+    frame's closed-form coframe and structure constants."""
+    comps = {}
+    for v in set(x.comps) | set(y.comps):
+        comps[v] = x.apply(y.comp(v, trunc)) - y.apply(x.comp(v, trunc))
+    return FrameField(x.vars, comps)
+
+
+def fields(fr):
+    """The frame basis in its fixed order: T, L_1..L_n, L_1bar..L_nbar."""
+    return [fr.T] + fr.L + fr.Lbar
+
+
+def same(a, b):
+    tr = min(a.trunc, b.trunc)
+    return (a.truncate(tr) - b.truncate(tr)).is_zero()
+
+
 def test_frame_duality():
-    for h in surfaces():
+    # theta(T) = 1 and theta vanishes on every L_A and L_Abar
+    for h in frame_surfaces():
         fr = Frame(h)
-        for j, f in enumerate(fr.fields):
-            comps = fr.frame_components(f)
-            for k, cseries in enumerate(comps):
-                expected = Series.const(1 if k == j else 0, fr.vars,
-                                        cseries.trunc)
-                assert cseries == expected
+        for j, e in enumerate(fields(fr)):
+            paired = sum((fr.theta[v] * e.comp(v, fr.trunc) for v in fr.vars),
+                         Series.zero(fr.vars, fr.trunc))
+            assert paired == Series.const(1 if j == 0 else 0, fr.vars,
+                                          fr.trunc)
 
 
 def test_cr_fields_commute():
     # [L_a, L_b] = 0, and [L_abar, L_bbar] = 0 keeps the L_bar-components
     # of every iterated form of theta zero
-    for h in surfaces():
+    for h in frame_surfaces():
         fr = Frame(h)
-        for fields in (fr.L, fr.Lbar):
-            for x, y in itertools.combinations(fields, 2):
+        for group in (fr.L, fr.Lbar):
+            for x, y in itertools.combinations(group, 2):
                 br = bracket(x, y, fr.trunc)
                 assert all(c.is_zero() for c in br.comps.values())
 
 
 def test_brackets_are_multiples_of_t():
-    for h in surfaces():
+    # every bracket of frame fields, [L_Abar, T] included, is a multiple
+    # of T = d/ds: it has no other coordinate component
+    for h in frame_surfaces():
         fr = Frame(h)
-        n = fr.n
-        fields = fr.L + fr.Lbar + [fr.T]
-        for x, y in itertools.combinations(fields, 2):
-            dec = fr.frame_components(bracket(x, y, fr.trunc))
-            for j in range(1, 2 * n + 1):
-                assert dec[j].is_zero()
+        for x, y in itertools.combinations(fields(fr), 2):
+            assert set(bracket(x, y, fr.trunc).comps) <= {"s"}
+
+
+def test_structure_constants_match_coordinate_bracket():
+    # c[a][j] is the T-coefficient (the s-component) of [L_abar, e_j]
+    for h in frame_surfaces():
+        fr = Frame(h)
+        for a, lbar in enumerate(fr.Lbar):
+            for j, e in enumerate(fields(fr)[:fr.n + 1]):
+                br = bracket(lbar, e, fr.trunc).comp("s", fr.trunc - 1)
+                assert same(fr.c[a][j], br)
 
 
 def test_levi_matrix_hermitian():
     # (1/2i) <theta, [L_Abar, L_B]> is Hermitian
     for h in surfaces():
-        fr = Frame(h)
-        levi = levi_matrix(fr)
-        n = fr.n
+        ld = levi(Frame(h), compute_infinite_type(h).m)
+        n = h.n
         for a in range(n):
             for b in range(n):
-                lhs = levi.h[a][b] * HALF_OVER_I
-                rhs = (levi.h[b][a] * HALF_OVER_I).conjugate()
+                lhs = ld.h[a][b] * HALF_OVER_I
+                rhs = (ld.h[b][a] * HALF_OVER_I).conjugate()
                 assert lhs == rhs.truncate(lhs.trunc)
 
 
@@ -73,8 +124,7 @@ def test_desingularized_leading_term_is_mixed_hessian():
     # lowest-order part of phi_m
     for h in surfaces():
         rep = compute_infinite_type(h)
-        fr = Frame(h)
-        levi = desingularize(fr, levi_matrix(fr, rep.m), rep.m)
+        ld = levi(Frame(h), rep.m)
         n = h.n
         lowest = {e: c for e, c in rep.phi_m.terms.items()
                   if sum(e) == rep.r}
@@ -83,23 +133,23 @@ def test_desingularized_leading_term_is_mixed_hessian():
                 exps = tuple(1 if j == b else 0 for j in range(n)) + \
                     tuple(1 if j == a else 0 for j in range(n)) + (0,)
                 expected = lowest.get(exps, GaussRational(0))
-                assert levi.h0[a][b].constant_term() * HALF_OVER_I == expected
+                assert ld.h0[a][b].constant_term() * HALF_OVER_I == expected
 
 
 def test_model_bracket_and_levi_values():
     fr = Frame(corpus.model_surface(9))
-    dec = fr.frame_components(bracket(fr.Lbar[0], fr.L[0], fr.trunc))
+    br = bracket(fr.Lbar[0], fr.L[0], fr.trunc).comp("s", fr.trunc)
     # [L_1bar, L_1] = (2is + O(3)) T
-    assert dec[0].coefficient((0, 0, 1)) == GaussRational(0, 2)
-    assert fr.c[0][1][0] == dec[0]
-    levi = desingularize(fr, levi_matrix(fr, 1), 1)
-    assert levi.h[0][0].coefficient((0, 0, 1)) == GaussRational(0, 2)
-    assert levi.h0[0][0].constant_term() == GaussRational(0, 2)
+    assert br.coefficient((0, 0, 1)) == GaussRational(0, 2)
+    assert fr.c[0][1] == br
+    ld = levi(fr, 1)
+    assert ld.h[0][0].coefficient((0, 0, 1)) == GaussRational(0, 2)
+    assert ld.h0[0][0].constant_term() == GaussRational(0, 2)
     # phi = s*g(z,c) makes the bracket with s^m T collapse exactly
-    assert levi.h0_bar[0].is_zero()
+    assert ld.h0_bar[0].is_zero()
     # a_1bar = m (L_1bar s)/s = -i z/(1 + i z c)
-    assert levi.a_bar[0].coefficient((1, 0, 0)) == GaussRational(0, -1)
-    assert levi.a_bar[0].coefficient((2, 1, 0)) == GaussRational(-1)
+    assert ld.a_bar[0].coefficient((1, 0, 0)) == GaussRational(0, -1)
+    assert ld.a_bar[0].coefficient((2, 1, 0)) == GaussRational(-1)
 
 
 def test_iterated_recursion():
@@ -135,17 +185,17 @@ def coordinate_lie_derivative(x, omega):
 
 
 def test_iterated_forms_match_coordinate_lie_derivative():
-    # theta = sum_v minv[v][0] dv, differentiated in coordinates with no
-    # bracket and no structure constant, paired with every frame field
+    # theta = sum_v theta_v dv (dual to the frame, see test_frame_duality),
+    # differentiated in coordinates with no bracket and no structure
+    # constant, paired with every frame field
     for h in surfaces():
         fr = Frame(h)
         n = fr.n
-        theta = {v: fr.minv[i][0] for i, v in enumerate(fr.vars)}
-        coord = {(): theta}
+        coord = {(): fr.theta}
         for word, omega in iterated_forms(fr, 2):
             coord[word] = coordinate_lie_derivative(fr.Lbar[word[-1] - 1],
                                                     coord[word[:-1]])
-            for j, e in enumerate(fr.fields):
+            for j, e in enumerate(fields(fr)):
                 paired = sum((coord[word][v] * e.comp(v, fr.trunc)
                               for v in fr.vars), Series.zero(fr.vars, fr.trunc))
                 want = omega[j] if j <= n else Series.zero(fr.vars, fr.trunc)
@@ -219,9 +269,8 @@ def test_type_two_detection():
     # type 2 (h0(0) != 0) holds for every corpus surface of finite type
     for h in surfaces():
         rep = compute_infinite_type(h)
-        fr = Frame(h)
-        levi = desingularize(fr, levi_matrix(fr, rep.m), rep.m)
-        some_nonzero = any(not levi.h0[a][b].constant_term().is_zero()
+        ld = levi(Frame(h), rep.m)
+        some_nonzero = any(not ld.h0[a][b].constant_term().is_zero()
                            for a in range(h.n) for b in range(h.n))
         assert some_nonzero == (rep.r == 2)
 
