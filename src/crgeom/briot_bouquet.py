@@ -20,15 +20,16 @@ t*y' - f(t, y) through t^K, without the recurrence that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .errors import InvariantViolation, ValidationError
 from .linalg import (char_poly, count_eigenvalues_nonpositive_real, rank,
                      solve_linear)
 from .scalars import GaussRational
 from .series import Series
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -275,6 +276,9 @@ def dulac_classify(lp: LinearPart) -> DulacReport:
 
 
 def series_value(sol: FormalLogSolution, N: int, t: float) -> np.ndarray:
+    # numpy is imported here and in numeric_oracle only: it adds about
+    # 13 MB to every process, and only the oracle needs it
+    import numpy as np
     vals = np.zeros(N, dtype=complex)
     if t == 0:
         return vals
@@ -298,6 +302,7 @@ def numeric_oracle(sys: BBSystem, sol: FormalLogSolution,
         raise ValidationError("numeric oracle requires a log-free solution")
     if t0 == 0:
         raise ValidationError("integration cannot start at the singularity")
+    import numpy as np
     N = sys.N
     sign = 1.0 if t0 > 0 else -1.0
     a, b = t0, sign * abs(t_end)

@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from .errors import InvariantViolation, ParseError, ValidationError
+from .parsing import MAX_TRUNC
 from .report import (bb_report, examples_report, hypersurface_report,
                      load_bb_system, load_hypersurface, load_map,
                      load_prolonged_system, map_report, prolong_report,
@@ -26,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--trunc", type=int, default=None,
-                       help="series truncation override")
+                       help=f"series truncation override, 1..{MAX_TRUNC}")
         p.add_argument("--out", default=None, help="write report to a file")
         p.add_argument("--json", action="store_true",
                        help="force JSON output (default for most commands)")
@@ -58,6 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
+    if args.trunc is not None and not 1 <= args.trunc <= MAX_TRUNC:
+        raise ValidationError(
+            f"--trunc {args.trunc} is outside 1..{MAX_TRUNC}")
     if args.command == "report":
         rep = hypersurface_report(load_hypersurface(args.input, args.trunc))
         text = to_json(rep)

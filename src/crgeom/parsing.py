@@ -6,7 +6,8 @@ subexpressions, and division by unit subexpressions.  Whitespace is
 insignificant; ``^`` denotes powers with nonnegative integer exponents
 of at most ``MAX_EXPONENT``, and no numerator or denominator may exceed
 ``MAX_COEFF_BITS`` bits, so a short literal cannot demand unbounded work
-and its own coefficients stay printable.
+and its own coefficients stay printable.  Truncation orders are at most
+``MAX_TRUNC``.
 Which variable names are legal depends on context (z1..zn, c1..cn, s, t,
 w, y1..yN, x1..x2n) and is supplied by the caller as the variable tuple.
 """
@@ -21,6 +22,9 @@ from .scalars import GaussRational
 from .series import Series
 
 MAX_EXPONENT = 1000
+# bound on --trunc, so a command line cannot demand unbounded work; above
+# every truncation order the tests, demos and benchmark use
+MAX_TRUNC = 64
 # below the 4300 decimal digits (about 14284 bits) Python will convert
 # between int and str by default
 MAX_COEFF_BITS = 14000
@@ -78,11 +82,15 @@ class _Lexer:
         raise ParseError(msg, line, col)
 
 
-def _coeff_bits(s: Series) -> int:
-    """Largest bit length of a numerator or denominator in s."""
-    return max((max(abs(c.re.numerator), c.re.denominator,
-                     abs(c.im.numerator), c.im.denominator)
-                 for c in s.terms.values()), default=0).bit_length()
+def _coeff_bits(coeffs) -> int:
+    """Largest bit length of a numerator or denominator of the real and
+    imaginary parts, in lowest terms, of the coefficients."""
+    return max((c.height() for c in coeffs), default=0).bit_length()
+
+
+def _degree(s: Series) -> int:
+    """Largest total degree of a term of s (0 for the zero series)."""
+    return max(map(sum, s.terms), default=0)
 
 
 class _Parser:
@@ -90,6 +98,8 @@ class _Parser:
         self.lx = lexer
         self.vars = vars
         self.trunc = trunc
+        # set when truncation may have dropped a term of the literal
+        self.dropped = False
 
     def parse(self) -> Series:
         result = self.expr()
@@ -113,7 +123,9 @@ class _Parser:
                 tok = self.lx.next()
                 rhs = self.term()
                 acc = acc + rhs if val == "+" else acc - rhs
-                self._check_bits(_coeff_bits(acc), tok)
+                # only the coefficients at rhs's exponents changed
+                self._check_bits(_coeff_bits(acc.terms[e] for e in rhs.terms
+                                             if e in acc.terms), tok)
             else:
                 return acc
 
@@ -125,13 +137,17 @@ class _Parser:
                 tok = self.lx.next()
                 rhs = self.factor()
                 if val == "*":
+                    self._note_degree(_degree(acc) + _degree(rhs))
                     acc = acc * rhs
                 else:
                     try:
-                        acc = acc * rhs.reciprocal()
+                        inv = rhs.reciprocal()
                     except UnitRequiredError:
                         self.lx.error("division by a non-unit series", tok)
-                self._check_bits(_coeff_bits(acc), tok)
+                    if _degree(rhs) > 0 and not acc.is_zero():
+                        self.dropped = True     # 1/rhs has no last term
+                    acc = acc * inv
+                self._check_bits(_coeff_bits(acc.terms.values()), tok)
             else:
                 return acc
 
@@ -154,10 +170,16 @@ class _Parser:
             k = int(exp)
             # a power's coefficients have at most k times the bits of the
             # base's when the base is a monomial; refuse before the work
-            self._check_bits(k * _coeff_bits(base), op)
+            self._check_bits(k * _coeff_bits(base.terms.values()), op)
+            self._note_degree(k * _degree(base))
             base = base ** k
-            self._check_bits(_coeff_bits(base), op)
+            self._check_bits(_coeff_bits(base.terms.values()), op)
         return base
+
+    def _note_degree(self, degree: int) -> None:
+        """Record a result whose untruncated terms reach ``degree``."""
+        if degree > self.trunc:
+            self.dropped = True
 
     def _check_bits(self, bits: int, tok) -> None:
         if bits > MAX_COEFF_BITS:
@@ -180,6 +202,7 @@ class _Parser:
             if val not in self.vars:
                 self.lx.error(f"unknown variable {val!r} "
                               f"(expected one of {', '.join(self.vars)})", tok)
+            self._note_degree(1)
             return Series.variable(val, self.vars, self.trunc)
         if kind == "OP" and val == "(":
             inner = self.expr()
@@ -194,3 +217,11 @@ class _Parser:
 def parse_series(text: str, vars: Tuple[str, ...], trunc: int) -> Series:
     """Parse a series literal over the given variable tuple and truncation."""
     return _Parser(_Lexer(text), tuple(vars), trunc).parse()
+
+
+def drops_terms(text: str, vars: Tuple[str, ...], trunc: int) -> bool:
+    """Whether parsing the literal at ``trunc`` may drop a term of degree
+    above ``trunc``; False means the parsed series is the literal exactly."""
+    parser = _Parser(_Lexer(text), tuple(vars), trunc)
+    parser.parse()
+    return parser.dropped

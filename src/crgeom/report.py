@@ -22,7 +22,7 @@ from .crmap import HoloMap, check_identities, map_vars
 from .errors import ParseError, ValidationError
 from .frame import Frame, filtration, levi
 from .hypersurface import Hypersurface, full_report, validate
-from .parsing import parse_series
+from .parsing import drops_terms, parse_series
 from .prolongation import (ProlongedSystem, assemble_and_solve,
                            contact_prolong, rhs_vars)
 from .scalars import GaussRational, format_coefficient
@@ -107,8 +107,16 @@ def load_hypersurface(path: str, trunc_override: Optional[int] = None
                       ) -> Hypersurface:
     pairs, where = parse_keyvalue_file(path)
     n = _int(pairs, "n", path)
-    trunc = trunc_override or _int(pairs, "trunc", path, default=8)
-    phi = _series(pairs, where, "phi", path, hypersurface_vars(n), trunc)
+    trunc = (trunc_override if trunc_override is not None
+             else _int(pairs, "trunc", path, default=8))
+    vars = hypersurface_vars(n)
+    phi = _series(pairs, where, "phi", path, vars, trunc)
+    # a zero phi means Levi-flat, a claim about every order: make it only
+    # when the literal itself is zero, not when truncation emptied it
+    if phi.is_zero() and drops_terms(pairs["phi"], vars, trunc):
+        raise ValidationError(
+            f"{path}: phi truncates to 0 at trunc {trunc}, which leaves "
+            f"its invariants undetermined; raise trunc")
     h = Hypersurface.from_phi(n, phi)
     validate(h)
     return h
@@ -118,7 +126,8 @@ def load_map(path: str, trunc_override: Optional[int] = None
              ) -> Tuple[HoloMap, Hypersurface, Hypersurface]:
     pairs, where = parse_keyvalue_file(path)
     n = _int(pairs, "n", path)
-    trunc = trunc_override or _int(pairs, "trunc", path, default=8)
+    trunc = (trunc_override if trunc_override is not None
+             else _int(pairs, "trunc", path, default=8))
     base = os.path.dirname(os.path.abspath(path))
     src = load_hypersurface(os.path.join(base, _require(pairs, "source", path)),
                             trunc)
@@ -316,7 +325,7 @@ def examples_report(trunc: Optional[int] = None) -> dict:
         entries.append({"name": name, "expected": expected, "actual": actual,
                         "ok": expected == actual})
 
-    t = trunc or corpus.DEFAULT_TRUNC
+    t = corpus.DEFAULT_TRUNC if trunc is None else trunc
     m0 = corpus.model_surface(t)
     rep0 = full_report(m0)
     check("model-surface m", 1, rep0.m)

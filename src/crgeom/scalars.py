@@ -1,27 +1,48 @@
 """Exact Gaussian-rational scalars.
 
-All series coefficients in this package are Gaussian rationals: numbers
-a + b*i with a, b in Q, stored as a pair of ``fractions.Fraction``.
-Arithmetic never rounds; Fraction keeps denominators positive and
-fractions reduced, which gives a canonical representation for free.
+All series coefficients in this package are Gaussian rationals
+(a + b*i)/d, stored as one triple of Python ints.  The triple is
+canonical, d > 0 and gcd(a, b, d) = 1, so equal numbers have equal
+triples.  A sum, product or quotient builds one object and reduces it
+with one three-way gcd; when both denominators are 1 there is nothing to
+reduce.  Arithmetic never rounds.  ``re`` and ``im`` give the reduced
+real and imaginary parts as ``Fraction``s, for printing and for bounds
+on coefficient size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RationalLike = Union[int, Fraction]
 
+_new = object.__new__
+_set = object.__setattr__
+
 
 class GaussRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number (a + b*i)/d with d > 0 and gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    ``re`` and ``im`` give the reduced parts; the triple is private.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            p, q = re.denominator, im.denominator
+            d = p // gcd(p, q) * q
+            # canonical as it stands: a prime's full power in d = lcm(p, q)
+            # divides p or q, and so not that part's numerator
+            a, b = re.numerator * (d // p), im.numerator * (d // q)
+        _set(self, "_a", a)
+        _set(self, "_b", b)
+        _set(self, "_d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
@@ -36,24 +57,45 @@ class GaussRational:
             return GaussRational(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussRational")
 
-    # -- predicates ----------------------------------------------------------
+    # -- parts and predicates ------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def height(self) -> int:
+        """Largest |numerator| or denominator of ``re`` and ``im``."""
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return max(abs(a), abs(b), 1)
+        g, h = gcd(a, d), gcd(b, d)
+        return max(abs(a) // g, abs(b) // h, d // min(g, h))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = GaussRational.of(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRational:
+            other = GaussRational.of(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d,
+                        d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         return self + (-GaussRational.of(other))
@@ -62,23 +104,24 @@ class GaussRational:
         return GaussRational.of(other) + (-self)
 
     def __mul__(self, other):
-        other = GaussRational.of(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRational:
+            other = GaussRational.of(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussRational.of(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if type(other) is not GaussRational:
+            other = GaussRational.of(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError("division by zero GaussRational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        f = other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f,
+                        self._d * norm)
 
     def __rtruediv__(self, other):
         return GaussRational.of(other) / self
@@ -96,24 +139,31 @@ class GaussRational:
         return out
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussRational(other)
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is GaussRational:
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (self._b == 0 and self._d == other.denominator
+                    and self._a == other.numerator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b == 0:
+            return hash(self.re)    # that of the int or Fraction it equals
+        return hash((self._a, self._b, self._d))
 
     # -- conversion / formatting ----------------------------------------------
 
     def __complex__(self):
-        return complex(self.re, self.im)
+        # int / int is correctly rounded, so this equals complex(re, im)
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -122,27 +172,65 @@ class GaussRational:
         return format_coefficient(self)
 
 
+def _triple(a: int, b: int, d: int) -> GaussRational:
+    """The number with triple (a, b, d), which must already be canonical."""
+    out = _new(GaussRational)
+    _set(out, "_a", a)
+    _set(out, "_b", b)
+    _set(out, "_d", d)
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d in canonical form, for d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _triple(a, b, d)
+
+
 ZERO = GaussRational(0)
 ONE = GaussRational(1)
 I = GaussRational(0, 1)
 
+# str() of an int under 2^2000 (at most 603 digits) is within every
+# int-to-str digit limit the interpreter allows (the least is 640)
+_STR_BITS = 2000
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of n, however long: str() alone refuses ints over
+    the interpreter's digit limit (4300 by default)."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20        # about half of n's digits
+    hi, lo = divmod(n, 10 ** k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
 
 def _frac_str(f: Fraction) -> str:
-    return str(f)  # "p/q" or "p"
+    """``p/q``, or ``p`` when q = 1."""
+    num = _int_str(f.numerator)
+    return num if f.denominator == 1 else f"{num}/{_int_str(f.denominator)}"
 
 
 def format_coefficient(c: GaussRational) -> str:
     """Canonical literal form: ``3/2``, ``i``, ``-2*i``, ``(1/2+1/3*i)``."""
-    if c.im == 0:
-        return _frac_str(c.re)
-    if c.re == 0:
-        if c.im == 1:
+    re, im = c.re, c.im
+    if im == 0:
+        return _frac_str(re)
+    if re == 0:
+        if im == 1:
             return "i"
-        if c.im == -1:
+        if im == -1:
             return "-i"
-        return f"{_frac_str(c.im)}*i"
-    im = c.im
+        return f"{_frac_str(im)}*i"
     sign = "+" if im > 0 else "-"
     imabs = abs(im)
     impart = "i" if imabs == 1 else f"{_frac_str(imabs)}*i"
-    return f"({_frac_str(c.re)}{sign}{impart})"
+    return f"({_frac_str(re)}{sign}{impart})"

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
 from crgeom.cli import main
+from crgeom.parsing import MAX_TRUNC
 
 MODEL = 'n = 1\ntrunc = 8\nphi = "s*z1*c1"\n'
 TARGET2 = 'n = 1\ntrunc = 8\nphi = "2*z1*c1*s + 2*z1^3*c1^3*s"\n'
@@ -47,6 +51,50 @@ def test_report_levi_flat_m_infinity(tmp_path, capsys):
     code, rep = run_json(capsys, ["report", path])
     assert code == 0
     assert rep["invariants"]["m"] == "infinity"
+
+
+def test_report_phi_truncated_to_zero_exit_1(tmp_path, capsys):
+    # s*z1*c1 has degree 3: trunc 2 empties it, which is no evidence that
+    # the surface is Levi-flat
+    path = write(tmp_path, "m0t2.hs", 'n = 1\ntrunc = 2\nphi = "s*z1*c1"\n')
+    assert main(["report", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error" in captured.err and "trunc 2" in captured.err
+    # a literal zero stays Levi-flat at any trunc
+    flat = write(tmp_path, "flat2.hs", 'n = 1\ntrunc = 2\nphi = "0"\n')
+    code, rep = run_json(capsys, ["report", flat])
+    assert code == 0
+    assert rep["invariants"] == {"m": "infinity", "levi_flat": True}
+
+
+def test_trunc_override_bounds(tmp_path, capsys):
+    path = write(tmp_path, "flat.hs", FLAT)
+    for bad in ("-3", "0", str(MAX_TRUNC + 1)):
+        assert main(["report", path, "--trunc", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--trunc {bad} is outside 1..{MAX_TRUNC}" in captured.err
+    for good in (1, MAX_TRUNC):
+        code, rep = run_json(capsys, ["report", path, "--trunc", str(good)])
+        assert code == 0
+        assert rep["input"]["trunc"] == good
+
+
+def test_report_prints_coefficients_past_the_int_str_limit(tmp_path, capsys):
+    # phi = C*z1*c1*s with C = 2^13990, inside the parser's bit bound;
+    # h = C*s - 3*C^3*z1^2*c1^2*s, and 3*C^3 has more than 4300 digits
+    literal = "*".join(["(2^1000)"] * 13 + ["(2^990)", "z1*c1*s"])
+    path = write(tmp_path, "big.hs", f'n = 1\ntrunc = 8\nphi = "{literal}"\n')
+    code, rep = run_json(capsys, ["report", path])
+    assert code == 0
+    lead, rest = rep["levi"]["h"][0][0].split(" - ")
+    digits = rest.removesuffix("*z1^2*c1^2*s")
+    exact = 3 * 2 ** (3 * 13990)
+    assert digits.isdigit() and len(digits) > 4300
+    assert 10 ** (len(digits) - 1) <= exact < 10 ** len(digits)
+    assert digits[-50:] == f"{exact % 10 ** 50:050d}"
+    assert lead.removesuffix("*s")[-50:] == f"{2 ** 13990 % 10 ** 50:050d}"
 
 
 def test_report_out_file(tmp_path, capsys):
@@ -183,3 +231,15 @@ def test_examples_table(capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only the --oracle path imports numpy
+    import crgeom
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, crgeom.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\n"

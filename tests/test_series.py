@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from crgeom.errors import (DivisibilityError, NotAContractionError,
                            UnitRequiredError)
-from crgeom.parsing import parse_series
+from crgeom.parsing import drops_terms, parse_series
 from crgeom.scalars import GaussRational
 from crgeom.series import Series, hypersurface_vars, implicit_solve
 
@@ -130,6 +130,19 @@ def test_parser_division_by_unit():
     a = parse_series("z1/(1+s)", V, T)
     b = sv("z1") * (Series.const(1, V, T) + sv("s")).reciprocal()
     assert a == b
+
+
+def test_parser_reports_terms_dropped_by_truncation():
+    # at trunc 3: products, powers and variables past degree 3, and the
+    # endless quotient by a non-constant unit, drop terms
+    for text in ["s*z1*c1^2", "z1^4 - z1^4", "(z1 + 1)^4", "z1/(1+s)",
+                 "c1*(s*z1*c1 + 1)"]:
+        assert drops_terms(text, V, 3), text
+    assert not drops_terms("z1", V, 1)
+    assert drops_terms("z1", V, 0)
+    for text in ["0", "0*z1*c1", "s*z1*c1 - z1*c1*s", "(z1 + 1)^3",
+                 "z1/(1+1)", "(1/2+1/3*i)*z1 + 3/2*c1*s"]:
+        assert not drops_terms(text, V, 3), text
 
 
 def test_implicit_solve_catalan():
