@@ -22,8 +22,7 @@ from .briot_bouquet import (BBSystem, DulacReport, FormalLogSolution,
                             LinearPart, bb_vars, dulac_classify, formal_solve,
                             linear_part, numeric_oracle, resonances)
 from .prolongation import (JetSpace, ProlongedSystem, assemble_and_solve,
-                           contact_prolong, jet_of_function, jet_slots,
-                           rhs_vars, var_name)
+                           contact_prolong, jet_slots, rhs_vars, var_name)
 
 __version__ = "0.1.0"
 
@@ -45,6 +44,6 @@ __all__ = [
     "dulac_classify", "formal_solve", "linear_part", "numeric_oracle",
     "resonances",
     "JetSpace", "ProlongedSystem", "assemble_and_solve", "contact_prolong",
-    "jet_of_function", "jet_slots", "rhs_vars", "var_name",
+    "jet_slots", "rhs_vars", "var_name",
     "__version__",
 ]

@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bb-solve", help="solve a singular system t*y' = f(t,y)")
     p.add_argument("input")
-    p.add_argument("--order", type=int, default=None, help="solve order K")
+    p.add_argument("--order", type=int, default=None,
+                   help=f"solve order K, 1..{MAX_TRUNC}")
     p.add_argument("--oracle", type=float, default=None, metavar="T0",
                    help="run the numeric oracle from t0 = +/-T0")
     common(p)
@@ -59,9 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    if args.trunc is not None and not 1 <= args.trunc <= MAX_TRUNC:
-        raise ValidationError(
-            f"--trunc {args.trunc} is outside 1..{MAX_TRUNC}")
+    for flag in ("trunc", "order"):
+        value = getattr(args, flag, None)
+        if value is not None and not 1 <= value <= MAX_TRUNC:
+            raise ValidationError(
+                f"--{flag} {value} is outside 1..{MAX_TRUNC}")
     if args.command == "report":
         rep = hypersurface_report(load_hypersurface(args.input, args.trunc))
         text = to_json(rep)

@@ -22,7 +22,8 @@ from .scalars import GaussRational
 from .series import Series
 
 MAX_EXPONENT = 1000
-# bound on --trunc, so a command line cannot demand unbounded work; above
+# bound on --trunc, --order and the trunc/order keys of input files, so
+# a command line or a short file cannot demand unbounded work; above
 # every truncation order the tests, demos and benchmark use
 MAX_TRUNC = 64
 # below the 4300 decimal digits (about 14284 bits) Python will convert
@@ -114,20 +115,28 @@ class _Parser:
         if kind == "OP" and val in "+-":
             self.lx.next()
             negate = val == "-"
-        acc = self.term()
-        if negate:
-            acc = -acc
+        first = self.term()
+        # the terms accumulate in one dict, built into a series once
+        acc = {e: -c if negate else c for e, c in first.terms.items()}
         while True:
             kind, val, _ = self.lx.peek()
             if kind == "OP" and val in "+-":
                 tok = self.lx.next()
                 rhs = self.term()
-                acc = acc + rhs if val == "+" else acc - rhs
+                for e, c in rhs.terms.items():
+                    cur = acc.get(e)
+                    s = c if val == "+" else -c
+                    if cur is not None:
+                        s = cur + s
+                    if s.is_zero():
+                        del acc[e]
+                    else:
+                        acc[e] = s
                 # only the coefficients at rhs's exponents changed
-                self._check_bits(_coeff_bits(acc.terms[e] for e in rhs.terms
-                                             if e in acc.terms), tok)
+                self._check_bits(_coeff_bits(acc[e] for e in rhs.terms
+                                             if e in acc), tok)
             else:
-                return acc
+                return Series(self.vars, self.trunc, acc)
 
     def term(self) -> Series:
         acc = self.factor()

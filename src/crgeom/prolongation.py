@@ -224,19 +224,3 @@ def assemble_and_solve(ps: ProlongedSystem, order: int) -> ProlongationReport:
         results.append(SampleSolution(sample=tuple(sample), solution=sol,
                                       growth=growth, radius_proxy=radius))
     return ProlongationReport(system=ps, order=order, samples=results)
-
-
-def jet_of_function(u: Series, n: int, k: int) -> Dict[Slot, Series]:
-    """Oracle: exact jets (s d/ds)^p d_x^alpha u of an explicit function of
-    (x1..x_{2n}, s), for all slots of order <= k."""
-    out: Dict[Slot, Series] = {}
-    s = Series.variable("s", u.vars, u.trunc)
-    for (alpha, p) in jet_slots(n, k):
-        g = u
-        for j, a in enumerate(alpha):
-            for _ in range(a):
-                g = g.diff(f"x{j + 1}")
-        for _ in range(p):
-            g = s.truncate(g.trunc - 1) * g.diff("s")
-        out[(alpha, p)] = g
-    return out

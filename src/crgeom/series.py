@@ -7,12 +7,24 @@ vectors to nonzero GaussRational coefficients; every stored term has total
 degree <= the truncation order.  All operations are pure; every binary
 operation truncates to the minimum of the operand truncations so that
 divisibility checks downstream stay honest.
+
+Input is validated at the boundary: ``Series(...)`` and the public
+constructors check every exponent vector and drop zero coefficients and
+terms past the truncation.  Ring operations (``+``, ``-``, ``*``,
+``diff``, ``subs``, ``reciprocal``, ...) build results that are canonical
+by construction and skip those checks.  A product visits only the term
+pairs that survive the truncation, ``subs`` shares the products of image
+powers between monomials with a common prefix, and ``reciprocal`` solves
+``f * g = 1`` degree by degree.
 """
 
 from __future__ import annotations
 
 import re as _re
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
+from operator import add as _add
 from typing import Dict, Mapping, Tuple
 
 from .errors import (
@@ -25,6 +37,19 @@ from .scalars import GaussRational, format_coefficient
 Exponents = Tuple[int, ...]
 
 _CONJ_RE = _re.compile(r"^([zc])(\d+)$")
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _total_degree(term) -> int:
+    return sum(term[0])
+
+
+def _upto(terms: Mapping[Exponents, GaussRational], trunc: int
+          ) -> Dict[Exponents, GaussRational]:
+    """The terms of total degree <= trunc, as a new dict."""
+    return {e: c for e, c in terms.items() if sum(e) <= trunc}
 
 
 def conjugate_variable(name: str) -> str:
@@ -59,6 +84,19 @@ class Series:
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
+
+    @staticmethod
+    def _trusted(vars: Tuple[str, ...], trunc: int,
+                 terms: Dict[Exponents, GaussRational]) -> "Series":
+        """Series from terms already canonical: tuple exponent vectors of
+        the right length, nonzero coefficients, total degree <= trunc.
+        Ring operations build their results here; a negative trunc
+        clamps to 0 as in ``Series(...)``."""
+        out = _new(Series)
+        _set(out, "vars", vars)
+        _set(out, "trunc", trunc if trunc > 0 else 0)
+        _set(out, "terms", terms)
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -113,7 +151,7 @@ class Series:
         for exps, c in self.terms.items():
             if exps[i] == k:
                 out[exps[:i] + (0,) + exps[i + 1:]] = c
-        return Series(self.vars, self.trunc - k, out)
+        return Series._trusted(self.vars, self.trunc - k, out)
 
     def min_degree_in(self, name: str):
         """Least exponent of ``name`` over nonzero terms, or None if zero."""
@@ -125,7 +163,7 @@ class Series:
     def set_var_zero(self, name: str) -> "Series":
         i = self._vidx(name)
         out = {exps: c for exps, c in self.terms.items() if exps[i] == 0}
-        return Series(self.vars, self.trunc, out)
+        return Series._trusted(self.vars, self.trunc, out)
 
     # -- ring operations -------------------------------------------------------
 
@@ -137,28 +175,35 @@ class Series:
     def truncate(self, trunc: int) -> "Series":
         if trunc >= self.trunc:
             return self
-        return Series(self.vars, trunc, self.terms)
+        trunc = max(trunc, 0)
+        return Series._trusted(self.vars, trunc, _upto(self.terms, trunc))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
             other = Series.const(other, self.vars, self.trunc)
         self._compat(other)
         trunc = min(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
+        # operands of a larger trunc lose their terms past the smaller one
+        out = (_upto(self.terms, trunc) if self.trunc > trunc
+               else dict(self.terms))
+        rhs = _upto(other.terms, trunc) if other.trunc > trunc else other.terms
+        for exps, c in rhs.items():
             cur = out.get(exps)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(exps, None)
+            if cur is None:
+                out[exps] = c
             else:
-                out[exps] = s
-        return Series(self.vars, trunc, out)
+                s = cur + c
+                if s.is_zero():
+                    del out[exps]
+                else:
+                    out[exps] = s
+        return Series._trusted(self.vars, trunc, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.vars, self.trunc,
-                      {e: -c for e, c in self.terms.items()})
+        return Series._trusted(self.vars, self.trunc,
+                               {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
@@ -171,27 +216,27 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
             c = other if isinstance(other, GaussRational) else GaussRational.of(other)
-            return Series(self.vars, self.trunc,
-                          {e: v * c for e, v in self.terms.items()})
+            if c.is_zero():
+                return Series._trusted(self.vars, self.trunc, {})
+            return Series._trusted(self.vars, self.trunc,
+                                   {e: v * c for e, v in self.terms.items()})
         self._compat(other)
         trunc = min(self.trunc, other.trunc)
         out: Dict[Exponents, GaussRational] = {}
-        # iterate over the sparser operand outermost
+        # the sparser operand outermost; the other's terms ordered by total
+        # degree, so each inner loop ends at the last pair within trunc
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        items = sorted(b.terms.items(), key=_total_degree)
+        degrees = [sum(e) for e, _ in items]
+        get = out.get
         for ea, ca in a.terms.items():
-            da = sum(ea)
-            for eb, cb in b.terms.items():
-                if da + sum(eb) > trunc:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
+            for eb, cb in islice(items, bisect_right(degrees, trunc - sum(ea))):
+                e = tuple(map(_add, ea, eb))
                 c = ca * cb
-                cur = out.get(e)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Series(self.vars, trunc, out)
+                cur = get(e)
+                out[e] = c if cur is None else cur + c
+        return Series._trusted(self.vars, trunc,
+                               {e: c for e, c in out.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
@@ -221,20 +266,10 @@ class Series:
     def diff(self, name: str) -> "Series":
         """Exact partial derivative; truncation drops by one."""
         i = self._vidx(name)
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            d = exps[:i] + (e - 1,) + exps[i + 1:]
-            nc = c * e
-            cur = out.get(d)
-            s = nc if cur is None else cur + nc
-            if not s.is_zero():
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return Series(self.vars, self.trunc - 1, out)
+        # lowering one exponent is one-to-one, so no two terms meet
+        out = {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+               for exps, c in self.terms.items() if exps[i]}
+        return Series._trusted(self.vars, self.trunc - 1, out)
 
     # -- conjugation -----------------------------------------------------------
 
@@ -251,7 +286,7 @@ class Series:
             for i, x in enumerate(exps):
                 e[perm[i]] = x
             out[tuple(e)] = c.conjugate()
-        return Series(self.vars, self.trunc, out)
+        return Series._trusted(self.vars, self.trunc, out)
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -266,16 +301,28 @@ class Series:
             raise UnitRequiredError(
                 "reciprocal requires a nonzero constant term")
         inv0 = GaussRational(1) / c0
-        one = Series.const(1, self.vars, self.trunc)
-        u = one - self * inv0       # min degree >= 1
-        acc = one
-        powu = one
-        for _ in range(self.trunc):
-            powu = powu * u
-            if powu.is_zero():
-                break
-            acc = acc + powu
-        return acc * inv0
+        minus_inv0 = -inv0
+        # f g = 1 on homogeneous parts: g_0 = 1/c0 and
+        # g_d = -(1/c0) * sum_{k=1..d} f_k g_{d-k}
+        f = [[] for _ in range(self.trunc + 1)]
+        for e, c in self.terms.items():
+            f[sum(e)].append((e, c))
+        g = [{(0,) * len(self.vars): inv0}]
+        out = dict(g[0])
+        for d in range(1, self.trunc + 1):
+            acc: Dict[Exponents, GaussRational] = {}
+            get = acc.get
+            for k in range(1, d + 1):
+                for ef, cf in f[k]:
+                    for eg, cg in g[d - k].items():
+                        e = tuple(map(_add, ef, eg))
+                        c = cf * cg
+                        cur = get(e)
+                        acc[e] = c if cur is None else cur + c
+            g_d = {e: c * minus_inv0 for e, c in acc.items() if not c.is_zero()}
+            g.append(g_d)
+            out.update(g_d)
+        return Series._trusted(self.vars, self.trunc, out)
 
     def divide_by_power(self, name: str, m: int) -> "Series":
         """Exact division by ``name**m``; every term must be divisible."""
@@ -291,7 +338,7 @@ class Series:
                     f"monomial {self._monomial_str(exps)} not divisible by {name}^{m}",
                     monomial=exps)
             out[exps[:i] + (exps[i] - m,) + exps[i + 1:]] = c
-        return Series(self.vars, self.trunc - m, out)
+        return Series._trusted(self.vars, self.trunc - m, out)
 
     def divide_unit_form(self, b: "Series", unit_var: str = "s") -> "Series":
         """Exact division a/b where b factors as unit_var^k * (unit).
@@ -341,24 +388,40 @@ class Series:
                 raise ValueError(
                     f"substitution image for {name!r} has nonzero constant term")
             trunc = min(trunc, img.trunc)
-        zero = Series.zero(target_vars, trunc)
-        one = Series.const(1, target_vars, trunc)
-        powers: Dict[str, list] = {name: [one] for name in used}
-        result = zero
-        for exps, c in self.terms.items():
-            mono = one * c
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = self.vars[i]
-                plist = powers[name]
-                while len(plist) <= e:
-                    plist.append(plist[-1] * mapping[name])
-                mono = mono * plist[e]
-                if mono.is_zero():
-                    break
-            result = result + mono
-        return result
+        nv = len(self.vars)
+        # powers[i][e] = (image of variable i)^e, grown on demand
+        powers = [[None, mapping[name].truncate(trunc)] if name in used
+                  else None for name in self.vars]
+        # prefix[i] = product of the image powers at positions < i (None
+        # for 1); in exponent order consecutive monomials share a prefix
+        prefix = [None] * (nv + 1)
+        prev = (-1,) * nv
+        out: Dict[Exponents, GaussRational] = {}
+        get = out.get
+        for exps in sorted(self.terms):
+            start = 0
+            while start < nv and exps[start] == prev[start]:
+                start += 1
+            for i in range(start, nv):
+                p, e = prefix[i], exps[i]
+                if e:
+                    plist = powers[i]
+                    while len(plist) <= e:
+                        plist.append(plist[-1] * plist[1])
+                    p = plist[e] if p is None else p * plist[e]
+                prefix[i + 1] = p
+            prev = exps
+            c = self.terms[exps]
+            mono = prefix[nv]
+            if mono is None:            # the constant term
+                products = [((0,) * len(target_vars), c)]
+            else:
+                products = [(e, v * c) for e, v in mono.terms.items()]
+            for e, v in products:
+                cur = get(e)
+                out[e] = v if cur is None else cur + v
+        return Series._trusted(target_vars, trunc,
+                               {e: c for e, c in out.items() if not c.is_zero()})
 
     # -- evaluation --------------------------------------------------------------
 

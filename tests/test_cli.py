@@ -81,6 +81,57 @@ def test_trunc_override_bounds(tmp_path, capsys):
         assert rep["input"]["trunc"] == good
 
 
+def expect_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error" in captured.err and message in captured.err
+
+
+def test_file_trunc_keys_are_bounded(tmp_path, capsys):
+    # trunc = 100000 used to run on past a 5 s timeout; -5 reached the parser
+    for bad in ("100000", "-5", "0", str(MAX_TRUNC + 1)):
+        hs = write(tmp_path, "t.hs", f'n = 1\ntrunc = {bad}\nphi = "s*z1*c1"\n')
+        expect_exit_1(capsys, ["report", hs],
+                      f"key 'trunc' = {int(bad)} is outside 1..{MAX_TRUNC}")
+        write(tmp_path, "m0.hs", MODEL)
+        mp = write(tmp_path, "t.map", f'n = 1\ntrunc = {bad}\nsource = m0.hs\n'
+                   'target = m0.hs\nF1 = "z1"\nF2 = "w"\n')
+        expect_exit_1(capsys, ["check-map", mp], "key 'trunc'")
+        bb = write(tmp_path, "t.bb", f'N = 1\norder = 2\ntrunc = {bad}\n'
+                   'f1 = "1/2*y1 + t"\n')
+        expect_exit_1(capsys, ["bb-solve", bb], "key 'trunc'")
+        pr = write(tmp_path, "t.pr", f'n = 0\nk = 0\norder = 2\ntrunc = {bad}\n'
+                   'u1__0 = "2*u1__0 + s"\n')
+        expect_exit_1(capsys, ["prolong", pr], "key 'trunc'")
+    # --trunc still overrides the file's key
+    hs = write(tmp_path, "t.hs", 'n = 1\ntrunc = 100000\nphi = "s*z1*c1"\n')
+    code, rep = run_json(capsys, ["report", hs, "--trunc", "6"])
+    assert code == 0 and rep["input"]["trunc"] == 6
+
+
+def test_file_order_keys_are_bounded(tmp_path, capsys):
+    for bad in ("0", "-3", str(MAX_TRUNC + 1)):
+        bb = write(tmp_path, "o.bb", f'N = 1\norder = {bad}\ntrunc = 12\n'
+                   'f1 = "1/2*y1 + t"\n')
+        expect_exit_1(capsys, ["bb-solve", bb],
+                      f"key 'order' = {int(bad)} is outside 1..{MAX_TRUNC}")
+        pr = write(tmp_path, "o.pr", f'n = 0\nk = 0\norder = {bad}\ntrunc = 10\n'
+                   'u1__0 = "2*u1__0 + s"\n')
+        expect_exit_1(capsys, ["prolong", pr], "key 'order'")
+
+
+def test_order_override_bounds(tmp_path, capsys):
+    # --order 0 was silently ignored, and --order -3 printed "order": -3
+    path = write(tmp_path, "lin.bb",
+                 'N = 1\norder = 10\ntrunc = 12\nf1 = "1/2*y1 + t"\n')
+    for bad in ("0", "-3", str(MAX_TRUNC + 1)):
+        expect_exit_1(capsys, ["bb-solve", path, "--order", bad],
+                      f"--order {bad} is outside 1..{MAX_TRUNC}")
+    code, rep = run_json(capsys, ["bb-solve", path, "--order", "1"])
+    assert code == 0 and rep["input"]["order"] == 1
+
+
 def test_report_prints_coefficients_past_the_int_str_limit(tmp_path, capsys):
     # phi = C*z1*c1*s with C = 2^13990, inside the parser's bit bound;
     # h = C*s - 3*C^3*z1^2*c1^2*s, and 3*C^3 has more than 4300 digits

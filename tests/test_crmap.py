@@ -198,3 +198,22 @@ def test_check_identities_builds_each_piece_once(monkeypatch):
     assert check_identities(corpus.identity_map(n, T), h, h).all_zero()
     assert calls["restrict_map"] == 1
     assert calls["compose_with_map"] <= n + n * n + n + 1
+
+
+def test_check_map_truncations_are_pinned():
+    # every residual states the order through which it is exact; a series
+    # kernel that skipped a clamp or a cut would change these truncs without
+    # changing any printed term (values recorded from the term-by-term
+    # kernels: products that visit every pair, subs by repeated addition)
+    f, src, tgt = w_dependent_example(T)
+    fd = map_frame_data(f, src, tgt)
+    assert [[g.trunc for g in row] for row in fd.gamma] == [[8]]
+    assert [e.trunc for e in fd.eta] == [8]
+    rr = check_identities(f, src, tgt)
+    assert {k: [r.trunc for r in rs]
+            for k, rs in rr.identity_residuals.items()} == {
+        "levi": [6], "levi-tail": [6], "gamma-cr": [6], "eta-cr": [6],
+        "gamma-s": [6]}
+    assert rr.xi.trunc == 7
+    assert rr.map_residual.trunc == 9
+    assert rr.max_checked_order == 6

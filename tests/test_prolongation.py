@@ -6,9 +6,24 @@ import pytest
 from crgeom.errors import ValidationError
 from crgeom.parsing import parse_series
 from crgeom.prolongation import (assemble_and_solve, contact_prolong,
-                                 jet_of_function, jet_slots, rhs_vars,
-                                 var_name)
+                                 jet_slots, rhs_vars, var_name)
 from crgeom.series import Series
+
+
+def jet_of_function(u, n, k):
+    """Oracle: exact jets (s d/ds)^p d_x^alpha u of an explicit function of
+    (x1..x_{2n}, s), for all slots of order <= k."""
+    out = {}
+    s = Series.variable("s", u.vars, u.trunc)
+    for (alpha, p) in jet_slots(n, k):
+        g = u
+        for j, a in enumerate(alpha):
+            for _ in range(a):
+                g = g.diff(f"x{j + 1}")
+        for _ in range(p):
+            g = s.truncate(g.trunc - 1) * g.diff("s")
+        out[(alpha, p)] = g
+    return out
 
 
 def test_slot_count_formula():

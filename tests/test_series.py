@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from crgeom.errors import (DivisibilityError, NotAContractionError,
                            UnitRequiredError)
@@ -191,3 +192,121 @@ def test_arctan_coefficients_against_derivative_recurrence():
     assert lhs == Series.const(1, vars_, lhs.trunc)
     assert a.coefficient((5,)) == GaussRational(Fraction(1, 5))
     assert a.coefficient((7,)) == GaussRational(Fraction(-1, 7))
+
+
+# -- differential oracle: sympy expansions truncated by total degree ----------
+
+SYMBOLS = sympy.symbols(V)
+truncs = st.integers(0, 6)
+
+
+def series_at(trunc, max_size=5, max_exp=3):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(V))
+    return st.dictionaries(exps, gauss, max_size=max_size).map(
+        lambda d: Series(V, trunc, d))
+
+
+any_series = truncs.flatmap(series_at)
+
+
+def to_sympy(a):
+    return sympy.Add(*[
+        (sympy.Rational(c.re.numerator, c.re.denominator)
+         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+        * sympy.Mul(*[x ** k for x, k in zip(SYMBOLS, e)])
+        for e, c in a.terms.items()])
+
+
+def cut(expr, trunc):
+    """The terms of total degree <= trunc of the expanded expr, as a term
+    dict of the series representation."""
+    out = {}
+    expr = sympy.expand(expr)
+    if expr == 0:
+        return out
+    for monom, coeff in sympy.Poly(expr, *SYMBOLS).terms():
+        if sum(monom) <= trunc:
+            re, im = sympy.re(coeff), sympy.im(coeff)
+            out[monom] = GaussRational(Fraction(int(re.p), int(re.q)),
+                                       Fraction(int(im.p), int(im.q)))
+    return out
+
+
+@given(any_series, any_series)
+@settings(max_examples=60, deadline=None)
+def test_mul_and_add_match_sympy(a, b):
+    trunc = min(a.trunc, b.trunc)
+    prod, total, diff = a * b, a + b, a - b
+    assert prod.trunc == total.trunc == diff.trunc == trunc
+    assert prod.terms == cut(to_sympy(a) * to_sympy(b), trunc)
+    # operands of different truncs: terms past the smaller one are dropped
+    assert total.terms == cut(to_sympy(a) + to_sympy(b), trunc)
+    assert diff.terms == cut(to_sympy(a) - to_sympy(b), trunc)
+    scaled = a * GaussRational(Fraction(-2, 3), 1)
+    assert scaled.trunc == a.trunc
+    assert scaled.terms == cut(to_sympy(a) * (sympy.Rational(-2, 3) + sympy.I),
+                               a.trunc)
+    assert (a * 0).is_zero() and (a * 0).trunc == a.trunc
+
+
+@given(any_series)
+@settings(max_examples=60, deadline=None)
+def test_diff_matches_sympy(a):
+    for name, x in zip(V, SYMBOLS):
+        d = a.diff(name)
+        # a trunc-0 series differentiates to the zero series at trunc 0
+        assert d.trunc == max(a.trunc - 1, 0)
+        assert d.terms == cut(sympy.diff(to_sympy(a), x), d.trunc)
+
+
+@given(truncs.flatmap(series_at), gauss.filter(lambda c: not c.is_zero()))
+@settings(max_examples=40, deadline=None)
+def test_reciprocal_matches_sympy(a, c0):
+    unit = a - Series.const(a.constant_term(), V, a.trunc) \
+        + Series.const(c0, V, a.trunc)
+    inv = unit.reciprocal()
+    assert inv.trunc == unit.trunc
+    # 1/u = (1/c0) sum_k (1 - u/c0)^k, a finite sum at truncation; each
+    # power keeps only its terms of degree <= trunc
+    c = to_sympy(Series.const(c0, V, 0))
+    term, ref = sympy.Integer(1), sympy.Integer(1)
+    for _ in range(unit.trunc):
+        term = sympy.Add(*[t for t in sympy.Add.make_args(
+            sympy.expand(term * (1 - to_sympy(unit) / c)))
+            if sympy.Poly(t, *SYMBOLS).total_degree() <= unit.trunc])
+        ref += term
+    assert inv.terms == cut(ref / c, inv.trunc)
+
+
+small_image = truncs.flatmap(lambda t: series_at(t, max_size=3, max_exp=2)).map(
+    lambda g: g - Series.const(g.constant_term(), V, g.trunc))
+
+
+@given(truncs.flatmap(lambda t: series_at(t, max_size=4, max_exp=2)),
+       small_image, small_image, small_image)
+# images of different truncs: the result keeps none of the deeper one's
+# terms past the smallest trunc in use
+@example(parse_series("z1 + c1*s", V, 6), parse_series("z1 + c1^4", V, 6),
+         parse_series("c1", V, 2), parse_series("s", V, 5))
+@settings(max_examples=30, deadline=None)
+def test_subs_matches_sympy(f, g1, g2, g3):
+    images = dict(zip(V, (g1, g2, g3)))
+    used = [name for i, name in enumerate(V) if any(e[i] for e in f.terms)]
+    trunc = min([f.trunc] + [images[name].trunc for name in used])
+    out = f.subs(images)
+    assert out.trunc == trunc
+    ref = to_sympy(f).subs({x: to_sympy(g) for x, g in zip(SYMBOLS, images.values())},
+                           simultaneous=True)
+    assert out.terms == cut(ref, trunc)
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError, match="length"):
+        Series(V, T, {(1, 0): GaussRational(1)})
+    with pytest.raises(ValueError, match="negative"):
+        Series(V, T, {(1, -1, 0): GaussRational(1)})
+    # zeros and terms past trunc are dropped, and a negative trunc clamps to 0
+    s = Series(V, -2, {(0, 0, 0): GaussRational(3), (1, 0, 0): GaussRational(1),
+                      (0, 1, 0): GaussRational(0)})
+    assert s.trunc == 0 and s.terms == {(0, 0, 0): GaussRational(3)}
+    assert s.truncate(-1) == s and s.truncate(-1).trunc == 0
