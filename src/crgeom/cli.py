@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands: report, check-map, bb-solve, prolong, examples.  Exit codes:
-0 success, 1 validation failure, 2 exact-invariant violation, 3 parse
-error.
+Subcommands: report, check-map, bb-solve, prolong, examples.  --trunc
+overrides the series truncation of report, check-map and examples;
+bb-solve takes its solve order from --order or its file, and prolong
+reads both from its file.  Exit codes: 0 success, 1 validation failure,
+2 exact-invariant violation, 3 parse error.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification, and singular ODE solving.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--trunc", type=int, default=None,
-                       help=f"series truncation override, 1..{MAX_TRUNC}")
+    def output(p):
         p.add_argument("--out", default=None, help="write report to a file")
         p.add_argument("--json", action="store_true",
                        help="force JSON output (default for most commands)")
+
+    def common(p):
+        p.add_argument("--trunc", type=int, default=None,
+                       help=f"series truncation override, 1..{MAX_TRUNC}")
+        output(p)
 
     p = sub.add_parser("report", help="hypersurface invariant report")
     p.add_argument("input")
@@ -47,12 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"solve order K, 1..{MAX_TRUNC}")
     p.add_argument("--oracle", type=float, default=None, metavar="T0",
                    help="run the numeric oracle from t0 = +/-T0")
-    common(p)
+    output(p)
 
     p = sub.add_parser("prolong", help="assemble and solve a prolonged "
                                        "contact system")
     p.add_argument("input")
-    common(p)
+    output(p)
 
     p = sub.add_parser("examples", help="run the built-in example corpus")
     common(p)

@@ -182,13 +182,22 @@ def frame_data(fr: Frame, fr_hat: Frame, rd: RestrictionData) -> MapFrameData:
 
 
 def _theta_hat_f(fr_hat: Frame, rd: RestrictionData) -> Dict[str, Series]:
-    """The coordinate components of theta_hat composed with f.  Fbar is
-    conj(F) and s_hat is real, so composing with f commutes with
-    conjugation: each c_C component is the conjugate of the z_C one.  The
-    ds component is 1, at the target frame's truncation."""
+    """The coordinate components of theta_hat composed with f.  The z_C
+    component of theta_hat is -i phihat_{z_C} / (1 - i phihat_s), and
+    composing with f is a ring map, so the n + 1 first partials of phihat
+    are composed (they are far sparser than the quotients) and the
+    quotients formed after, with one shared reciprocal.  Fbar is conj(F)
+    and s_hat is real, so composing with f commutes with conjugation:
+    each c_C component is the conjugate of the z_C one.  The ds component
+    is 1, at the target frame's truncation."""
+    phihat = fr_hat.hypersurface.phi
+    phihat_s_f = compose_with_map(phihat.diff("s"), rd)
+    # -i / (1 - i phihat_s) = 1 / (phihat_s + i)
+    inv = (phihat_s_f + Series.const(GaussRational(0, 1), phihat_s_f.vars,
+                                     phihat_s_f.trunc)).reciprocal()
     out = {"s": Series.const(1, rd.s_hat.vars, fr_hat.trunc)}
     for C in range(1, fr_hat.n + 1):
-        out[f"z{C}"] = compose_with_map(fr_hat.theta[f"z{C}"], rd)
+        out[f"z{C}"] = compose_with_map(phihat.diff(f"z{C}"), rd) * inv
         out[f"c{C}"] = out[f"z{C}"].conjugate()
     return out
 
@@ -241,8 +250,14 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
     data = frame_data(fr, fr_hat, rd)
     src, tgt = levi(fr, data.m), levi(fr_hat, data.m_hat)
     h0 = src.h0
-    h0_hat_f = [[compose_with_map(tgt.h0[a][b], rd) for b in range(n)]
-                for a in range(n)]
+    # h0hat_{bbar a} = -conj(h0hat_{abar b}) (see frame.Frame), and
+    # composing with f commutes with conjugation
+    h0_hat_f = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            x = compose_with_map(tgt.h0[a][b], rd)
+            h0_hat_f[a][b] = x
+            h0_hat_f[b][a] = -x.conjugate() if b > a else x
     h0bar = src.h0_bar
     h0bar_hat_f = [compose_with_map(tgt.h0_bar[a], rd) for a in range(n)]
 

@@ -1,18 +1,25 @@
-"""CR frame, its coframe and bracket structure constants, the Levi data
-and the kernel filtration at the origin.
+"""CR frame, its bracket structure constants, the Levi data and the
+kernel filtration at the origin.
 
 Frame basis (order fixed throughout): T = d/ds, then L_1..L_n, then
 L_1bar..L_nbar with
 
-    L_Abar = d/dc_A - (i phi_{c_A} / (1 + i phi_s)) d/ds,
-    L_A    = conjugate(L_Abar).
+    L_Abar = d/dc_A + Q_A d/ds,   Q_A = -i phi_{c_A} / (1 + i phi_s),
+    L_A    = d/dz_A + P_A d/ds,   P_A = conj(Q_A).
 
-Each field is a coordinate field plus a multiple of T, so the coframe
-theta (theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is read off the
-T-coefficients, and every bracket [L_abar, e_j] is a multiple of T.  A
-frame computes those multiples once: c[a][j] is the T-coefficient of
-[L_abar, e_j] for e_j in (T, L_1..L_n).  Everything below reads them, in
-one normalization:
+phi is real, so one reciprocal gives both halves.  Each field is a
+coordinate field plus a multiple of T, so the coframe theta
+(theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is
+ds - sum P_A dz_A - sum Q_A dc_A, and every bracket [L_abar, e_j] is a
+multiple of T.  A frame computes those multiples once: c[a][j] is the
+T-coefficient of [L_abar, e_j] for e_j in (T, L_1..L_n),
+
+    c[a][0]   = -d_s Q_a,
+    c[a][b+1] = d_{c_a} P_b - d_{z_b} Q_a + Q_a d_s P_b - P_b d_s Q_a,
+
+and, since T is real and conj [L_bbar, L_a] = -[L_abar, L_b],
+c[b][a+1] = -conj(c[a][b+1]): only the n(n+1)/2 entries with a <= b are
+formed.  Everything below reads them, in one normalization:
 
   * the Levi matrix h_{AbarB} = <theta, [L_Abar, L_B]> = c[A][B+1];
     reports print (1/2i) h, whose desingularized leading term is the
@@ -65,43 +72,31 @@ class FrameField:
 
 class Frame:
     """The frame (T, L_A, L_Abar) on a validated hypersurface, with its
-    coframe theta and the structure constants c."""
+    structure constants c."""
 
     def __init__(self, h: Hypersurface):
-        validate(h)
+        validate(h)               # phi real: the conjugate halves rest on it
         self.hypersurface = h
-        self.n = h.n
+        n = self.n = h.n
         self.vars = h.vars()
         phi = h.phi
         trunc = phi.trunc - 1     # frame coefficients involve phi_s
         self.trunc = trunc
-        i_unit = GaussRational(0, 1)
-        phi_s = phi.diff("s")
         one = Series.const(1, self.vars, trunc)
-        denom_bar = (one + phi_s * i_unit).reciprocal()          # 1/(1+i phi_s)
-        denom = (one - phi_s * i_unit).reciprocal()              # 1/(1-i phi_s)
+        # -i / (1 + i phi_s) = 1 / (i - phi_s)
+        inv = (Series.const(GaussRational(0, 1), self.vars, trunc)
+               - phi.diff("s")).reciprocal()
 
         self.T = FrameField(self.vars, {"s": one})
         self.L: List[FrameField] = []
         self.Lbar: List[FrameField] = []
-        # theta = ds - sum a_A dz_A - sum conj(a_A) dc_A, by its coordinate
-        # components, where L_A = d/dz_A + a_A d/ds
-        self.theta: Dict[str, Series] = {"s": one}
-        for A in range(1, self.n + 1):
-            phi_c = phi.diff(f"c{A}")
-            phi_z = phi.diff(f"z{A}")
-            lbar = FrameField(self.vars, {
-                f"c{A}": one,
-                "s": -(phi_c * i_unit) * denom_bar,
-            })
-            la = FrameField(self.vars, {
-                f"z{A}": one,
-                "s": (phi_z * i_unit) * denom,
-            })
-            self.L.append(la)
-            self.Lbar.append(lbar)
-            self.theta[f"z{A}"] = -la.comp("s", trunc)
-            self.theta[f"c{A}"] = -lbar.comp("s", trunc)
+        Q: List[Series] = []      # Q_A = L_Abar^s
+        P: List[Series] = []      # P_A = L_A^s = conj(Q_A)
+        for A in range(1, n + 1):
+            Q.append(phi.diff(f"c{A}") * inv)
+            P.append(Q[-1].conjugate())
+            self.Lbar.append(FrameField(self.vars, {f"c{A}": one, "s": Q[-1]}))
+            self.L.append(FrameField(self.vars, {f"z{A}": one, "s": P[-1]}))
 
         # c[a][j] = T-coefficient of [L_abar, e_j], e_j in (T, L_1..L_n).
         # Every frame field is a coordinate field plus a multiple of T, so
@@ -109,12 +104,15 @@ class Frame:
         # CR bundle is integrable) are multiples of T.  So the
         # L_bar-components of every iterated form of theta stay zero and
         # these n(n+1) coefficients are all the Lie derivative needs.
-        self.c: List[List[Series]] = []
-        for lbar in self.Lbar:
-            lbar_s = lbar.comp("s", trunc)
-            self.c.append([-lbar_s.diff("s")] + [
-                lbar.apply(la.comp("s", trunc)) - la.apply(lbar_s)
-                for la in self.L])
+        dQ = [q.diff("s") for q in Q]
+        dP = [x.conjugate() for x in dQ]
+        self.c: List[List[Series]] = [[-x] + [None] * n for x in dQ]
+        for a in range(n):
+            for b in range(a, n):
+                x = (P[b].diff(f"c{a + 1}") - Q[a].diff(f"z{b + 1}")
+                     + Q[a] * dP[b] - P[b] * dQ[a])
+                self.c[a][b + 1] = x
+                self.c[b][a + 1] = -x.conjugate() if b > a else x
 
     def S(self, m: int) -> FrameField:
         s_pow = Series.variable("s", self.vars, self.trunc) ** m

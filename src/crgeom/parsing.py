@@ -7,7 +7,7 @@ insignificant; ``^`` denotes powers with nonnegative integer exponents
 of at most ``MAX_EXPONENT``, and no numerator or denominator may exceed
 ``MAX_COEFF_BITS`` bits, so a short literal cannot demand unbounded work
 and its own coefficients stay printable.  Truncation orders are at most
-``MAX_TRUNC``.
+``MAX_TRUNC`` and dimensions at most ``MAX_DIM``.
 Which variable names are legal depends on context (z1..zn, c1..cn, s, t,
 w, y1..yN, x1..x2n) and is supplied by the caller as the variable tuple.
 """
@@ -26,6 +26,10 @@ MAX_EXPONENT = 1000
 # a command line or a short file cannot demand unbounded work; above
 # every truncation order the tests, demos and benchmark use
 MAX_TRUNC = 64
+# bound on the n key of hypersurface and map files, N of bb files and n, k
+# of prolongation files, whose work grows like (k+1)^(2n); above every
+# dimension the tests, demos and benchmark use
+MAX_DIM = 4
 # below the 4300 decimal digits (about 14284 bits) Python will convert
 # between int and str by default
 MAX_COEFF_BITS = 14000

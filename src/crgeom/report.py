@@ -22,7 +22,7 @@ from .crmap import HoloMap, check_identities, map_vars
 from .errors import ParseError, ValidationError
 from .frame import Frame, filtration, levi
 from .hypersurface import Hypersurface, full_report, validate
-from .parsing import MAX_TRUNC, drops_terms, parse_series
+from .parsing import MAX_DIM, MAX_TRUNC, drops_terms, parse_series
 from .prolongation import (ProlongedSystem, assemble_and_solve,
                            contact_prolong, rhs_vars)
 from .scalars import GaussRational, format_coefficient
@@ -103,22 +103,24 @@ def _int(pairs: Dict[str, str], key: str, path: str,
         raise ValidationError(f"{path}: key {key!r} must be an integer")
 
 
-def _order(pairs: Dict[str, str], key: str, path: str, default: int) -> int:
-    """A ``trunc`` or ``order`` key, bounded like ``--trunc`` so that a
-    short file cannot demand unbounded work."""
+def _bounded(pairs: Dict[str, str], key: str, path: str, lo: int, hi: int,
+             default: Optional[int] = None) -> int:
+    """An integer key in ``lo..hi``, like ``--trunc``, so that a short
+    file cannot demand unbounded work; a default is not a key and is not
+    checked."""
     value = _int(pairs, key, path, default=default)
-    if key in pairs and not 1 <= value <= MAX_TRUNC:
+    if key in pairs and not lo <= value <= hi:
         raise ValidationError(
-            f"{path}: key {key!r} = {value} is outside 1..{MAX_TRUNC}")
+            f"{path}: key {key!r} = {value} is outside {lo}..{hi}")
     return value
 
 
 def load_hypersurface(path: str, trunc_override: Optional[int] = None
                       ) -> Hypersurface:
     pairs, where = parse_keyvalue_file(path)
-    n = _int(pairs, "n", path)
+    n = _bounded(pairs, "n", path, 0, MAX_DIM)
     trunc = (trunc_override if trunc_override is not None
-             else _order(pairs, "trunc", path, default=8))
+             else _bounded(pairs, "trunc", path, 1, MAX_TRUNC, default=8))
     vars = hypersurface_vars(n)
     phi = _series(pairs, where, "phi", path, vars, trunc)
     # a zero phi means Levi-flat, a claim about every order: make it only
@@ -135,9 +137,9 @@ def load_hypersurface(path: str, trunc_override: Optional[int] = None
 def load_map(path: str, trunc_override: Optional[int] = None
              ) -> Tuple[HoloMap, Hypersurface, Hypersurface]:
     pairs, where = parse_keyvalue_file(path)
-    n = _int(pairs, "n", path)
+    n = _bounded(pairs, "n", path, 0, MAX_DIM)
     trunc = (trunc_override if trunc_override is not None
-             else _order(pairs, "trunc", path, default=8))
+             else _bounded(pairs, "trunc", path, 1, MAX_TRUNC, default=8))
     base = os.path.dirname(os.path.abspath(path))
     src = load_hypersurface(os.path.join(base, _require(pairs, "source", path)),
                             trunc)
@@ -158,10 +160,11 @@ def load_map(path: str, trunc_override: Optional[int] = None
 def load_bb_system(path: str, order_override: Optional[int] = None
                    ) -> BBSystem:
     pairs, where = parse_keyvalue_file(path)
-    N = _int(pairs, "N", path)
+    N = _bounded(pairs, "N", path, 0, MAX_DIM)
     order = (order_override if order_override is not None
-             else _order(pairs, "order", path, default=10))
-    trunc = _order(pairs, "trunc", path, default=max(order + 2, 12))
+             else _bounded(pairs, "order", path, 1, MAX_TRUNC, default=10))
+    trunc = _bounded(pairs, "trunc", path, 1, MAX_TRUNC,
+                     default=max(order + 2, 12))
     comps = [_series(pairs, where, f"f{j}", path, bb_vars(N), trunc)
              for j in range(1, N + 1)]
     return BBSystem.make(N, comps, order)
@@ -169,10 +172,11 @@ def load_bb_system(path: str, order_override: Optional[int] = None
 
 def load_prolonged_system(path: str) -> Tuple[ProlongedSystem, int]:
     pairs, where = parse_keyvalue_file(path)
-    n = _int(pairs, "n", path)
-    k = _int(pairs, "k", path)
-    order = _order(pairs, "order", path, default=8)
-    trunc = _order(pairs, "trunc", path, default=max(order + 2, 10))
+    n = _bounded(pairs, "n", path, 0, MAX_DIM)
+    k = _bounded(pairs, "k", path, 0, MAX_DIM)
+    order = _bounded(pairs, "order", path, 1, MAX_TRUNC, default=8)
+    trunc = _bounded(pairs, "trunc", path, 1, MAX_TRUNC,
+                     default=max(order + 2, 10))
     ps = contact_prolong(n, k)
     rv = rhs_vars(n, k)
     for name in ps.needed_rhs_names():

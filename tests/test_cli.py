@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from crgeom.cli import main
-from crgeom.parsing import MAX_TRUNC
+from crgeom.parsing import MAX_DIM, MAX_TRUNC
 
 MODEL = 'n = 1\ntrunc = 8\nphi = "s*z1*c1"\n'
 TARGET2 = 'n = 1\ntrunc = 8\nphi = "2*z1*c1*s + 2*z1^3*c1^3*s"\n'
@@ -130,6 +132,44 @@ def test_order_override_bounds(tmp_path, capsys):
                       f"--order {bad} is outside 1..{MAX_TRUNC}")
     code, rep = run_json(capsys, ["bb-solve", path, "--order", "1"])
     assert code == 0 and rep["input"]["order"] == 1
+
+
+def test_file_dimension_keys_are_bounded(tmp_path, capsys):
+    # report on n = 24 took 2.9 s and n = 40 ran past a 30 s timeout; a
+    # prolongation's jet enumeration grows like (k+1)^(2n)
+    write(tmp_path, "m0.hs", MODEL)
+    for bad in ("-1", str(MAX_DIM + 1), "40"):
+        hs = write(tmp_path, "d.hs", f'n = {bad}\ntrunc = 8\nphi = "s*z1*c1"\n')
+        expect_exit_1(capsys, ["report", hs],
+                      f"key 'n' = {int(bad)} is outside 0..{MAX_DIM}")
+        mp = write(tmp_path, "d.map", f'n = {bad}\ntrunc = 8\nsource = m0.hs\n'
+                   'target = m0.hs\nF1 = "z1"\nF2 = "w"\n')
+        expect_exit_1(capsys, ["check-map", mp], "key 'n'")
+        bb = write(tmp_path, "d.bb", f'N = {bad}\norder = 2\nf1 = "1/2*y1 + t"\n')
+        expect_exit_1(capsys, ["bb-solve", bb], "key 'N'")
+        for key, n, k in (("n", bad, "0"), ("k", "0", bad)):
+            pr = write(tmp_path, "d.pr", f'n = {n}\nk = {k}\norder = 2\n'
+                       'u1__0 = "2*u1__0 + s"\n')
+            expect_exit_1(capsys, ["prolong", pr], f"key {key!r}")
+    # the bound itself is a dimension
+    hs = write(tmp_path, "top.hs", f'n = {MAX_DIM}\ntrunc = 4\nphi = "s*z1*c1"\n')
+    code, rep = run_json(capsys, ["report", hs])
+    assert code == 0 and rep["input"]["n"] == MAX_DIM
+
+
+def test_trunc_flag_only_where_it_is_read(tmp_path, capsys):
+    # bb-solve and prolong accepted --trunc and printed the same output
+    # as without it
+    bb = write(tmp_path, "t.bb", 'N = 1\norder = 2\nf1 = "1/2*y1 + t"\n')
+    pr = write(tmp_path, "t.pr", 'n = 0\nk = 0\norder = 2\n'
+               'u1__0 = "2*u1__0 + s"\n')
+    for argv in (["bb-solve", bb], ["prolong", pr]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trunc", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trunc 3" in capsys.readouterr().err
+        code, _ = run_json(capsys, argv)
+        assert code == 0
 
 
 def test_report_prints_coefficients_past_the_int_str_limit(tmp_path, capsys):

@@ -2,8 +2,9 @@ import pytest
 
 import crgeom.crmap
 from crgeom import corpus
-from crgeom.crmap import (HoloMap, check_identities, frame_data, map_vars,
-                          maps_into, restrict_map, restriction_data)
+from crgeom.crmap import (HoloMap, _theta_hat_f, check_identities,
+                          compose_with_map, frame_data, map_vars, maps_into,
+                          restrict_map, restriction_data)
 from crgeom.errors import InvariantViolation, ValidationError
 from crgeom.frame import Frame, levi
 from crgeom.hypersurface import Hypersurface
@@ -182,9 +183,34 @@ def test_identities_vanish_for_w_dependent_map():
     assert rr.xi.constant_term() == GaussRational(1)
 
 
+def test_theta_hat_f_matches_composed_quotient():
+    # composing phihat's first partials and forming the quotient after
+    # gives the dense theta_hat components composed with f, terms and
+    # truncation, on maps whose images are not linear: the w-dependent
+    # map, and a map with z-quadratic components (not a CR map between
+    # these surfaces; the composition does not need one)
+    mv = map_vars(2)
+    z1, z2, w = (Series.variable(x, mv, T) for x in mv)
+    quadratic = HoloMap.make(2, [z1 + z2 * z2,
+                                 z2 + z1 * z2 * GaussRational(0, 1),
+                                 w + z1 * z1 - z1 * z2])
+    h = corpus.filtration_example_surface(T)
+    for f, src, tgt in [w_dependent_example(T), (quadratic, h, h)]:
+        fr_hat = Frame(tgt)
+        rd = restriction_data(f, src)
+        got = _theta_hat_f(fr_hat, rd)
+        for C, la in enumerate(fr_hat.L, start=1):
+            want = compose_with_map(-la.comp("s", fr_hat.trunc), rd)
+            assert len(want.terms) > 1
+            assert got[f"z{C}"] == want and got[f"z{C}"].trunc == want.trunc
+            assert got[f"c{C}"] == want.conjugate()
+            assert got[f"c{C}"].trunc == want.trunc
+
+
 def test_check_identities_builds_each_piece_once(monkeypatch):
-    # one restriction, and at most n + n^2 + n + 1 compositions: theta_hat,
-    # the target's h0 and h0bar, and the containment residual
+    # one restriction, and at most (n+1) + n(n+1)/2 + n + 1 compositions:
+    # phihat_z and phihat_s for theta_hat, the target's h0 with a <= b,
+    # its h0bar, and the containment residual
     calls = {"restrict_map": 0, "compose_with_map": 0}
     for name in calls:
         original = getattr(crgeom.crmap, name)
@@ -197,7 +223,7 @@ def test_check_identities_builds_each_piece_once(monkeypatch):
     n = h.n
     assert check_identities(corpus.identity_map(n, T), h, h).all_zero()
     assert calls["restrict_map"] == 1
-    assert calls["compose_with_map"] <= n + n * n + n + 1
+    assert calls["compose_with_map"] <= (n + 1) + n * (n + 1) // 2 + n + 1
 
 
 def test_check_map_truncations_are_pinned():

@@ -61,17 +61,72 @@ def fields(fr):
     return [fr.T] + fr.L + fr.Lbar
 
 
+def theta(fr):
+    """The coframe theta = ds - sum L_A^s dz_A - sum L_Abar^s dc_A by its
+    coordinate components, read off the frame's s-coefficients."""
+    out = {"s": Series.const(1, fr.vars, fr.trunc)}
+    for A, (la, lbar) in enumerate(zip(fr.L, fr.Lbar), start=1):
+        out[f"z{A}"] = -la.comp("s", fr.trunc)
+        out[f"c{A}"] = -lbar.comp("s", fr.trunc)
+    return out
+
+
+def two_sided_frame(h):
+    """(L, Lbar, c) built without the conjugation symmetry: each half with
+    its own reciprocal, 1/(1 + i phi_s) and 1/(1 - i phi_s), and all n^2
+    brackets [L_abar, L_b] by FrameField.apply."""
+    vars, trunc = h.vars(), h.phi.trunc - 1
+    i_unit = GaussRational(0, 1)
+    phi_s = h.phi.diff("s")
+    one = Series.const(1, vars, trunc)
+    denom_bar = (one + phi_s * i_unit).reciprocal()
+    denom = (one - phi_s * i_unit).reciprocal()
+    L, Lbar = [], []
+    for A in range(1, h.n + 1):
+        Lbar.append(FrameField(vars, {
+            f"c{A}": one, "s": -(h.phi.diff(f"c{A}") * i_unit) * denom_bar}))
+        L.append(FrameField(vars, {
+            f"z{A}": one, "s": (h.phi.diff(f"z{A}") * i_unit) * denom}))
+    c = []
+    for lbar in Lbar:
+        lbar_s = lbar.comp("s", trunc)
+        c.append([-lbar_s.diff("s")] + [
+            lbar.apply(la.comp("s", trunc)) - la.apply(lbar_s) for la in L])
+    return L, Lbar, c
+
+
 def same(a, b):
     tr = min(a.trunc, b.trunc)
     return (a.truncate(tr) - b.truncate(tr)).is_zero()
+
+
+def identical(a, b):
+    return a == b and a.trunc == b.trunc
+
+
+def test_frame_matches_two_sided_construction():
+    # one reciprocal and the n(n+1)/2 brackets with a <= b give the same
+    # series, terms and truncation, as both reciprocals and all n^2
+    # brackets taken apart
+    for n in (1, 2, 3):
+        for seed in range(3):
+            fr = Frame(random_surface(n=n, trunc=6, seed=seed))
+            L, Lbar, c = two_sided_frame(fr.hypersurface)
+            for mine, want in zip(fr.L + fr.Lbar, L + Lbar):
+                assert set(mine.comps) == set(want.comps)
+                assert all(identical(mine.comps[v], want.comps[v])
+                           for v in want.comps)
+            assert all(identical(x, y) for row, want_row in zip(fr.c, c)
+                       for x, y in zip(row, want_row))
 
 
 def test_frame_duality():
     # theta(T) = 1 and theta vanishes on every L_A and L_Abar
     for h in frame_surfaces():
         fr = Frame(h)
+        th = theta(fr)
         for j, e in enumerate(fields(fr)):
-            paired = sum((fr.theta[v] * e.comp(v, fr.trunc) for v in fr.vars),
+            paired = sum((th[v] * e.comp(v, fr.trunc) for v in fr.vars),
                          Series.zero(fr.vars, fr.trunc))
             assert paired == Series.const(1 if j == 0 else 0, fr.vars,
                                           fr.trunc)
@@ -191,7 +246,7 @@ def test_iterated_forms_match_coordinate_lie_derivative():
     for h in surfaces():
         fr = Frame(h)
         n = fr.n
-        coord = {(): fr.theta}
+        coord = {(): theta(fr)}
         for word, omega in iterated_forms(fr, 2):
             coord[word] = coordinate_lie_derivative(fr.Lbar[word[-1] - 1],
                                                     coord[word[:-1]])
