@@ -3,8 +3,8 @@
 Subcommands: report, check-map, bb-solve, prolong, examples.  --trunc
 overrides the series truncation of report, check-map and examples;
 bb-solve takes its solve order from --order or its file, and prolong
-reads both from its file.  Exit codes: 0 success, 1 validation failure,
-2 exact-invariant violation, 3 parse error.
+reads both from its file.  Exit codes: 0 success, 1 validation failure
+or usage error, 2 exact-invariant violation, 3 parse error.
 """
 
 from __future__ import annotations
@@ -20,8 +20,17 @@ from .report import (bb_report, examples_report, hypersurface_report,
                      summary_table, to_json)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error (an unknown flag, a missing input): argparse
+    exits 2, the code of an exact-invariant violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="crgeom",
         description="Invariants of infinite-type hypersurfaces, CR-map "
                     "verification, and singular ODE solving.")

@@ -16,7 +16,6 @@ Briot-Bouquet system in (s, jet variables).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,20 +28,19 @@ from .series import Series
 Slot = Tuple[Tuple[int, ...], int]          # (alpha, p)
 
 
+def _bounded(dim: int, budget: int) -> List[Tuple[int, ...]]:
+    """All alpha in Z_+^dim with |alpha| <= budget, in lexicographic order."""
+    if dim == 0:
+        return [()]
+    return [(a,) + rest for a in range(budget + 1)
+            for rest in _bounded(dim - 1, budget - a)]
+
+
 def jet_slots(n: int, k: int) -> List[Slot]:
     """All (alpha, p) with alpha in Z_+^{2n}, p >= 0, |alpha| + p <= k,
     graded-lexicographically ordered."""
-    out = []
-    dim = 2 * n
-    for total in range(k + 1):
-        layer = []
-        for alpha in itertools.product(range(total + 1), repeat=dim):
-            p = total - sum(alpha)
-            if p >= 0:
-                layer.append((alpha, p))
-        layer.sort()
-        out.extend(layer)
-    return out
+    return [(alpha, total - sum(alpha)) for total in range(k + 1)
+            for alpha in _bounded(2 * n, total)]
 
 
 def var_name(i: int, alpha: Tuple[int, ...], p: int) -> str:

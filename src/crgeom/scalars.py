@@ -104,6 +104,16 @@ class GaussRational:
         return GaussRational.of(other) + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # canonical as it stands once gcd(k, d) leaves d: a prime of
+            # the new d divides neither k/g nor both a and b
+            d = self._d
+            if d != 1:
+                g = gcd(other, d)
+                if g != 1:
+                    other //= g
+                    d //= g
+            return _triple(self._a * other, self._b * other, d)
         if type(other) is not GaussRational:
             other = GaussRational.of(other)
         a, b, c, e = self._a, self._b, other._a, other._b

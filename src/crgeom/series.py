@@ -12,10 +12,14 @@ Input is validated at the boundary: ``Series(...)`` and the public
 constructors check every exponent vector and drop zero coefficients and
 terms past the truncation.  Ring operations (``+``, ``-``, ``*``,
 ``diff``, ``subs``, ``reciprocal``, ...) build results that are canonical
-by construction and skip those checks.  A product visits only the term
-pairs that survive the truncation, ``subs`` shares the products of image
-powers between monomials with a common prefix, and ``reciprocal`` solves
-``f * g = 1`` degree by degree.
+by construction and skip those checks, as do ``const`` and ``variable``.
+A product visits only the term pairs that survive the truncation; when
+one operand has a single term the product is a shift of the other's
+exponents and a scaling of its coefficients (the constant 1 returns the
+other operand), with no accumulation.  ``subs`` shares the products of
+image powers between monomials with a common prefix, ``reciprocal``
+solves ``f * g = 1`` degree by degree (one division for a constant), and
+``conjugate`` reads a z <-> c index map computed once per variable tuple.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import re as _re
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from operator import add as _add
 from typing import Dict, Mapping, Tuple
@@ -32,7 +37,7 @@ from .errors import (
     NotAContractionError,
     UnitRequiredError,
 )
-from .scalars import GaussRational, format_coefficient
+from .scalars import ONE, GaussRational, format_coefficient
 
 Exponents = Tuple[int, ...]
 
@@ -58,6 +63,15 @@ def conjugate_variable(name: str) -> str:
     if m is None:
         return name
     return ("c" if m.group(1) == "z" else "z") + m.group(2)
+
+
+@lru_cache(maxsize=64)
+def _conjugation_index(vars: Tuple[str, ...]) -> Tuple[int, ...]:
+    """Position in ``vars`` of each variable's conjugation partner."""
+    missing = [v for v in vars if conjugate_variable(v) not in vars]
+    if missing:
+        raise ValueError(f"conjugate partner missing for {missing}")
+    return tuple(vars.index(conjugate_variable(v)) for v in vars)
 
 
 class Series:
@@ -107,13 +121,16 @@ class Series:
     @classmethod
     def const(cls, c, vars, trunc):
         c = GaussRational.of(c) if not isinstance(c, GaussRational) else c
-        return cls(vars, trunc, {(0,) * len(vars): c})
+        vars = tuple(vars)
+        return cls._trusted(vars, trunc,
+                            {} if c.is_zero() else {(0,) * len(vars): c})
 
     @classmethod
     def variable(cls, name, vars, trunc):
+        vars = tuple(vars)
         idx = vars.index(name)
-        exps = tuple(1 if j == idx else 0 for j in range(len(vars)))
-        return cls(vars, trunc, {exps: GaussRational(1)})
+        exps = (0,) * idx + (1,) + (0,) * (len(vars) - idx - 1)
+        return cls._trusted(vars, trunc, {exps: ONE} if trunc >= 1 else {})
 
     @classmethod
     def monomial(cls, exps, coeff, vars, trunc):
@@ -222,10 +239,25 @@ class Series:
                                    {e: v * c for e, v in self.terms.items()})
         self._compat(other)
         trunc = min(self.trunc, other.trunc)
+        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        if len(a.terms) == 1:
+            # one term shifts and scales the other operand: distinct
+            # exponents stay distinct and no product of nonzeros is zero
+            (ea, ca), = a.terms.items()
+            if any(ea):
+                limit = trunc - sum(ea)
+                return Series._trusted(b.vars, trunc, {
+                    tuple(map(_add, ea, e)): c * ca
+                    for e, c in b.terms.items() if sum(e) <= limit})
+            terms = b.terms if b.trunc == trunc else _upto(b.terms, trunc)
+            if ca == ONE:
+                return b if terms is b.terms else \
+                    Series._trusted(b.vars, trunc, terms)
+            return Series._trusted(b.vars, trunc,
+                                   {e: c * ca for e, c in terms.items()})
         out: Dict[Exponents, GaussRational] = {}
         # the sparser operand outermost; the other's terms ordered by total
         # degree, so each inner loop ends at the last pair within trunc
-        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         items = sorted(b.terms.items(), key=_total_degree)
         degrees = [sum(e) for e, _ in items]
         get = out.get
@@ -275,18 +307,10 @@ class Series:
 
     def conjugate(self) -> "Series":
         """Swap z_k <-> c_k exponents and conjugate every coefficient."""
-        perm = [self.vars.index(conjugate_variable(v)) if conjugate_variable(v) in self.vars
-                else None for v in self.vars]
-        if any(p is None for p in perm):
-            missing = [v for v, p in zip(self.vars, perm) if p is None]
-            raise ValueError(f"conjugate partner missing for {missing}")
-        out = {}
-        for exps, c in self.terms.items():
-            e = [0] * len(exps)
-            for i, x in enumerate(exps):
-                e[perm[i]] = x
-            out[tuple(e)] = c.conjugate()
-        return Series._trusted(self.vars, self.trunc, out)
+        partner = _conjugation_index(self.vars)
+        return Series._trusted(self.vars, self.trunc, {
+            tuple(map(exps.__getitem__, partner)): c.conjugate()
+            for exps, c in self.terms.items()})
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -300,7 +324,10 @@ class Series:
         if c0.is_zero():
             raise UnitRequiredError(
                 "reciprocal requires a nonzero constant term")
-        inv0 = GaussRational(1) / c0
+        inv0 = ONE / c0
+        if len(self.terms) == 1:        # a constant
+            return Series._trusted(self.vars, self.trunc,
+                                   {(0,) * len(self.vars): inv0})
         minus_inv0 = -inv0
         # f g = 1 on homogeneous parts: g_0 = 1/c0 and
         # g_d = -(1/c0) * sum_{k=1..d} f_k g_{d-k}

@@ -166,10 +166,32 @@ def test_trunc_flag_only_where_it_is_read(tmp_path, capsys):
     for argv in (["bb-solve", bb], ["prolong", pr]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--trunc", "3"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "unrecognized arguments: --trunc 3" in capsys.readouterr().err
         code, _ = run_json(capsys, argv)
         assert code == 0
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    # argparse exits 2 on a usage error, the code of an exact-invariant
+    # violation
+    for argv, message in ((["report"], "required: input"),
+                          (["frobnicate"], "invalid choice: 'frobnicate'"),
+                          (["check-map", "x.map", "--order", "3"],
+                           "unrecognized arguments: --order 3"),
+                          (["report", "x.hs", "--trunc", "six"],
+                           "argument --trunc: invalid int value: 'six'"),
+                          ([], "required: command")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: crgeom") and message in err, err
+    for argv in (["--help"], ["report", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: crgeom")
 
 
 def test_report_prints_coefficients_past_the_int_str_limit(tmp_path, capsys):

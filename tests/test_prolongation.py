@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -31,6 +32,20 @@ def test_slot_count_formula():
     for n in (0, 1, 2):
         for k in (0, 1, 2, 3):
             assert len(jet_slots(n, k)) == comb(k + 2 * n + 1, 2 * n + 1)
+
+
+def test_slots_match_product_and_filter():
+    # the enumeration that visits all (total+1)^(2n) tuples of each layer
+    # and keeps those with |alpha| <= total, sorted layer by layer
+    for n in range(4):
+        for k in range(5):
+            ref = []
+            for total in range(k + 1):
+                ref.extend(sorted(
+                    (alpha, total - sum(alpha)) for alpha in
+                    product(range(total + 1), repeat=2 * n)
+                    if sum(alpha) <= total))
+            assert jet_slots(n, k) == ref, (n, k)
 
 
 def test_counts_n1_k3():

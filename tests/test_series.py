@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,9 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from crgeom.errors import (DivisibilityError, NotAContractionError,
-                           UnitRequiredError)
-from crgeom.parsing import drops_terms, parse_series
+                           ParseError, UnitRequiredError)
+from crgeom.parsing import (MAX_COEFF_BITS, MAX_EXPONENT, drops_terms,
+                            parse_series)
 from crgeom.scalars import GaussRational
 from crgeom.series import Series, hypersurface_vars, implicit_solve
 
@@ -310,3 +312,294 @@ def test_public_constructor_still_validates():
                       (0, 1, 0): GaussRational(0)})
     assert s.trunc == 0 and s.terms == {(0, 0, 0): GaussRational(3)}
     assert s.truncate(-1) == s and s.truncate(-1).trunc == 0
+    # const and variable skip the checks but are canonical all the same
+    assert Series.const(0, V, 3).terms == {}
+    assert Series.variable("z1", V, 0).terms == {}
+    half = Series.const(Fraction(1, 2), list(V), -1)
+    assert half.vars == V and half.trunc == 0
+    assert half.terms == {(0, 0, 0): GaussRational(Fraction(1, 2))}
+
+
+# -- one-term products: the shift path of Series.__mul__ ----------------------
+
+nonzero_gauss = gauss.filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def one_term_and_other(draw):
+    """(a, b) with a one-term series a: the constant 1, another constant,
+    or a monomial of degree at b's trunc, one past it or anywhere, at a
+    trunc of its own (so the operand truncs differ)."""
+    b = draw(any_series)
+    kind = draw(st.sampled_from(["one", "const", "at", "past", "any"]))
+    c = GaussRational(1) if kind == "one" else draw(nonzero_gauss)
+    deg = {"one": 0, "const": 0, "at": b.trunc, "past": b.trunc + 1}.get(kind)
+    if deg is None:
+        deg = draw(st.integers(0, 7))
+    i = draw(st.integers(0, deg))
+    j = draw(st.integers(0, deg - i))
+    e = (i, j, deg - i - j)
+    return Series(V, draw(st.integers(deg, 8)), {e: c}), b
+
+
+@given(one_term_and_other())
+@example((Series.const(1, V, 6), Series(V, 3, {(1, 0, 2): GaussRational(2)})))
+@example((Series.const(1, V, 2), Series(V, 5, {(1, 0, 2): GaussRational(2),
+                                              (0, 1, 0): GaussRational(1)})))
+@settings(max_examples=100, deadline=None)
+def test_one_term_products_match_sympy(pair):
+    a, b = pair
+    trunc = min(a.trunc, b.trunc)
+    ref = cut(to_sympy(a) * to_sympy(b), trunc)
+    for x, y in ((a, b), (b, a)):
+        prod = x * y
+        assert prod.trunc == trunc
+        assert prod.terms == ref
+        assert all(not c.is_zero() for c in prod.terms.values())
+
+
+# -- differential oracle for the parser: the literal evaluated as a Series ----
+# This is the parser as it was before it kept one-term values as
+# (coefficient, exponents) pairs: every atom is a Series and every
+# operation a Series operation, and it tokenizes with one match per token.
+
+_ORACLE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
+
+
+class OracleLexer:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = []
+        pos, n = 0, len(text)
+        while pos < n:
+            m = _ORACLE_TOKEN_RE.match(text, pos)
+            if m is None:
+                rest = text[pos:]
+                if rest.strip() == "":
+                    break
+                line, col = self._loc(pos + len(rest) - len(rest.lstrip()))
+                raise ParseError(f"unexpected character {rest.strip()[0]!r}",
+                                 line, col)
+            if m.group(1) is not None:
+                self.tokens.append(("INT", m.group(1), m.start(1)))
+            elif m.group(2) is not None:
+                self.tokens.append(("NAME", m.group(2), m.start(2)))
+            else:
+                self.tokens.append(("OP", m.group(3), m.start(3)))
+            pos = m.end()
+        self.idx = 0
+
+    def _loc(self, pos):
+        line = self.text.count("\n", 0, pos) + 1
+        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
+        return line, col
+
+    def peek(self):
+        if self.idx < len(self.tokens):
+            return self.tokens[self.idx]
+        return ("EOF", "", len(self.text))
+
+    def next(self):
+        tok = self.peek()
+        self.idx += 1
+        return tok
+
+    def error(self, msg, tok=None):
+        tok = tok or self.peek()
+        line, col = self._loc(tok[2])
+        raise ParseError(msg, line, col)
+
+
+def _oracle_bits(coeffs):
+    return max((c.height() for c in coeffs), default=0).bit_length()
+
+
+def _oracle_degree(s):
+    return max(map(sum, s.terms), default=0)
+
+
+class OracleParser:
+    def __init__(self, lexer, vars, trunc):
+        self.lx = lexer
+        self.vars = vars
+        self.trunc = trunc
+        self.dropped = False
+
+    def parse(self):
+        result = self.expr()
+        tok = self.lx.peek()
+        if tok[0] != "EOF":
+            self.lx.error(f"unexpected token {tok[1]!r}")
+        return result
+
+    def expr(self):
+        kind, val, _ = self.lx.peek()
+        negate = False
+        if kind == "OP" and val in "+-":
+            self.lx.next()
+            negate = val == "-"
+        first = self.term()
+        acc = {e: -c if negate else c for e, c in first.terms.items()}
+        while True:
+            kind, val, _ = self.lx.peek()
+            if kind == "OP" and val in "+-":
+                tok = self.lx.next()
+                rhs = self.term()
+                for e, c in rhs.terms.items():
+                    cur = acc.get(e)
+                    s = c if val == "+" else -c
+                    if cur is not None:
+                        s = cur + s
+                    if s.is_zero():
+                        del acc[e]
+                    else:
+                        acc[e] = s
+                self._check_bits(_oracle_bits(acc[e] for e in rhs.terms
+                                              if e in acc), tok)
+            else:
+                return Series(self.vars, self.trunc, acc)
+
+    def term(self):
+        acc = self.factor()
+        while True:
+            kind, val, _ = self.lx.peek()
+            if kind == "OP" and val in "*/":
+                tok = self.lx.next()
+                rhs = self.factor()
+                if val == "*":
+                    self._note_degree(_oracle_degree(acc) + _oracle_degree(rhs))
+                    acc = acc * rhs
+                else:
+                    try:
+                        inv = rhs.reciprocal()
+                    except UnitRequiredError:
+                        self.lx.error("division by a non-unit series", tok)
+                    if _oracle_degree(rhs) > 0 and not acc.is_zero():
+                        self.dropped = True
+                    acc = acc * inv
+                self._check_bits(_oracle_bits(acc.terms.values()), tok)
+            else:
+                return acc
+
+    def factor(self):
+        kind, val, _ = self.lx.peek()
+        if kind == "OP" and val in "+-":
+            self.lx.next()
+            inner = self.factor()
+            return -inner if val == "-" else inner
+        base = self.atom()
+        kind, val, _ = self.lx.peek()
+        if kind == "OP" and val == "^":
+            op = self.lx.next()
+            tok = self.lx.next()
+            if tok[0] != "INT":
+                self.lx.error("exponent must be a nonnegative integer", tok)
+            exp = tok[1].lstrip("0") or "0"
+            if len(exp) > len(str(MAX_EXPONENT)) or int(exp) > MAX_EXPONENT:
+                self.lx.error(f"exponent {tok[1]} exceeds {MAX_EXPONENT}", tok)
+            k = int(exp)
+            self._check_bits(k * _oracle_bits(base.terms.values()), op)
+            self._note_degree(k * _oracle_degree(base))
+            base = base ** k
+            self._check_bits(_oracle_bits(base.terms.values()), op)
+        return base
+
+    def _note_degree(self, degree):
+        if degree > self.trunc:
+            self.dropped = True
+
+    def _check_bits(self, bits, tok):
+        if bits > MAX_COEFF_BITS:
+            self.lx.error(f"coefficient exceeds {MAX_COEFF_BITS} bits", tok)
+
+    def atom(self):
+        tok = self.lx.next()
+        kind, val, _ = tok
+        if kind == "INT":
+            digits = val.lstrip("0") or "0"
+            self._check_bits((len(digits) - 1) * 33 // 10, tok)
+            value = int(digits)
+            self._check_bits(value.bit_length(), tok)
+            return Series.const(value, self.vars, self.trunc)
+        if kind == "NAME":
+            if val == "i":
+                return Series.const(GaussRational(0, 1), self.vars, self.trunc)
+            if val not in self.vars:
+                self.lx.error(f"unknown variable {val!r} "
+                              f"(expected one of {', '.join(self.vars)})", tok)
+            self._note_degree(1)
+            return Series.variable(val, self.vars, self.trunc)
+        if kind == "OP" and val == "(":
+            inner = self.expr()
+            close = self.lx.next()
+            if close[:2] != ("OP", ")"):
+                self.lx.error("expected ')'", close)
+            return inner
+        self.lx.error(f"unexpected token {val!r}" if val else
+                      "unexpected end of input", tok)
+
+
+def parse_outcome(text, trunc, oracle):
+    """What parsing gives: the literal, trunc and drop flag, or the
+    error's message, reason, line and column."""
+    try:
+        if oracle:
+            parser = OracleParser(OracleLexer(text), V, trunc)
+            s, dropped = parser.parse(), parser.dropped
+        else:
+            s, dropped = parse_series(text, V, trunc), drops_terms(text, V, trunc)
+    except ParseError as exc:
+        return ("error", str(exc), exc.reason, exc.line, exc.col)
+    return ("ok", s.to_literal(), s.trunc, dropped)
+
+
+# atoms: zero, ones, constants a division by which is not exact, the unit
+# i, the variables, an unknown name, and coefficients near the bit bound
+LITERAL_ATOMS = ["0", "00", "1", "2", "3", "7", "49", "123456789", "i",
+                 "z1", "c1", "s", "z2", "2^1000", "(2^1000)^13", "3^800"]
+# divisors: constants, units, non-units and zero
+DIVISORS = ["49", "7", "(1+s)", "(2-z1*c1)", "(3/2+i)", "(i - s^2)", "(i)",
+            "z1", "(z1+s)", "0", "(1-1)", "(s^4+1)"]
+SPACES = st.sampled_from(["", "", " ", "\n"])
+EXPONENTS = st.sampled_from(["0", "00", "0", "1", "2", "3", "5", "9", "12",
+                             "1000", "1001", "z1", ""])
+
+
+def _joined(parts):
+    return st.tuples(*parts).map("".join)
+
+
+literal_texts = st.recursive(
+    st.sampled_from(LITERAL_ATOMS),
+    lambda inner: st.one_of(
+        _joined([inner, SPACES, st.sampled_from("+-*/"), SPACES, inner]),
+        _joined([inner, st.just("/"), st.sampled_from(DIVISORS)]),
+        _joined([st.just("("), inner, st.just(")")]),
+        _joined([st.sampled_from(["-", "+", "2*-", "--"]), inner]),
+        _joined([st.just("("), inner, st.just(")^"), EXPONENTS]),
+        _joined([inner, st.just("*"),
+                 st.sampled_from(["z1", "c1", "s", "0", "2", "i", "(1+s)"]),
+                 st.just("^"), EXPONENTS]),
+    ),
+    max_leaves=10)
+# one literal in four gets a stray character, bracket or operator
+noisy_texts = st.one_of(literal_texts, literal_texts, literal_texts, st.tuples(
+    literal_texts, st.integers(0, 40),
+    st.sampled_from(["#", "@", ")", "(", "*", "^", "  ", "\n", "x", "1.5"])).map(
+    lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:]))
+
+
+@given(noisy_texts, st.integers(0, 6))
+@example("0^0*z1", 3)
+@example("(z1^9)^0", 3)
+@example("0^0", 0)
+@example("-z1*2*-c1^2", 4)
+@example("z1/49 + c1/(1+s) - s/(z1+s)", 3)
+@example("((z1 + (c1*s)^2)*(1 - s))^3", 5)
+@example("s*z1*c1^2 + z1^4 - z1^4", 3)
+@example("(2^1000)^14 * 2", 6)
+@example("z1 +\n  c1 # comment", 2)
+@example("z1 + c1 ", 2)
+@settings(max_examples=500, deadline=None)
+def test_parser_matches_series_oracle(text, trunc):
+    assert parse_outcome(text, trunc, False) == parse_outcome(text, trunc, True)
