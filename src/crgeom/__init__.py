@@ -13,8 +13,8 @@ from .hypersurface import (EllVerdict, EssentialityVerdict, Hypersurface,
                            InvariantReport, compute_infinite_type,
                            essentiality_check, full_report, nondegeneracy_ell,
                            validate)
-from .frame import (Frame, FrameField, Filtration, LeviData, filtration,
-                    iterated_forms, levi)
+from .frame import (Frame, Filtration, LeviData, filtration, iterated_forms,
+                    levi)
 from .crmap import (HoloMap, MapFrameData, ResidualReport, RestrictionData,
                     check_identities, frame_data, map_vars, maps_into,
                     restrict_map, restriction_data)
@@ -35,7 +35,7 @@ __all__ = [
     "EllVerdict", "EssentialityVerdict", "Hypersurface", "InvariantReport",
     "compute_infinite_type", "essentiality_check", "full_report",
     "nondegeneracy_ell", "validate",
-    "Frame", "FrameField", "Filtration", "LeviData", "filtration",
+    "Frame", "Filtration", "LeviData", "filtration",
     "iterated_forms", "levi",
     "HoloMap", "MapFrameData", "ResidualReport", "RestrictionData",
     "check_identities", "frame_data", "map_vars", "maps_into",

@@ -19,17 +19,15 @@ t*y' - f(t, y) through t^K, without the recurrence that produced it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InvariantViolation, ValidationError
 from .linalg import (char_poly, count_eigenvalues_nonpositive_real, rank,
                      solve_linear)
 from .scalars import GaussRational
 from .series import Series
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -275,14 +273,11 @@ def dulac_classify(lp: LinearPart) -> DulacReport:
     return DulacReport(N=lp.N, nonpositive_real=k, p=lp.N - k, char=char)
 
 
-def series_value(sol: FormalLogSolution, N: int, t: float) -> np.ndarray:
-    # numpy is imported here and in numeric_oracle only: it adds about
-    # 13 MB to every process, and only the oracle needs it
-    import numpy as np
-    vals = np.zeros(N, dtype=complex)
+def series_value(sol: FormalLogSolution, N: int, t: float) -> List[complex]:
+    vals = [0j] * N
     if t == 0:
         return vals
-    lg = np.log(abs(t))
+    lg = math.log(abs(t))
     for (k, r), v in sol.coeffs.items():
         for j in range(N):
             vals[j] += complex(v[j]) * t ** k * lg ** r
@@ -302,28 +297,32 @@ def numeric_oracle(sys: BBSystem, sol: FormalLogSolution,
         raise ValidationError("numeric oracle requires a log-free solution")
     if t0 == 0:
         raise ValidationError("integration cannot start at the singularity")
-    import numpy as np
     N = sys.N
     sign = 1.0 if t0 > 0 else -1.0
     a, b = t0, sign * abs(t_end)
     h = (b - a) / steps
-    vars_ = bb_vars(N)
+    names = bb_vars(N)[1:]
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: List[complex]) -> List[complex]:
         vals = {"t": complex(t)}
-        for j in range(N):
-            vals[f"y{j+1}"] = complex(y[j])
-        return np.array([sys.f[j].eval_complex(vals) for j in range(N)]) / t
+        vals.update(zip(names, y))
+        inv_t = 1 / t
+        return [g.eval_complex(vals) * inv_t for g in sys.f]
+
+    def step(y: List[complex], c: float, k: List[complex]) -> List[complex]:
+        return [yj + c * kj for yj, kj in zip(y, k)]
 
     y = series_value(sol, N, a)
     t = a
     dev = 0.0
     for _ in range(steps):
         k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = rhs(t + h / 2, step(y, h / 2, k1))
+        k3 = rhs(t + h / 2, step(y, h / 2, k2))
+        k4 = rhs(t + h, step(y, h, k3))
+        y = step(y, h / 6, [p + 2 * q + 2 * r + u
+                            for p, q, r, u in zip(k1, k2, k3, k4)])
         t = t + h
-        dev = max(dev, float(np.max(np.abs(y - series_value(sol, N, t)))))
+        dev = max([dev] + [abs(yj - sj) for yj, sj
+                           in zip(y, series_value(sol, N, t))])
     return dev

@@ -106,8 +106,12 @@ def run(args) -> int:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(
+                f"{out_path}: cannot write: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

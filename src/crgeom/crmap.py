@@ -10,6 +10,11 @@ Im w = phi means substituting w -> s + i*phi; then
     gamma^C_B = L_B(F_C|M),     eta^C = S(F_C|M),      S = s^m T,
     f_* S = xi * S_hat + eta^C Lhat_C + conj(eta^C) Lhat_Cbar.
 
+frame_data returns gamma, eta, xi and the types m, m_hat of source and
+target, the fields applied as the source frame's derivations.  It raises
+InvariantViolation("xi-singular ...") when xi is not a smooth function,
+so a returned xi is always smooth.
+
 The Levi functions are those of :mod:`crgeom.frame`, in its one
 normalization h0_{AbarB} = <theta, [L_Abar, L_B]> / s^m, which is the
 one produced by <d omega, X ^ Y> = -<omega, [X, Y]> applied to
@@ -113,10 +118,8 @@ class MapFrameData:
     gamma: List[List[Series]]        # gamma[C][B] = L_B(F_C|M)
     eta: List[Series]                # eta[C] = S(F_C|M)
     xi: Series
-    xi_smooth: bool
     m: int
     m_hat: int
-    tangency_ok: bool                # That-component of f_* L_B vanishes
 
 
 def frame_data(fr: Frame, fr_hat: Frame, rd: RestrictionData) -> MapFrameData:
@@ -146,18 +149,17 @@ def frame_data(fr: Frame, fr_hat: Frame, rd: RestrictionData) -> MapFrameData:
     # holomorphy of the restriction: CR fields annihilate conj components
     for B in range(n):
         for C in range(n):
-            g = fr.Lbar[B].apply(rd.F[C])
+            g = fr.Lbar(B, rd.F[C])
             if not g.is_zero():
                 raise InvariantViolation(
                     f"L_{B+1}bar(F_{C+1}) != 0: restriction is not CR")
 
-    gamma = [[fr.L[B].apply(rd.F[C]) for B in range(n)] for C in range(n)]
-    S = fr.S(m)
-    eta = [S.apply(rd.F[C]) for C in range(n)]
+    gamma = [[fr.L(B, rd.F[C]) for B in range(n)] for C in range(n)]
+    eta = [fr.S(m, rd.F[C]) for C in range(n)]
 
     # the That-component of f_* S is theta_hat o f paired with it
     theta_f = _theta_hat_f(fr_hat, rd)
-    push_s = {"s": S.apply(rd.s_hat)}
+    push_s = {"s": fr.S(m, rd.s_hat)}
     for C in range(n):
         push_s[f"z{C+1}"] = eta[C]
         push_s[f"c{C+1}"] = eta[C].conjugate()
@@ -165,20 +167,9 @@ def frame_data(fr: Frame, fr_hat: Frame, rd: RestrictionData) -> MapFrameData:
 
     try:
         xi = t_hat_comp.divide_unit_form(rd.s_hat ** m_hat, unit_var="s")
-        xi_smooth = True
     except (UnitRequiredError, DivisibilityError) as exc:
         raise InvariantViolation(f"xi-singular: {exc}")
-
-    # tangency: f_* L_B has no That-component (its c-components vanish)
-    tangency_ok = True
-    for B in range(n):
-        push_l = {"s": fr.L[B].apply(rd.s_hat)}
-        for C in range(n):
-            push_l[f"z{C+1}"] = gamma[C][B]
-        if not _pair(theta_f, push_l).is_zero():
-            tangency_ok = False
-    return MapFrameData(gamma=gamma, eta=eta, xi=xi, xi_smooth=xi_smooth,
-                        m=m, m_hat=m_hat, tangency_ok=tangency_ok)
+    return MapFrameData(gamma=gamma, eta=eta, xi=xi, m=m, m_hat=m_hat)
 
 
 def _theta_hat_f(fr_hat: Frame, rd: RestrictionData) -> Dict[str, Series]:
@@ -217,7 +208,6 @@ def _pair(theta_f: Dict[str, Series], push: Dict[str, Series]) -> Series:
 class ResidualReport:
     map_residual: Series
     identity_residuals: Dict[str, List[Series]]
-    xi_smooth: bool
     xi: Series
     max_checked_order: int = 0
 
@@ -263,7 +253,6 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
 
     gamma, eta, xi = data.gamma, data.eta, data.xi
     gamma_bar = [[gamma[C][A].conjugate() for A in range(n)] for C in range(n)]
-    S = fr.S(data.m)
 
     res: Dict[str, List[Series]] = {
         "levi": [], "levi-tail": [], "gamma-cr": [], "eta-cr": [], "gamma-s": []}
@@ -276,7 +265,7 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
                     acc = acc - gamma[D][B] * gamma_bar[C][A] * h0_hat_f[C][D]
             res["levi"].append(acc)
     for A in range(n):
-        acc = fr.Lbar[A].apply(xi) + xi * h0bar[A]
+        acc = fr.Lbar(A, xi) + xi * h0bar[A]
         for C in range(n):
             acc = acc - xi * gamma_bar[C][A] * h0bar_hat_f[C]
             for D in range(n):
@@ -285,20 +274,19 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
     for A in range(n):
         for B in range(n):
             for E in range(n):
-                acc = fr.Lbar[A].apply(gamma[E][B]) - eta[E] * h0[A][B]
+                acc = fr.Lbar(A, gamma[E][B]) - eta[E] * h0[A][B]
                 res["gamma-cr"].append(acc)
     for A in range(n):
         for E in range(n):
-            acc = fr.Lbar[A].apply(eta[E]) + eta[E] * h0bar[A]
+            acc = fr.Lbar(A, eta[E]) + eta[E] * h0bar[A]
             res["eta-cr"].append(acc)
     for A in range(n):
         for E in range(n):
-            acc = S.apply(gamma[E][A]) - fr.L[A].apply(eta[E]) \
+            acc = fr.S(data.m, gamma[E][A]) - fr.L(A, eta[E]) \
                 - eta[E] * h0bar[A].conjugate()
             res["gamma-s"].append(acc)
 
     mr = maps_into(rd, target)
     order = min((r.trunc for rs in res.values() for r in rs), default=0)
-    return ResidualReport(map_residual=mr, identity_residuals=res,
-                          xi_smooth=data.xi_smooth, xi=xi,
+    return ResidualReport(map_residual=mr, identity_residuals=res, xi=xi,
                           max_checked_order=order)

@@ -8,7 +8,10 @@ L_1bar..L_nbar with
     L_A    = d/dz_A + P_A d/ds,   P_A = conj(Q_A).
 
 phi is real, so one reciprocal gives both halves.  Each field is a
-coordinate field plus a multiple of T, so the coframe theta
+coordinate field plus a multiple of T, so a Frame stores only Q_A, P_A
+and the structure constants below, and applies its fields to a series
+as derivations: L(A, f) = f_{z_A} + P_A f_s, Lbar(A, f) = f_{c_A} +
+Q_A f_s and S(m, f) = s^m f_s.  The coframe theta
 (theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is
 ds - sum P_A dz_A - sum Q_A dc_A, and every bracket [L_abar, e_j] is a
 multiple of T.  A frame computes those multiples once: c[a][j] is the
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from .errors import TruncationError
 from .hypersurface import Hypersurface, validate
@@ -47,32 +50,10 @@ from .scalars import GaussRational
 from .series import Series
 
 
-class FrameField:
-    """Vector field sum_v comp[v] * d/dv over the hypersurface coordinates."""
-
-    __slots__ = ("vars", "comps")
-
-    def __init__(self, vars: Tuple[str, ...], comps: Dict[str, Series]):
-        self.vars = vars
-        self.comps = {v: s for v, s in comps.items() if not s.is_zero()}
-
-    def comp(self, var: str, trunc: int) -> Series:
-        s = self.comps.get(var)
-        if s is None:
-            return Series.zero(self.vars, trunc)
-        return s
-
-    def apply(self, f: Series) -> Series:
-        """Derivation action on a scalar series."""
-        out = Series.zero(self.vars, f.trunc - 1)
-        for v, c in self.comps.items():
-            out = out + c * f.diff(v)
-        return out
-
-
 class Frame:
-    """The frame (T, L_A, L_Abar) on a validated hypersurface, with its
-    structure constants c."""
+    """The frame on a validated hypersurface: the s-coefficients Q_A and
+    P_A of its fields, and the structure constants c.  Indices A are
+    0-based here, so L(0, f) applies L_1."""
 
     def __init__(self, h: Hypersurface):
         validate(h)               # phi real: the conjugate halves rest on it
@@ -82,21 +63,11 @@ class Frame:
         phi = h.phi
         trunc = phi.trunc - 1     # frame coefficients involve phi_s
         self.trunc = trunc
-        one = Series.const(1, self.vars, trunc)
         # -i / (1 + i phi_s) = 1 / (i - phi_s)
         inv = (Series.const(GaussRational(0, 1), self.vars, trunc)
                - phi.diff("s")).reciprocal()
-
-        self.T = FrameField(self.vars, {"s": one})
-        self.L: List[FrameField] = []
-        self.Lbar: List[FrameField] = []
-        Q: List[Series] = []      # Q_A = L_Abar^s
-        P: List[Series] = []      # P_A = L_A^s = conj(Q_A)
-        for A in range(1, n + 1):
-            Q.append(phi.diff(f"c{A}") * inv)
-            P.append(Q[-1].conjugate())
-            self.Lbar.append(FrameField(self.vars, {f"c{A}": one, "s": Q[-1]}))
-            self.L.append(FrameField(self.vars, {f"z{A}": one, "s": P[-1]}))
+        Q = self.Q = [phi.diff(f"c{A}") * inv for A in range(1, n + 1)]
+        P = self.P = [q.conjugate() for q in Q]
 
         # c[a][j] = T-coefficient of [L_abar, e_j], e_j in (T, L_1..L_n).
         # Every frame field is a coordinate field plus a multiple of T, so
@@ -114,9 +85,21 @@ class Frame:
                 self.c[a][b + 1] = x
                 self.c[b][a + 1] = -x.conjugate() if b > a else x
 
-    def S(self, m: int) -> FrameField:
-        s_pow = Series.variable("s", self.vars, self.trunc) ** m
-        return FrameField(self.vars, {"s": s_pow})
+    # Each field applied to f is exact through min(f.trunc - 1,
+    # self.trunc): P_A and Q_A carry self.trunc even when zero, and a sum
+    # keeps the smaller truncation.
+
+    def L(self, A: int, f: Series) -> Series:
+        """L_A f = f_{z_A} + P_A f_s."""
+        return f.diff(f"z{A + 1}") + self.P[A] * f.diff("s")
+
+    def Lbar(self, A: int, f: Series) -> Series:
+        """L_Abar f = f_{c_A} + Q_A f_s."""
+        return f.diff(f"c{A + 1}") + self.Q[A] * f.diff("s")
+
+    def S(self, m: int, f: Series) -> Series:
+        """S f = s^m T f = s^m f_s."""
+        return Series.variable("s", self.vars, self.trunc) ** m * f.diff("s")
 
 
 def iterated_forms(frame: Frame, max_len: int
@@ -135,8 +118,8 @@ def iterated_forms(frame: Frame, max_len: int
             raise TruncationError(f"word of length {length} exhausts truncation")
         grown = []
         for word, omega in level:
-            for a, (lbar, ca) in enumerate(zip(frame.Lbar, frame.c)):
-                new = [lbar.apply(omega[j]) - omega[0] * ca[j]
+            for a, ca in enumerate(frame.c):
+                new = [frame.Lbar(a, omega[j]) - omega[0] * ca[j]
                        for j in range(n + 1)]
                 grown.append((word + (a + 1,), new))
                 yield grown[-1]
@@ -174,8 +157,7 @@ def levi(frame: Frame, m: int) -> LeviData:
     n = frame.n
     h = [[frame.c[a][b + 1] for b in range(n)] for a in range(n)]
     h0 = [[x.divide_by_power("s", m) for x in row] for row in h]
-    a_bar = [lbar.comp("s", frame.trunc).divide_by_power("s", 1) *
-             GaussRational(m) for lbar in frame.Lbar]
+    a_bar = [q.divide_by_power("s", 1) * GaussRational(m) for q in frame.Q]
     h0_bar = [-(a_bar[a] + frame.c[a][0]).truncate(frame.trunc - 1 - m)
               for a in range(n)]
     return LeviData(m=m, h=h, h0=h0, h0_bar=h0_bar, a_bar=a_bar)

@@ -133,23 +133,13 @@ def char_poly(a: Matrix) -> GPoly:
 # ---------------------------------------------------------------------------
 
 def poly_trim(p):
-    while p and (p[-1].is_zero() if isinstance(p[-1], GaussRational)
-                 else p[-1] == 0):
+    while p and p[-1] == 0:
         p = p[:-1]
     return list(p)
 
 
 def poly_deg(p) -> int:
     return len(poly_trim(p)) - 1
-
-
-def poly_eval(p, x):
-    acc = None
-    for c in reversed(poly_trim(p)):
-        acc = c if acc is None else acc * x + c
-    if acc is None:
-        return x * 0
-    return acc
 
 
 def poly_deriv(p):
@@ -189,31 +179,6 @@ def poly_gcd(a, b):
     return poly_monic(a)
 
 
-def squarefree_decomposition(p) -> List[Tuple[List, int]]:
-    """Decomposition p = lead * prod q_j^j with q_j square-free (Tobey-
-    Horowitz repeated-gcd form), returned as [(q_j, j), ...] with trivial
-    factors omitted."""
-    p = poly_monic(poly_trim(p))
-    if poly_deg(p) < 1:
-        return []
-    distinct = []   # distinct-factor products of p, gcd(p,p'), ...
-    b = p
-    while poly_deg(b) >= 1:
-        g = poly_gcd(b, poly_deriv(b))
-        c, _ = poly_divmod(b, g)
-        distinct.append(c)
-        b = g
-    out = []
-    for j, c in enumerate(distinct):
-        if j + 1 < len(distinct):
-            q, _ = poly_divmod(c, distinct[j + 1])
-        else:
-            q = c
-        if poly_deg(q) >= 1:
-            out.append((q, j + 1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Sturm counting for real rational polynomials
 # ---------------------------------------------------------------------------
@@ -238,50 +203,21 @@ def sturm_chain(p: RPoly) -> List[RPoly]:
     return [c for c in chain if c]
 
 
-def count_real_roots_nonpositive(p: RPoly) -> int:
-    """Number of distinct real roots of a real polynomial in (-inf, 0].
-    The input need not be square-free; multiplicity is NOT counted here."""
-    p = poly_trim(p)
-    if poly_deg(p) < 1:
-        return 0
-    # deflate roots at zero
-    k = 0
-    while p and p[0] == 0:
-        p = p[1:]
-        k += 1
-    at_zero = 1 if k > 0 else 0
-    p = poly_trim(p)
-    if poly_deg(p) < 1:
-        return at_zero
-    # square-free part for a valid Sturm chain
-    sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
-    chain = sturm_chain(sf)
-    neg_inf = [_sign(q[-1]) * (-1) ** poly_deg(q) for q in chain]
-    at0 = [_sign(poly_eval(q, Fraction(0))) for q in chain]
-    return at_zero + _variations(neg_inf) - _variations(at0)
-
-
-def real_part_poly(p: GPoly) -> RPoly:
-    return [c.re for c in p]
-
-
-def imag_part_poly(p: GPoly) -> RPoly:
-    return [c.im for c in p]
-
-
 def count_eigenvalues_nonpositive_real(p: GPoly) -> int:
     """Number of roots (with multiplicity) of a Gaussian-rational polynomial
-    lying on the closed negative real axis R_{<=0}."""
+    lying on the closed negative real axis R_{<=0}.
+
+    g = gcd(Re p, Im p) has the real roots of p, with their multiplicities.
+    Each pass counts the distinct roots of g in (-inf, 0] by the Sturm
+    chain of its square-free part g / gcd(g, g'), V(-inf) - V(0), and
+    then lowers every multiplicity by one: g <- gcd(g, g')."""
+    g = poly_gcd([c.re for c in p], [c.im for c in p])
     total = 0
-    for q, mult in squarefree_decomposition(p):
-        re = poly_trim(real_part_poly(q))
-        im = poly_trim(imag_part_poly(q))
-        if not im:
-            d = re
-        elif not re:
-            d = im
-        else:
-            d = poly_gcd([Fraction(c) for c in re], [Fraction(c) for c in im])
-        d = [Fraction(c) for c in d]
-        total += mult * count_real_roots_nonpositive(d)
+    while poly_deg(g) >= 1:
+        d = poly_gcd(g, poly_deriv(g))
+        chain = sturm_chain(poly_divmod(g, d)[0])
+        total += (_variations([_sign(q[-1]) * (-1) ** (len(q) - 1)
+                               for q in chain])
+                  - _variations([_sign(q[0]) for q in chain]))
+        g = d
     return total

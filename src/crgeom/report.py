@@ -44,31 +44,36 @@ def parse_keyvalue_file(path: str
                         ) -> Tuple[Dict[str, str], Dict[str, Tuple[int, int]]]:
     """The key = value pairs of a file, and the (line, column) at which
     each value starts (inside the quotes, for a quoted value)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
     pairs: Dict[str, str] = {}
     where: Dict[str, Tuple[int, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError("expected 'key = value'", lineno, 1)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key.replace("_", "").isalnum():
-                raise ParseError(f"bad key {key!r}", lineno, 1)
-            if key in pairs:
-                raise ParseError(f"duplicate key {key!r}", lineno, 1)
-            col = len(raw) - len(raw[raw.index("=") + 1:].lstrip()) + 1
-            if value.startswith('"'):
-                if not value.endswith('"') or len(value) < 2:
-                    raise ParseError("unterminated string", lineno,
-                                     len(line))
-                value = value[1:-1]
-                col += 1
-            pairs[key] = value
-            where[key] = (lineno, col)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError("expected 'key = value'", lineno, 1)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key.replace("_", "").isalnum():
+            raise ParseError(f"bad key {key!r}", lineno, 1)
+        if key in pairs:
+            raise ParseError(f"duplicate key {key!r}", lineno, 1)
+        col = len(raw) - len(raw[raw.index("=") + 1:].lstrip()) + 1
+        if value.startswith('"'):
+            if not value.endswith('"') or len(value) < 2:
+                raise ParseError("unterminated string", lineno, len(line))
+            value = value[1:-1]
+            col += 1
+        pairs[key] = value
+        where[key] = (lineno, col)
     return pairs, where
 
 
@@ -265,7 +270,9 @@ def map_report(f: HoloMap, src: Hypersurface, tgt: Hypersurface) -> dict:
             "all_zero": rr.all_zero(),
         },
         "xi": rr.xi.to_literal(),
-        "xi_smooth": rr.xi_smooth,
+        # check_identities raises InvariantViolation("xi-singular ...")
+        # otherwise
+        "xi_smooth": True,
     }
 
 

@@ -132,11 +132,6 @@ class Series:
         exps = (0,) * idx + (1,) + (0,) * (len(vars) - idx - 1)
         return cls._trusted(vars, trunc, {exps: ONE} if trunc >= 1 else {})
 
-    @classmethod
-    def monomial(cls, exps, coeff, vars, trunc):
-        return cls(vars, trunc, {tuple(exps): GaussRational.of(coeff)
-                                 if not isinstance(coeff, GaussRational) else coeff})
-
     # -- basic queries --------------------------------------------------------
 
     def is_zero(self) -> bool:

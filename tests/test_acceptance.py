@@ -86,7 +86,7 @@ def test_criterion_05_iterated_recursion():
             body, c = word[:-1], word[-1]
             for d in range(1, n + 1):
                 lhs = omega[d]
-                rhs = fr.Lbar[c - 1].apply(forms[body][d]) + \
+                rhs = fr.Lbar(c - 1, forms[body][d]) + \
                     forms[body][0] * forms[(c,)][d]
                 tr = min(lhs.trunc, rhs.trunc)
                 ok = ok and (lhs.truncate(tr) - rhs.truncate(tr)).is_zero()

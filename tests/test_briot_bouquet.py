@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from crgeom.briot_bouquet import (BBSystem, bb_vars, dulac_classify,
                                   formal_solve, linear_part, numeric_oracle,
                                   resonances)
 from crgeom.errors import InvariantViolation, ValidationError
-from crgeom.linalg import mat_mul
+from crgeom.linalg import count_eigenvalues_nonpositive_real, mat_mul
 from crgeom.parsing import parse_series
 from crgeom.scalars import GaussRational
 from crgeom.series import Series
@@ -131,6 +132,38 @@ def test_dulac_counts():
     # mixed: eigenvalues 1 and -2
     rep = dulac_classify(linear_part(mk(2, ["y1", "-2*y2"])))
     assert rep.p == 1 and rep.nonpositive_real == 1
+
+
+def test_dulac_count_matches_chosen_roots():
+    # lead * prod (x - r) over chosen roots r, among them 0, repeated and
+    # non-real roots, with a leading coefficient that may be non-real: the
+    # count is the number of chosen roots on (-inf, 0], with multiplicity
+    rng = random.Random(2024)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for _ in range(4000):
+        roots = []
+        for _ in range(rng.randint(0, 6)):
+            pick = rng.random()
+            if pick < 0.2:
+                roots.append(GaussRational(0))
+            elif pick < 0.4 and roots:
+                roots.append(rng.choice(roots))
+            elif pick < 0.7:
+                roots.append(GaussRational(rational()))
+            else:
+                roots.append(GaussRational(rational(), rng.choice((-1, 1))
+                                           * Fraction(rng.randint(1, 4), 2)))
+        lead = GaussRational(rng.randint(1, 3) * rng.choice((-1, 1)),
+                             rng.randint(-2, 2))
+        p = [lead]
+        for r in roots:               # p <- p * (x - r), low degree first
+            p = ([-r * p[0]] + [p[k - 1] - r * p[k] for k in range(1, len(p))]
+                 + [p[-1]])
+        want = sum(1 for r in roots if r.im == 0 and r.re <= 0)
+        assert count_eigenvalues_nonpositive_real(p) == want
 
 
 def test_dulac_similarity_invariance():

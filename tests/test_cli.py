@@ -346,13 +346,53 @@ def test_examples_table(capsys):
     assert "ok" in out
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # only the --oracle path imports numpy
+def _file_error_case(tmp_path, kind):
+    """argv that makes the CLI open an unreadable input or output, and the
+    path the error must name."""
+    model = write(tmp_path, "m0.hs", MODEL)
+    if kind == "missing":
+        missing = str(tmp_path / "nope.hs")
+        return ["report", missing], missing
+    if kind == "missing-map-source":
+        mp = write(tmp_path, "id.map",
+                   'n = 1\ntrunc = 8\nsource = gone.hs\ntarget = m0.hs\n'
+                   'F1 = "z1"\nF2 = "w"\n')
+        return ["check-map", mp], str(tmp_path / "gone.hs")
+    if kind == "directory":
+        return ["report", str(tmp_path)], str(tmp_path)
+    if kind == "not-utf8":
+        path = tmp_path / "latin1.hs"
+        path.write_bytes('n = 1\nphi = "s*z1*c1"  # r\xe9el\n'.encode("latin-1"))
+        return ["report", str(path)], str(path)
+    out = str(tmp_path / "no_such_dir" / "rep.json")   # kind == "out"
+    return ["report", model, "--out", out], out
+
+
+@pytest.mark.parametrize("kind", ["missing", "missing-map-source",
+                                  "directory", "not-utf8", "out"])
+def test_file_errors_exit_1(tmp_path, capsys, kind):
+    argv, path = _file_error_case(tmp_path, kind)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert path in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # nothing imports numpy, the --oracle path included
     import crgeom
     src = os.path.dirname(os.path.dirname(os.path.abspath(crgeom.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, crgeom.cli; print('numpy' in sys.modules)"
+    path = write(tmp_path, "lin.bb", 'N = 1\norder = 10\nf1 = "1/2*y1 + t"\n')
+    probe = ("import contextlib, io, sys, crgeom.cli\n"
+             "print('numpy' in sys.modules)\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = crgeom.cli.main(['bb-solve', {path!r}, "
+             "'--oracle', '1e-2'])\n"
+             "print(code, 'numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out == "False\n"
+    assert out == "False\n0 False\n"

@@ -2,7 +2,7 @@ import itertools
 import random
 
 from crgeom import corpus
-from crgeom.frame import (Frame, FrameField, filtration, iterated_forms,
+from crgeom.frame import (Frame, filtration, iterated_forms,
                           iterated_h0_at_origin, levi)
 from crgeom.hypersurface import Hypersurface, compute_infinite_type
 from crgeom.report import HALF_OVER_I
@@ -47,34 +47,60 @@ def frame_surfaces():
     yield random_surface()
 
 
+class Field:
+    """Coordinate vector field sum_v comps[v] * d/dv, the independent
+    oracle for the frame's derivations, its closed-form coframe and its
+    structure constants."""
+
+    def __init__(self, vars, comps):
+        self.vars = vars
+        self.comps = {v: s for v, s in comps.items() if not s.is_zero()}
+
+    def comp(self, var, trunc):
+        s = self.comps.get(var)
+        return Series.zero(self.vars, trunc) if s is None else s
+
+    def apply(self, f):
+        """Derivation action on a scalar series."""
+        out = Series.zero(self.vars, f.trunc - 1)
+        for v, c in self.comps.items():
+            out = out + c * f.diff(v)
+        return out
+
+
 def bracket(x, y, trunc):
-    """Coordinate Lie bracket [x, y], the independent oracle for the
-    frame's closed-form coframe and structure constants."""
+    """Coordinate Lie bracket [x, y]."""
     comps = {}
     for v in set(x.comps) | set(y.comps):
         comps[v] = x.apply(y.comp(v, trunc)) - y.apply(x.comp(v, trunc))
-    return FrameField(x.vars, comps)
+    return Field(x.vars, comps)
 
 
 def fields(fr):
-    """The frame basis in its fixed order: T, L_1..L_n, L_1bar..L_nbar."""
-    return [fr.T] + fr.L + fr.Lbar
+    """The frame basis as coordinate fields, in its fixed order: T,
+    L_1..L_n, L_1bar..L_nbar."""
+    one = Series.const(1, fr.vars, fr.trunc)
+    return ([Field(fr.vars, {"s": one})]
+            + [Field(fr.vars, {f"z{A}": one, "s": p})
+               for A, p in enumerate(fr.P, start=1)]
+            + [Field(fr.vars, {f"c{A}": one, "s": q})
+               for A, q in enumerate(fr.Q, start=1)])
 
 
 def theta(fr):
-    """The coframe theta = ds - sum L_A^s dz_A - sum L_Abar^s dc_A by its
+    """The coframe theta = ds - sum P_A dz_A - sum Q_A dc_A by its
     coordinate components, read off the frame's s-coefficients."""
     out = {"s": Series.const(1, fr.vars, fr.trunc)}
-    for A, (la, lbar) in enumerate(zip(fr.L, fr.Lbar), start=1):
-        out[f"z{A}"] = -la.comp("s", fr.trunc)
-        out[f"c{A}"] = -lbar.comp("s", fr.trunc)
+    for A, (p, q) in enumerate(zip(fr.P, fr.Q), start=1):
+        out[f"z{A}"] = -p
+        out[f"c{A}"] = -q
     return out
 
 
 def two_sided_frame(h):
     """(L, Lbar, c) built without the conjugation symmetry: each half with
     its own reciprocal, 1/(1 + i phi_s) and 1/(1 - i phi_s), and all n^2
-    brackets [L_abar, L_b] by FrameField.apply."""
+    brackets [L_abar, L_b] by Field.apply."""
     vars, trunc = h.vars(), h.phi.trunc - 1
     i_unit = GaussRational(0, 1)
     phi_s = h.phi.diff("s")
@@ -83,9 +109,9 @@ def two_sided_frame(h):
     denom = (one - phi_s * i_unit).reciprocal()
     L, Lbar = [], []
     for A in range(1, h.n + 1):
-        Lbar.append(FrameField(vars, {
+        Lbar.append(Field(vars, {
             f"c{A}": one, "s": -(h.phi.diff(f"c{A}") * i_unit) * denom_bar}))
-        L.append(FrameField(vars, {
+        L.append(Field(vars, {
             f"z{A}": one, "s": (h.phi.diff(f"z{A}") * i_unit) * denom}))
     c = []
     for lbar in Lbar:
@@ -112,12 +138,29 @@ def test_frame_matches_two_sided_construction():
         for seed in range(3):
             fr = Frame(random_surface(n=n, trunc=6, seed=seed))
             L, Lbar, c = two_sided_frame(fr.hypersurface)
-            for mine, want in zip(fr.L + fr.Lbar, L + Lbar):
-                assert set(mine.comps) == set(want.comps)
-                assert all(identical(mine.comps[v], want.comps[v])
-                           for v in want.comps)
+            for mine, want in zip(fr.P + fr.Q, L + Lbar):
+                assert identical(mine, want.comp("s", fr.trunc))
             assert all(identical(x, y) for row, want_row in zip(fr.c, c)
                        for x, y in zip(row, want_row))
+
+
+def test_derivations_match_coordinate_fields():
+    # L(A, f), Lbar(A, f) and S(m, f) give the terms and the truncation,
+    # min(f.trunc - 1, fr.trunc), of the coordinate fields they stand for,
+    # also where Q_A is zero (Levi flat) and for f exact past or short of
+    # the frame's truncation
+    for h in list(frame_surfaces()) + [corpus.levi_flat_surface(T)]:
+        fr = Frame(h)
+        n = fr.n
+        fs = fields(fr)
+        s_sq = Field(fr.vars, {"s": Series.variable("s", fr.vars, fr.trunc) ** 2})
+        z1 = Series.variable("z1", fr.vars, fr.trunc + 3)
+        for f in (h.phi, fr.c[0][0], h.phi.truncate(fr.trunc - 2),
+                  z1 * Series.variable("s", fr.vars, fr.trunc + 3) + z1):
+            for A in range(n):
+                assert identical(fr.L(A, f), fs[1 + A].apply(f))
+                assert identical(fr.Lbar(A, f), fs[1 + n + A].apply(f))
+            assert identical(fr.S(2, f), s_sq.apply(f))
 
 
 def test_frame_duality():
@@ -137,7 +180,8 @@ def test_cr_fields_commute():
     # of every iterated form of theta zero
     for h in frame_surfaces():
         fr = Frame(h)
-        for group in (fr.L, fr.Lbar):
+        fs = fields(fr)
+        for group in (fs[1:fr.n + 1], fs[fr.n + 1:]):
             for x, y in itertools.combinations(group, 2):
                 br = bracket(x, y, fr.trunc)
                 assert all(c.is_zero() for c in br.comps.values())
@@ -156,8 +200,9 @@ def test_structure_constants_match_coordinate_bracket():
     # c[a][j] is the T-coefficient (the s-component) of [L_abar, e_j]
     for h in frame_surfaces():
         fr = Frame(h)
-        for a, lbar in enumerate(fr.Lbar):
-            for j, e in enumerate(fields(fr)[:fr.n + 1]):
+        fs = fields(fr)
+        for a, lbar in enumerate(fs[fr.n + 1:]):
+            for j, e in enumerate(fs[:fr.n + 1]):
                 br = bracket(lbar, e, fr.trunc).comp("s", fr.trunc - 1)
                 assert same(fr.c[a][j], br)
 
@@ -193,7 +238,8 @@ def test_desingularized_leading_term_is_mixed_hessian():
 
 def test_model_bracket_and_levi_values():
     fr = Frame(corpus.model_surface(9))
-    br = bracket(fr.Lbar[0], fr.L[0], fr.trunc).comp("s", fr.trunc)
+    _, l1, l1bar = fields(fr)
+    br = bracket(l1bar, l1, fr.trunc).comp("s", fr.trunc)
     # [L_1bar, L_1] = (2is + O(3)) T
     assert br.coefficient((0, 0, 1)) == GaussRational(0, 2)
     assert fr.c[0][1] == br
@@ -221,7 +267,7 @@ def test_iterated_recursion():
             for c in range(1, n + 1):
                 for d in range(1, n + 1):
                     lhs = forms[word + (c,)][d]
-                    rhs = fr.Lbar[c - 1].apply(forms[word][d]) + \
+                    rhs = fr.Lbar(c - 1, forms[word][d]) + \
                         forms[word][0] * forms[(c,)][d]
                     tr = min(lhs.trunc, rhs.trunc)
                     assert (lhs.truncate(tr) - rhs.truncate(tr)).is_zero()
@@ -246,11 +292,12 @@ def test_iterated_forms_match_coordinate_lie_derivative():
     for h in surfaces():
         fr = Frame(h)
         n = fr.n
+        fs = fields(fr)
         coord = {(): theta(fr)}
         for word, omega in iterated_forms(fr, 2):
-            coord[word] = coordinate_lie_derivative(fr.Lbar[word[-1] - 1],
+            coord[word] = coordinate_lie_derivative(fs[n + word[-1]],
                                                     coord[word[:-1]])
-            for j, e in enumerate(fields(fr)):
+            for j, e in enumerate(fs):
                 paired = sum((coord[word][v] * e.comp(v, fr.trunc)
                               for v in fr.vars), Series.zero(fr.vars, fr.trunc))
                 want = omega[j] if j <= n else Series.zero(fr.vars, fr.trunc)
