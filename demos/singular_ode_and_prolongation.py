@@ -41,17 +41,16 @@ print("  eigenvalue count off the nonpositive reals:",
 ps = contact_prolong(0, 0)
 ps.supplied[var_name(1, (), 0)] = parse_series("2*u1__0 + s",
                                                rhs_vars(0, 0), 10)
-rep = assemble_and_solve(ps, 10)
-sol = rep.samples[0].solution
+sol = assemble_and_solve(ps, 10)[0].solution
 print()
 print("toy closure (s d/ds)u = 2u + s")
 print("  solution coefficients:", {k: [str(x) for x in v]
                                    for k, v in sol.coeffs.items()})
 
 # counts for a genuine jet space: n = 1, order k = 3
-big = contact_prolong(1, 3)
+counts = contact_prolong(1, 3).counts()
 print()
 print("jet space n=1, k=3:",
-      len(big.jets.variables), "variables,",
-      len(big.contact), "contact equations,",
-      len(big.closure_slots), "closure slots")
+      counts["variables"], "variables,",
+      counts["contact_equations"], "contact equations,",
+      counts["closure_slots"], "closure slots")

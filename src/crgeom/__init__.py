@@ -21,7 +21,7 @@ from .crmap import (HoloMap, MapFrameData, ResidualReport, RestrictionData,
 from .briot_bouquet import (BBSystem, DulacReport, FormalLogSolution,
                             LinearPart, bb_vars, dulac_classify, formal_solve,
                             linear_part, numeric_oracle, resonances)
-from .prolongation import (JetSpace, ProlongedSystem, assemble_and_solve,
+from .prolongation import (ProlongedSystem, assemble_and_solve,
                            contact_prolong, jet_slots, rhs_vars, var_name)
 
 __version__ = "0.1.0"
@@ -43,7 +43,7 @@ __all__ = [
     "BBSystem", "DulacReport", "FormalLogSolution", "LinearPart", "bb_vars",
     "dulac_classify", "formal_solve", "linear_part", "numeric_oracle",
     "resonances",
-    "JetSpace", "ProlongedSystem", "assemble_and_solve", "contact_prolong",
+    "ProlongedSystem", "assemble_and_solve", "contact_prolong",
     "jet_slots", "rhs_vars", "var_name",
     "__version__",
 ]

@@ -17,6 +17,9 @@ from .scalars import GaussRational
 from .series import Series, hypersurface_vars, implicit_solve
 
 DEFAULT_TRUNC = 8
+# below trunc 4 the implicit surface's m and r, and the filtration
+# example's ranks, are not determined
+MIN_TRUNC = 4
 
 
 def model_surface(trunc: int = DEFAULT_TRUNC) -> Hypersurface:

@@ -1,17 +1,19 @@
-"""Jet variables, contact equations, and assembly of the prolonged
-singular system (s d/ds) U = R(U) solved per frozen base point.
+"""Jet variables, contact chains, and assembly of the prolonged singular
+system (s d/ds) U = R(U) solved per frozen base point.
 
 Jet variables are u_i^{alpha,p} ~ (s d/ds)^p d_x^alpha u_i for the
-2n+1 components u_i and multi-indices with |alpha| + p <= k.  Contact
-equations (s d/ds) u_i^{alpha,p} = u_i^{alpha,p+1} are emitted for every
-slot with p < k; when the target slot leaves the jet (|alpha|+p = k)
-the right-hand side must be supplied as a series at assembly, as must
-the closure slots p = k.  The union is square: one defining equation per
-variable.
+2n+1 components u_i and the slots (alpha, p) with |alpha| + p <= k.
+Below the top layer |alpha| + p = k, the defining equation of a
+variable is the contact equation (s d/ds) u_i^{alpha,p} = u_i^{alpha,p+1},
+whose right-hand side is the next variable of its chain.  Every variable
+of the top layer needs a supplied right-hand side: the closure slot
+(0, k) and the slots whose contact target leaves the jet.  So the system
+is square, with (2n+1)(#slots - 1) contact and 2n+1 closure equations.
 
-The base variables x in supplied right-hand sides are frozen at rational
-sample points before solving, so each sample yields an exact
-Briot-Bouquet system in (s, jet variables).
+Supplied right-hand sides are series in rhs_vars(n, k): the base
+variables x, then s, then the jet variables.  The x's are frozen at
+rational sample points before solving, so each sample yields an exact
+Briot-Bouquet system in (t = s, y = jet variables).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .scalars import GaussRational
 from .series import Series
 
 Slot = Tuple[Tuple[int, ...], int]          # (alpha, p)
+
+_ZERO = GaussRational(0)
 
 
 def _bounded(dim: int, budget: int) -> List[Tuple[int, ...]]:
@@ -48,72 +52,40 @@ def var_name(i: int, alpha: Tuple[int, ...], p: int) -> str:
 
 
 @dataclass
-class JetSpace:
+class ProlongedSystem:
+    """The jet slots of order k over n, and the supplied right-hand sides
+    of the top layer; variables are ordered by slot, then component."""
     n: int
     k: int
     slots: List[Slot]
-
-    @property
-    def components(self) -> int:
-        return 2 * self.n + 1
-
-    @property
-    def variables(self) -> List[Tuple[int, Tuple[int, ...], int]]:
-        """(i, alpha, p) ordered by slot, then component index."""
-        return [(i, alpha, p) for (alpha, p) in self.slots
-                for i in range(1, self.components + 1)]
-
-    def var_names(self) -> List[str]:
-        return [var_name(i, alpha, p) for (i, alpha, p) in self.variables]
-
-
-@dataclass
-class ContactEquation:
-    i: int
-    alpha: Tuple[int, ...]
-    p: int
-    target_in_jet: bool          # u_i^{alpha,p+1} is itself a jet variable
-
-    @property
-    def lhs_name(self) -> str:
-        return var_name(self.i, self.alpha, self.p)
-
-    @property
-    def target_name(self) -> str:
-        return var_name(self.i, self.alpha, self.p + 1)
-
-
-@dataclass
-class ProlongedSystem:
-    jets: JetSpace
-    contact: List[ContactEquation]
-    closure_slots: List[Tuple[int, Tuple[int, ...], int]]   # need supplied rhs
     supplied: Dict[str, Series] = field(default_factory=dict)
     frozen_x: List[Tuple[Fraction, ...]] = field(default_factory=list)
 
+    def _names(self, slots) -> List[str]:
+        return [var_name(i, alpha, p) for (alpha, p) in slots
+                for i in range(1, 2 * self.n + 2)]
+
+    def var_names(self) -> List[str]:
+        return self._names(self.slots)
+
     def needed_rhs_names(self) -> List[str]:
-        names = [var_name(i, a, p) for (i, a, p) in self.closure_slots]
-        names.extend(eq.lhs_name for eq in self.contact if not eq.target_in_jet)
-        return names
+        """The top layer |alpha| + p = k, in slot order; its first slot
+        (0, k) is the closure slot."""
+        return self._names((alpha, p) for (alpha, p) in self.slots
+                           if sum(alpha) + p == self.k)
+
+    def counts(self) -> Dict[str, int]:
+        c = 2 * self.n + 1
+        return {"variables": c * len(self.slots),
+                "contact_equations": c * (len(self.slots) - 1),
+                "closure_slots": c}
 
 
 def contact_prolong(n: int, k: int) -> ProlongedSystem:
-    """Enumerate jet variables and contact equations at order k >= 0."""
+    """The jet slots and contact chains at order k >= 0."""
     if k < 0:
         raise ValidationError("jet order must be nonnegative")
-    jets = JetSpace(n=n, k=k, slots=jet_slots(n, k))
-    contact = []
-    closure = []
-    slotset = set(jets.slots)
-    for (alpha, p) in jets.slots:
-        for i in range(1, jets.components + 1):
-            if p < k:
-                contact.append(ContactEquation(
-                    i=i, alpha=alpha, p=p,
-                    target_in_jet=(alpha, p + 1) in slotset))
-            else:
-                closure.append((i, alpha, p))
-    return ProlongedSystem(jets=jets, contact=contact, closure_slots=closure)
+    return ProlongedSystem(n=n, k=k, slots=jet_slots(n, k))
 
 
 def base_vars(n: int) -> Tuple[str, ...]:
@@ -123,30 +95,28 @@ def base_vars(n: int) -> Tuple[str, ...]:
 def rhs_vars(n: int, k: int) -> Tuple[str, ...]:
     """Variable tuple for supplied right-hand sides: base x's, then s,
     then the jet variables in canonical order."""
-    jets = JetSpace(n=n, k=k, slots=jet_slots(n, k))
-    return base_vars(n) + ("s",) + tuple(jets.var_names())
+    return base_vars(n) + ("s",) + tuple(contact_prolong(n, k).var_names())
 
 
-def freeze_x(g: Series, n: int, sample: Sequence[Fraction]) -> Series:
-    """Substitute rational base-point values for x1..x_{2n}, dropping the
-    x slots from the exponent vectors (remaining vars keep their names)."""
-    xnames = base_vars(n)
-    idx = [g.vars.index(x) for x in xnames]
-    keep = [j for j in range(len(g.vars)) if j not in idx]
-    new_vars = tuple(g.vars[j] for j in keep)
+def freeze_x(g: Series, n: int, sample: Sequence[Fraction],
+             names: Sequence[str]) -> Series:
+    """Substitute rational base-point values for x1..x_{2n}, the first 2n
+    variables of g, and name the remaining variables ``names`` in order."""
+    m = 2 * n
+    values = [GaussRational(x) for x in sample]
     terms: Dict[tuple, GaussRational] = {}
     for exps, c in g.terms.items():
-        for pos, j in enumerate(idx):
-            e = exps[j]
+        for v, e in zip(values, exps[:m]):
             if e:
-                c = c * GaussRational(sample[pos]) ** e
-        key = tuple(exps[j] for j in keep)
-        cur = terms.get(key, GaussRational(0)) + c
+                c = c * v ** e
+        key = exps[m:]
+        cur = terms.get(key, _ZERO) + c
         if cur.is_zero():
             terms.pop(key, None)
         else:
             terms[key] = cur
-    return Series(new_vars, g.trunc, terms)
+    # dropping the x's only lowers degrees, so the terms stay canonical
+    return Series._trusted(tuple(names), g.trunc, terms)
 
 
 @dataclass
@@ -157,62 +127,55 @@ class SampleSolution:
     radius_proxy: Optional[float]
 
 
-@dataclass
-class ProlongationReport:
-    system: ProlongedSystem
-    order: int
-    samples: List[SampleSolution]
-
-
-def assemble_and_solve(ps: ProlongedSystem, order: int) -> ProlongationReport:
+def assemble_and_solve(ps: ProlongedSystem, order: int
+                       ) -> List[SampleSolution]:
     """Per frozen sample: freeze x, build the Briot-Bouquet system over
     (t = s, y = jet variables), and solve formally to the given order."""
-    jets = ps.jets
-    n = jets.n
-    names = jets.var_names()
-    name_index = {nm: j for j, nm in enumerate(names)}
-    N = len(names)
+    n, c = ps.n, 2 * ps.n + 1
+    N = c * len(ps.slots)
     needed = ps.needed_rhs_names()
+    rv = rhs_vars(n, ps.k)
     for nm in needed:
-        if nm not in ps.supplied:
+        g = ps.supplied.get(nm)
+        if g is None:
             raise ValidationError(f"missing right-hand side for {nm}")
-
-    if n > 0 and not ps.frozen_x:
-        xs = base_vars(n)
-        for nm in needed:
-            g = ps.supplied[nm]
-            idx = [g.vars.index(x) for x in xs]
-            if any(exps[j] for exps in g.terms for j in idx):
-                raise ValidationError(
-                    f"right-hand side for {nm} depends on {', '.join(xs)}: "
-                    "base points must be given with the 'samples' key")
+        if g.vars != rv:
+            raise ValidationError(
+                f"right-hand side for {nm} must be a series in {rv}")
+        if not ps.frozen_x and any(any(e[:2 * n]) for e in g.terms):
+            raise ValidationError(
+                f"right-hand side for {nm} depends on "
+                f"{', '.join(base_vars(n))}: "
+                "base points must be given with the 'samples' key")
 
     bbv = bb_vars(N)
+    trunc = max(order, max((g.trunc for g in ps.supplied.values()),
+                           default=order))
+    # below the top layer, u_i^{alpha,p} is driven by u_i^{alpha,p+1};
+    # the top layer takes the supplied series, in the order of `needed`
+    position = {slot: j for j, slot in enumerate(ps.slots)}
+    rhs_chain: List[Optional[Series]] = [None] * N
+    top: List[int] = []
+    for j, (alpha, p) in enumerate(ps.slots):
+        if sum(alpha) + p == ps.k:
+            top.extend(range(c * j, c * j + c))
+            continue
+        target = c * position[(alpha, p + 1)]
+        for i in range(c):
+            rhs_chain[c * j + i] = Series.variable(
+                f"y{target + i + 1}", bbv, trunc)
+
     results = []
-    samples = ps.frozen_x or [tuple()]
-    for sample in samples:
-        rhs_list: List[Optional[Series]] = [None] * N
-        trunc = max(order, max((g.trunc for g in ps.supplied.values()),
-                               default=order))
-        # contact equations with in-jet targets are linear
-        for eq in ps.contact:
-            if eq.target_in_jet:
-                rhs_list[name_index[eq.lhs_name]] = Series.variable(
-                    f"y{name_index[eq.target_name] + 1}", bbv, trunc)
-        # supplied equations: freeze x, translate variables
-        translation = {"s": Series.variable("t", bbv, trunc)}
-        for nm, j in name_index.items():
-            translation[nm] = Series.variable(f"y{j + 1}", bbv, trunc)
-        for nm in needed:
-            g = ps.supplied[nm]
-            frozen = freeze_x(g, n, sample) if n > 0 else g
+    for sample in ps.frozen_x or [tuple()]:
+        rhs_list = list(rhs_chain)
+        for nm, j in zip(needed, top):
+            frozen = freeze_x(ps.supplied[nm], n, sample, bbv)
             if not frozen.constant_term().is_zero():
                 raise ValidationError(
                     f"centering failure at sample {tuple(map(str, sample))}: "
                     f"rhs for {nm} has constant term {frozen.constant_term()}")
-            rhs_list[name_index[nm]] = frozen.subs(translation)
-        sys = BBSystem.make(N, rhs_list, order)
-        sol = formal_solve(sys)
+            rhs_list[j] = frozen
+        sol = formal_solve(BBSystem.make(N, rhs_list, order))
         growth = 0.0
         for (k, r), v in sol.coeffs.items():
             mag = max(abs(complex(x)) for x in v)
@@ -221,4 +184,4 @@ def assemble_and_solve(ps: ProlongedSystem, order: int) -> ProlongationReport:
         radius = (1.0 / growth) if growth > 0 else None
         results.append(SampleSolution(sample=tuple(sample), solution=sol,
                                       growth=growth, radius_proxy=radius))
-    return ProlongationReport(system=ps, order=order, samples=results)
+    return results

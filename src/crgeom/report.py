@@ -309,16 +309,11 @@ def bb_report(sys: BBSystem, oracle_t0: Optional[float] = None) -> dict:
 
 
 def prolong_report(ps: ProlongedSystem, order: int) -> dict:
-    rep = assemble_and_solve(ps, order)
+    samples = assemble_and_solve(ps, order)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "prolong",
-        "jet": {
-            "n": ps.jets.n, "k": ps.jets.k,
-            "variables": len(ps.jets.variables),
-            "contact_equations": len(ps.contact),
-            "closure_slots": len(ps.closure_slots),
-        },
+        "jet": {"n": ps.n, "k": ps.k, **ps.counts()},
         "samples": [
             {
                 "x": [str(v) for v in ss.sample],
@@ -330,7 +325,7 @@ def prolong_report(ps: ProlongedSystem, order: int) -> dict:
                 "family_dim": ss.solution.family_dim,
                 "diagnostics": {"growth": ss.growth,
                                 "radius_proxy": ss.radius_proxy},
-            } for ss in rep.samples],
+            } for ss in samples],
     }
 
 
@@ -348,6 +343,10 @@ def examples_report(trunc: Optional[int] = None) -> dict:
                         "ok": expected == actual})
 
     t = corpus.DEFAULT_TRUNC if trunc is None else trunc
+    if t < corpus.MIN_TRUNC:
+        raise ValidationError(
+            f"examples needs --trunc >= {corpus.MIN_TRUNC}: below it the "
+            "implicit surface's m and r and the filtration are undetermined")
     m0 = corpus.model_surface(t)
     rep0 = full_report(m0)
     check("model-surface m", 1, rep0.m)
@@ -380,8 +379,8 @@ def examples_report(trunc: Optional[int] = None) -> dict:
     check("identity-map residuals", True, rr_id.all_zero())
 
     filt_h = corpus.filtration_example_surface(t)
-    fr2 = Frame(filt_h)
-    filt = filtration(fr2, 1, 4)
+    rep_f = full_report(filt_h)
+    filt = filtration(Frame(filt_h), rep_f.m, rep_f.ell_max)
     check("filtration ranks", [0, 1, 2], filt.ranks)
     check("filtration ell", 2, filt.ell)
 

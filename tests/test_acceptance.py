@@ -131,12 +131,12 @@ def test_criterion_08_resonance_and_log_terms():
 
 def test_criterion_09_prolongation_counts_and_toy():
     ps = contact_prolong(1, 3)
-    ok = (len(ps.jets.variables) == 60 and len(ps.contact) == 57
-          and len(ps.closure_slots) == 3 and len(ps.jets.slots) == 20)
+    ok = (ps.counts() == {"variables": 60, "contact_equations": 57,
+                          "closure_slots": 3} and len(ps.slots) == 20)
     toy = contact_prolong(0, 0)
     toy.supplied[var_name(1, (), 0)] = parse_series(
         "2*u1__0 + s", rhs_vars(0, 0), 10)
-    sol = assemble_and_solve(toy, 10).samples[0].solution
+    sol = assemble_and_solve(toy, 10)[0].solution
     ok = ok and {kr: [str(x) for x in v] for kr, v in sol.coeffs.items()} \
         == {(1, 0): ["-1"]}
     _verdict("09 prolongation counts and toy closure", ok)

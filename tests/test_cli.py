@@ -346,6 +346,27 @@ def test_examples_table(capsys):
     assert "ok" in out
 
 
+@pytest.mark.parametrize("trunc", ["2", "3"])
+def test_examples_below_trunc_4_exit_1(capsys, trunc):
+    # below trunc 4 the implicit surface's m and r and the filtration are
+    # undetermined: trunc 2 ended in a traceback, trunc 3 in exit 2
+    assert main(["examples", "--trunc", trunc]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert "--trunc >= 4" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("trunc", ["4", "5"])
+def test_examples_at_trunc_4_and_5_all_ok(capsys, trunc):
+    # the filtration probes the words that full_report's clamp allows
+    code, rep = run_json(capsys, ["examples", "--json", "--trunc", trunc])
+    assert code == 0
+    assert rep["trunc"] == int(trunc)
+    assert rep["all_ok"] is True
+
+
 def _file_error_case(tmp_path, kind):
     """argv that makes the CLI open an unreadable input or output, and the
     path the error must name."""
