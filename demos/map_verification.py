@@ -9,8 +9,8 @@ a truncated series with rational coefficients; "zero" means identically
 zero, not small.
 """
 
-from crgeom import (Frame, check_identities, corpus, frame_data, maps_into,
-                    restriction_data)
+from crgeom import (Frame, check_identities, compose_target, corpus,
+                    frame_data, maps_into, restriction_data)
 
 for k in (2, 3, 4):
     trunc = 2 * k + 4
@@ -22,14 +22,19 @@ for k in (2, 3, 4):
     # F restricted to the source: F(z, s + i*phi), and its conjugate
     rd = restriction_data(f, src)
 
+    # what the identities read of the target (phi_hat, theta_hat and the
+    # Levi functions), composed with F in one batched substitution
+    fr = Frame(src)
+    ct = compose_target(fr, Frame(tgt), rd)
+
     # containment: Im F_2 - phi_hat(F, Fbar, Re F_2) restricted to M
-    res = maps_into(rd, tgt)
+    res = maps_into(rd, ct.phi)
     print("  containment residual zero:", res.is_zero())
 
     # frame data along the map: gamma (CR component matrix), eta
     # (characteristic component), and the multiplier xi, which is smooth
     # whenever frame_data returns (a singular xi raises InvariantViolation)
-    fd = frame_data(Frame(src), Frame(tgt), rd)
+    fd = frame_data(fr, rd, ct)
     print("  xi  =", fd.xi.to_literal(), " smooth:", True)
     print("  eta =", [e.to_literal() for e in fd.eta])
 

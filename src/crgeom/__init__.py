@@ -15,9 +15,10 @@ from .hypersurface import (EllVerdict, EssentialityVerdict, Hypersurface,
                            validate)
 from .frame import (Frame, Filtration, LeviData, filtration, iterated_forms,
                     levi)
-from .crmap import (HoloMap, MapFrameData, ResidualReport, RestrictionData,
-                    check_identities, frame_data, map_vars, maps_into,
-                    restrict_map, restriction_data)
+from .crmap import (ComposedTarget, HoloMap, MapFrameData, ResidualReport,
+                    RestrictionData, check_identities, compose_target,
+                    frame_data, map_vars, maps_into, restrict_map,
+                    restriction_data)
 from .briot_bouquet import (BBSystem, DulacReport, FormalLogSolution,
                             LinearPart, bb_vars, dulac_classify, formal_solve,
                             linear_part, numeric_oracle, resonances)
@@ -37,9 +38,9 @@ __all__ = [
     "nondegeneracy_ell", "validate",
     "Frame", "Filtration", "LeviData", "filtration",
     "iterated_forms", "levi",
-    "HoloMap", "MapFrameData", "ResidualReport", "RestrictionData",
-    "check_identities", "frame_data", "map_vars", "maps_into",
-    "restrict_map", "restriction_data",
+    "ComposedTarget", "HoloMap", "MapFrameData", "ResidualReport",
+    "RestrictionData", "check_identities", "compose_target", "frame_data",
+    "map_vars", "maps_into", "restrict_map", "restriction_data",
     "BBSystem", "DulacReport", "FormalLogSolution", "LinearPart", "bb_vars",
     "dulac_classify", "formal_solve", "linear_part", "numeric_oracle",
     "resonances",

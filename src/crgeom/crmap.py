@@ -10,8 +10,13 @@ Im w = phi means substituting w -> s + i*phi; then
     gamma^C_B = L_B(F_C|M),     eta^C = S(F_C|M),      S = s^m T,
     f_* S = xi * S_hat + eta^C Lhat_C + conj(eta^C) Lhat_Cbar.
 
-frame_data returns gamma, eta, xi and the types m, m_hat of source and
-target, the fields applied as the source frame's derivations.  It raises
+The target enters only composed with f: compose_target composes phihat,
+its first partials and the target's Levi functions h0hat_{ab} (a <= b)
+and h0barhat_a with f in one batched substitution, so each product of
+image powers is formed once per map.  maps_into, frame_data and
+check_identities read that one result.  frame_data returns gamma, eta,
+xi and the types m, m_hat of source and target, the fields applied as
+the source frame's derivations.  It raises
 InvariantViolation("xi-singular ...") when xi is not a smooth function,
 so a returned xi is always smooth.
 
@@ -27,14 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from functools import reduce
+from operator import add
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (DivisibilityError, InvariantViolation, UnitRequiredError,
                      ValidationError)
 from .frame import Frame, levi
 from .hypersurface import Hypersurface, compute_infinite_type
 from .scalars import GaussRational
-from .series import Series
+from .series import Series, substitute
 
 
 def map_vars(n: int) -> Tuple[str, ...]:
@@ -63,7 +70,7 @@ class HoloMap:
 
 def restrict_map(f: HoloMap, source: Hypersurface) -> List[Series]:
     """Components F_j|M as series on the source hypersurface, obtained by
-    w -> s + i*phi."""
+    w -> s + i*phi in one batched substitution."""
     if f.n != source.n:
         raise ValidationError("map source dimension mismatch")
     svars = source.vars()
@@ -74,7 +81,7 @@ def restrict_map(f: HoloMap, source: Hypersurface) -> List[Series]:
     for j in range(1, f.n + 1):
         mapping[f"z{j}"] = Series.variable(f"z{j}", svars, trunc)
     mapping["w"] = w_image
-    return [comp.subs(mapping) for comp in f.components]
+    return substitute(f.components, mapping)
 
 
 @dataclass
@@ -92,25 +99,101 @@ def restriction_data(f: HoloMap, source: Hypersurface) -> RestrictionData:
     return RestrictionData(F=F, Fbar=Fbar, s_hat=s_hat)
 
 
-def compose_with_map(g: Series, rd: RestrictionData) -> Series:
-    """g(zhat, chat, shat) o f as a series on the source hypersurface."""
+def compose_with_map(gs: Sequence[Series], rd: RestrictionData
+                     ) -> List[Series]:
+    """Each g(zhat, chat, shat) o f as a series on the source hypersurface,
+    in one batched substitution: the image products are formed once for
+    all of gs."""
     mapping = {}
     for j in range(1, len(rd.F)):
         mapping[f"z{j}"] = rd.F[j - 1]
         mapping[f"c{j}"] = rd.Fbar[j - 1]
     mapping["s"] = rd.s_hat
-    return g.subs(mapping)
+    return substitute(gs, mapping)
 
 
-def maps_into(rd: RestrictionData, target: Hypersurface) -> Series:
-    """Target-containment residual Im(F_{nhat+1}|M) - phihat o f; the zero
-    series exactly at truncation iff f maps the source into the target."""
-    if len(rd.F) - 1 != target.n:
-        raise ValidationError("map target dimension mismatch")
+def maps_into(rd: RestrictionData, phihat_f: Series) -> Series:
+    """Target-containment residual Im(F_{nhat+1}|M) - phihat o f, given
+    phihat o f (``ComposedTarget.phi``); the zero series exactly at
+    truncation iff f maps the source into the target."""
     minus_half_i = GaussRational(0, Fraction(-1, 2))
-    im_last = (rd.F[-1] - rd.Fbar[-1]) * minus_half_i
-    phihat_f = compose_with_map(target.phi, rd)
-    return (im_last - phihat_f).truncate(min(im_last.trunc, phihat_f.trunc))
+    return (rd.F[-1] - rd.Fbar[-1]) * minus_half_i - phihat_f
+
+
+@dataclass
+class ComposedTarget:
+    """The target data that the identities read, composed with f, and the
+    types m, m_hat of source and target."""
+    m: int
+    m_hat: int
+    phi: Series                      # phihat o f
+    theta: Dict[str, Series]         # theta_hat o f, by target coordinate
+    h0: List[List[Series]]           # h0hat_CD o f
+    h0_bar: List[Series]             # h0barhat_C o f
+
+
+def compose_target(fr: Frame, fr_hat: Frame, rd: RestrictionData
+                   ) -> ComposedTarget:
+    """phihat, its first partials, h0hat_{ab} (a <= b) and h0barhat_a,
+    composed with f in one compose_with_map call: (n+1) + n(n+1)/2 + n + 1
+    series.  theta_hat o f is formed from the partials after, and the
+    h0hat_{ab} with a > b by conjugation.
+
+    Raises ValidationError on a dimension mismatch and
+    InvariantViolation("xi-singular ...") when source or target is Levi
+    flat.
+    """
+    source, target = fr.hypersurface, fr_hat.hypersurface
+    if len(rd.F) - 1 != target.n:
+        raise ValidationError("map/hypersurface dimension mismatch")
+    if source.n != target.n:
+        raise ValidationError(
+            "frame data requires equidimensional source and target")
+    n = target.n
+    m, m_hat = _types(source, target)
+    upper = [(a, b) for a in range(n) for b in range(a, n)]
+    composed = iter(compose_with_map(
+        _target_pieces(fr_hat, m_hat, upper), rd))
+    phihat_f, phihat_s_f = next(composed), next(composed)
+    phihat_z_f = [next(composed) for _ in range(n)]
+    # h0hat_{bbar a} = -conj(h0hat_{abar b}) (see frame.Frame), and
+    # composing with f commutes with conjugation
+    h0 = [[None] * n for _ in range(n)]
+    for a, b in upper:
+        x = next(composed)
+        h0[a][b] = x
+        h0[b][a] = -x.conjugate() if b > a else x
+    return ComposedTarget(
+        m=m, m_hat=m_hat, phi=phihat_f,
+        theta=_theta_hat_f(fr_hat, phihat_s_f, phihat_z_f), h0=h0,
+        h0_bar=list(composed))
+
+
+def _types(source: Hypersurface, target: Hypersurface) -> Tuple[int, int]:
+    """The types m, m_hat of source and target; raises
+    InvariantViolation("xi-singular ...") when either is Levi flat."""
+    rep = compute_infinite_type(source)
+    rep_hat = compute_infinite_type(target)
+    if rep.levi_flat:
+        raise InvariantViolation(
+            "xi-singular: source is Levi flat (m = infinity)")
+    if rep_hat.levi_flat:
+        raise InvariantViolation(
+            "xi-singular: target is Levi flat (m_hat = infinity)")
+    return rep.m, rep_hat.m
+
+
+def _target_pieces(fr_hat: Frame, m_hat: int, upper: List[Tuple[int, int]]
+                   ) -> List[Series]:
+    """The series compose_target composes, in its order: phihat, phihat_s,
+    phihat_{z_C}, h0hat_{ab} for (a, b) in upper, and h0barhat_a.  The
+    rest of the target's Levi data is freed on return, before the
+    composition runs."""
+    phihat = fr_hat.hypersurface.phi
+    tgt = levi(fr_hat, m_hat)
+    return ([phihat, phihat.diff("s")]
+            + [phihat.diff(f"z{C}") for C in range(1, fr_hat.n + 1)]
+            + [tgt.h0[a][b] for a, b in upper] + tgt.h0_bar)
 
 
 @dataclass
@@ -122,29 +205,16 @@ class MapFrameData:
     m_hat: int
 
 
-def frame_data(fr: Frame, fr_hat: Frame, rd: RestrictionData) -> MapFrameData:
-    """The pushforward data (gamma, eta, xi) in the source frame fr and the
-    target frame fr_hat, for the map whose restriction to the source is rd.
+def frame_data(fr: Frame, rd: RestrictionData, ct: ComposedTarget
+               ) -> MapFrameData:
+    """The pushforward data (gamma, eta, xi) in the source frame fr, for
+    the map whose restriction to the source is rd and whose composed
+    target data is ct (see compose_target).
 
     Raises InvariantViolation("xi-singular ...") when the That-component of
-    f_* S is not divisible by (s_hat)^m_hat, e.g. for Levi-flat sources.
+    f_* S is not divisible by (s_hat)^m_hat.
     """
-    source, target = fr.hypersurface, fr_hat.hypersurface
-    if len(rd.F) - 1 != target.n:
-        raise ValidationError("map/hypersurface dimension mismatch")
-    if source.n != target.n:
-        raise ValidationError(
-            "frame data requires equidimensional source and target")
-    n = source.n
-    rep = compute_infinite_type(source)
-    rep_hat = compute_infinite_type(target)
-    if rep.levi_flat:
-        raise InvariantViolation(
-            "xi-singular: source is Levi flat (m = infinity)")
-    if rep_hat.levi_flat:
-        raise InvariantViolation(
-            "xi-singular: target is Levi flat (m_hat = infinity)")
-    m, m_hat = rep.m, rep_hat.m
+    n, m = fr.n, ct.m
 
     # holomorphy of the restriction: CR fields annihilate conj components
     for B in range(n):
@@ -158,37 +228,36 @@ def frame_data(fr: Frame, fr_hat: Frame, rd: RestrictionData) -> MapFrameData:
     eta = [fr.S(m, rd.F[C]) for C in range(n)]
 
     # the That-component of f_* S is theta_hat o f paired with it
-    theta_f = _theta_hat_f(fr_hat, rd)
     push_s = {"s": fr.S(m, rd.s_hat)}
     for C in range(n):
         push_s[f"z{C+1}"] = eta[C]
         push_s[f"c{C+1}"] = eta[C].conjugate()
-    t_hat_comp = _pair(theta_f, push_s)
+    t_hat_comp = _pair(ct.theta, push_s)
 
     try:
-        xi = t_hat_comp.divide_unit_form(rd.s_hat ** m_hat, unit_var="s")
+        xi = t_hat_comp.divide_unit_form(rd.s_hat ** ct.m_hat, unit_var="s")
     except (UnitRequiredError, DivisibilityError) as exc:
         raise InvariantViolation(f"xi-singular: {exc}")
-    return MapFrameData(gamma=gamma, eta=eta, xi=xi, m=m, m_hat=m_hat)
+    return MapFrameData(gamma=gamma, eta=eta, xi=xi, m=m, m_hat=ct.m_hat)
 
 
-def _theta_hat_f(fr_hat: Frame, rd: RestrictionData) -> Dict[str, Series]:
-    """The coordinate components of theta_hat composed with f.  The z_C
-    component of theta_hat is -i phihat_{z_C} / (1 - i phihat_s), and
-    composing with f is a ring map, so the n + 1 first partials of phihat
-    are composed (they are far sparser than the quotients) and the
-    quotients formed after, with one shared reciprocal.  Fbar is conj(F)
-    and s_hat is real, so composing with f commutes with conjugation:
-    each c_C component is the conjugate of the z_C one.  The ds component
-    is 1, at the target frame's truncation."""
-    phihat = fr_hat.hypersurface.phi
-    phihat_s_f = compose_with_map(phihat.diff("s"), rd)
+def _theta_hat_f(fr_hat: Frame, phihat_s_f: Series,
+                 phihat_z_f: List[Series]) -> Dict[str, Series]:
+    """The coordinate components of theta_hat composed with f, from the
+    first partials of phihat composed with f.  The z_C component of
+    theta_hat is -i phihat_{z_C} / (1 - i phihat_s), and composing with f
+    is a ring map, so the partials are composed (they are far sparser
+    than the quotients) and the quotients formed after, with one shared
+    reciprocal.  Fbar is conj(F) and s_hat is real, so composing with f
+    commutes with conjugation: each c_C component is the conjugate of
+    the z_C one.  The ds component is 1, at the target frame's
+    truncation."""
     # -i / (1 - i phihat_s) = 1 / (phihat_s + i)
     inv = (phihat_s_f + Series.const(GaussRational(0, 1), phihat_s_f.vars,
                                      phihat_s_f.trunc)).reciprocal()
-    out = {"s": Series.const(1, rd.s_hat.vars, fr_hat.trunc)}
-    for C in range(1, fr_hat.n + 1):
-        out[f"z{C}"] = compose_with_map(phihat.diff(f"z{C}"), rd) * inv
+    out = {"s": Series.const(1, phihat_s_f.vars, fr_hat.trunc)}
+    for C, x in enumerate(phihat_z_f, start=1):
+        out[f"z{C}"] = x * inv
         out[f"c{C}"] = out[f"z{C}"].conjugate()
     return out
 
@@ -233,26 +302,23 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
       gamma-s:     S gamma^E_A - L_A eta^E - eta^E conj(h0bar_A)
 
     All vanish identically for a map with zero containment residual.
+    The sums over C go through one n x n table
+    M[A][D] = sum_C conj(gamma^C_A) h0hat_CD o f, which both Levi
+    identities read.  Every residual is the exact series cut at the
+    smallest trunc among its factors, however the sums are grouped.
     """
     n = source.n
     fr, fr_hat = Frame(source), Frame(target)
     rd = restriction_data(f, source)
-    data = frame_data(fr, fr_hat, rd)
-    src, tgt = levi(fr, data.m), levi(fr_hat, data.m_hat)
-    h0 = src.h0
-    # h0hat_{bbar a} = -conj(h0hat_{abar b}) (see frame.Frame), and
-    # composing with f commutes with conjugation
-    h0_hat_f = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            x = compose_with_map(tgt.h0[a][b], rd)
-            h0_hat_f[a][b] = x
-            h0_hat_f[b][a] = -x.conjugate() if b > a else x
-    h0bar = src.h0_bar
-    h0bar_hat_f = [compose_with_map(tgt.h0_bar[a], rd) for a in range(n)]
+    ct = compose_target(fr, fr_hat, rd)
+    data = frame_data(fr, rd, ct)
+    src = levi(fr, data.m)
+    h0, h0bar = src.h0, src.h0_bar
 
     gamma, eta, xi = data.gamma, data.eta, data.xi
     gamma_bar = [[gamma[C][A].conjugate() for A in range(n)] for C in range(n)]
+    M = [[reduce(add, [gamma_bar[C][A] * ct.h0[C][D] for C in range(n)])
+          for D in range(n)] for A in range(n)]
 
     res: Dict[str, List[Series]] = {
         "levi": [], "levi-tail": [], "gamma-cr": [], "eta-cr": [], "gamma-s": []}
@@ -260,16 +326,16 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
     for A in range(n):
         for B in range(n):
             acc = xi * h0[A][B]
-            for C in range(n):
-                for D in range(n):
-                    acc = acc - gamma[D][B] * gamma_bar[C][A] * h0_hat_f[C][D]
+            for D in range(n):
+                acc = acc - gamma[D][B] * M[A][D]
             res["levi"].append(acc)
     for A in range(n):
-        acc = fr.Lbar(A, xi) + xi * h0bar[A]
+        tail = h0bar[A]
         for C in range(n):
-            acc = acc - xi * gamma_bar[C][A] * h0bar_hat_f[C]
-            for D in range(n):
-                acc = acc + gamma_bar[C][A] * eta[D] * h0_hat_f[C][D]
+            tail = tail - gamma_bar[C][A] * ct.h0_bar[C]
+        acc = fr.Lbar(A, xi) + xi * tail
+        for D in range(n):
+            acc = acc + eta[D] * M[A][D]
         res["levi-tail"].append(acc)
     for A in range(n):
         for B in range(n):
@@ -286,7 +352,7 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
                 - eta[E] * h0bar[A].conjugate()
             res["gamma-s"].append(acc)
 
-    mr = maps_into(rd, target)
+    mr = maps_into(rd, ct.phi)
     order = min((r.trunc for rs in res.values() for r in rs), default=0)
     return ResidualReport(map_residual=mr, identity_residuals=res, xi=xi,
                           max_checked_order=order)

@@ -22,7 +22,10 @@ T-coefficient of [L_abar, e_j] for e_j in (T, L_1..L_n),
 
 and, since T is real and conj [L_bbar, L_a] = -[L_abar, L_b],
 c[b][a+1] = -conj(c[a][b+1]): only the n(n+1)/2 entries with a <= b are
-formed.  Everything below reads them, in one normalization:
+formed.  On the diagonal the last two terms of c[a][a+1] are the
+conjugates of the first two, so c[a][a+1] = x - conj(x) with
+x = d_{c_a} P_a + Q_a d_s P_a, one product.  Everything below reads
+them, in one normalization:
 
   * the Levi matrix h_{AbarB} = <theta, [L_Abar, L_B]> = c[A][B+1];
     reports print (1/2i) h, whose desingularized leading term is the
@@ -80,10 +83,14 @@ class Frame:
         self.c: List[List[Series]] = [[-x] + [None] * n for x in dQ]
         for a in range(n):
             for b in range(a, n):
-                x = (P[b].diff(f"c{a + 1}") - Q[a].diff(f"z{b + 1}")
-                     + Q[a] * dP[b] - P[b] * dQ[a])
+                x = P[b].diff(f"c{a + 1}") + Q[a] * dP[b]
+                if a == b:
+                    # the other two terms are conj(x): one product, not two
+                    x = x - x.conjugate()
+                else:
+                    x = x - Q[a].diff(f"z{b + 1}") - P[b] * dQ[a]
+                    self.c[b][a + 1] = -x.conjugate()
                 self.c[a][b + 1] = x
-                self.c[b][a + 1] = -x.conjugate() if b > a else x
 
     # Each field applied to f is exact through min(f.trunc - 1,
     # self.trunc): P_A and Q_A carry self.trunc even when zero, and a sum

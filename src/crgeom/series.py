@@ -16,10 +16,13 @@ by construction and skip those checks, as do ``const`` and ``variable``.
 A product visits only the term pairs that survive the truncation; when
 one operand has a single term the product is a shift of the other's
 exponents and a scaling of its coefficients (the constant 1 returns the
-other operand), with no accumulation.  ``subs`` shares the products of
-image powers between monomials with a common prefix, ``reciprocal``
-solves ``f * g = 1`` degree by degree (one division for a constant), and
-``conjugate`` reads a z <-> c index map computed once per variable tuple.
+other operand), with no accumulation.  ``substitute`` maps several
+series through one image set in one walk over the union of their
+monomials, so monomials with a common prefix share its product of image
+powers, formed once for all of them (``Series.subs`` is the one-series
+case); ``reciprocal`` solves ``f * g = 1`` degree by degree (one
+division for a constant), and ``conjugate`` reads a z <-> c index map
+computed once per variable tuple.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from operator import add as _add
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import (
     DivisibilityError,
@@ -382,68 +385,9 @@ class Series:
     # -- substitution -----------------------------------------------------------
 
     def subs(self, mapping: Mapping[str, "Series"]) -> "Series":
-        """Substitute series for variables.
-
-        Every variable actually occurring with positive exponent must be
-        mapped; each image must have zero constant term so that the result
-        is well-defined at truncation.  All images must share one variable
-        tuple, which becomes the result's variable tuple.
-        """
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > 0:
-                    used.add(self.vars[i])
-        missing = sorted(used - set(mapping))
-        if missing:
-            raise ValueError(f"no substitution supplied for {missing}")
-        if mapping:
-            target_vars = next(iter(mapping.values())).vars
-        else:
-            target_vars = self.vars
-        trunc = self.trunc
-        for name in used:
-            img = mapping[name]
-            if img.vars != target_vars:
-                raise ValueError("substitution images over mixed variable tuples")
-            if not img.constant_term().is_zero():
-                raise ValueError(
-                    f"substitution image for {name!r} has nonzero constant term")
-            trunc = min(trunc, img.trunc)
-        nv = len(self.vars)
-        # powers[i][e] = (image of variable i)^e, grown on demand
-        powers = [[None, mapping[name].truncate(trunc)] if name in used
-                  else None for name in self.vars]
-        # prefix[i] = product of the image powers at positions < i (None
-        # for 1); in exponent order consecutive monomials share a prefix
-        prefix = [None] * (nv + 1)
-        prev = (-1,) * nv
-        out: Dict[Exponents, GaussRational] = {}
-        get = out.get
-        for exps in sorted(self.terms):
-            start = 0
-            while start < nv and exps[start] == prev[start]:
-                start += 1
-            for i in range(start, nv):
-                p, e = prefix[i], exps[i]
-                if e:
-                    plist = powers[i]
-                    while len(plist) <= e:
-                        plist.append(plist[-1] * plist[1])
-                    p = plist[e] if p is None else p * plist[e]
-                prefix[i + 1] = p
-            prev = exps
-            c = self.terms[exps]
-            mono = prefix[nv]
-            if mono is None:            # the constant term
-                products = [((0,) * len(target_vars), c)]
-            else:
-                products = [(e, v * c) for e, v in mono.terms.items()]
-            for e, v in products:
-                cur = get(e)
-                out[e] = v if cur is None else cur + v
-        return Series._trusted(target_vars, trunc,
-                               {e: c for e, c in out.items() if not c.is_zero()})
+        """Substitute series for variables: the one-member case of
+        :func:`substitute`."""
+        return substitute([self], mapping)[0]
 
     # -- evaluation --------------------------------------------------------------
 
@@ -495,6 +439,118 @@ class Series:
 
     def __repr__(self):
         return f"<Series {self.to_literal()} + O(deg {self.trunc + 1})>"
+
+
+def substitute(series: Sequence[Series], mapping: Mapping[str, Series]
+               ) -> List[Series]:
+    """Substitute series for variables in every member of ``series``.
+
+    The members share one variable tuple and one image set.  Every
+    variable occurring with positive exponent in some member must be
+    mapped; each image in use must have zero constant term so that the
+    results are well-defined at truncation.  All images share one
+    variable tuple, which becomes the results' variable tuple.  A
+    member's result is exact through the minimum of its own trunc and
+    those of the images it uses, as if it were substituted alone.
+
+    The union of the members' monomials is walked in exponent order, so
+    consecutive monomials share the product of their leading image
+    powers.  Each such product is formed once for all members, at the
+    largest trunc that a monomial sharing it needs.
+    """
+    if not series:
+        return []
+    vars = series[0].vars
+    if any(g.vars != vars for g in series):
+        raise ValueError("substitution into series over mixed variable tuples")
+    nv = len(vars)
+    uses = []
+    for g in series:
+        u = [False] * nv
+        for exps in g.terms:
+            for i, e in enumerate(exps):
+                if e:
+                    u[i] = True
+        uses.append(u)
+    used = {vars[i] for u in uses for i in range(nv) if u[i]}
+    missing = sorted(used - set(mapping))
+    if missing:
+        raise ValueError(f"no substitution supplied for {missing}")
+    if mapping:
+        target_vars = next(iter(mapping.values())).vars
+    else:
+        target_vars = vars
+    for name in used:
+        img = mapping[name]
+        if img.vars != target_vars:
+            raise ValueError("substitution images over mixed variable tuples")
+        if not img.constant_term().is_zero():
+            raise ValueError(
+                f"substitution image for {name!r} has nonzero constant term")
+    truncs = [min([g.trunc] + [mapping[vars[i]].trunc
+                               for i in range(nv) if u[i]])
+              for g, u in zip(series, uses)]
+    order = sorted(set().union(*(g.terms for g in series)))
+    # need[j]: the largest trunc of a member with the monomial order[j];
+    # shared[j]: how many leading exponents order[j] shares with the next
+    need = [max(t for g, t in zip(series, truncs) if exps in g.terms)
+            for exps in order]
+    shared = []
+    for a, b in zip(order, order[1:]):
+        k = 0
+        while a[k] == b[k]:
+            k += 1
+        shared.append(k)
+    shared.append(0)
+    # powers[i][e] = (image of variable i)^e, grown on demand, at the
+    # largest trunc of a member that uses variable i
+    powers = [None] * nv
+    for i in range(nv):
+        ts = [t for u, t in zip(uses, truncs) if u[i]]
+        if ts:
+            powers[i] = [None, mapping[vars[i]].truncate(max(ts))]
+    # prefix[i] = product of the image powers at positions < i (None for
+    # 1); in exponent order consecutive monomials share a prefix
+    prefix = [None] * (nv + 1)
+    outs = [{} for _ in series]
+    one = (0,) * len(target_vars)
+    for j, exps in enumerate(order):
+        for i in range(shared[j - 1] if j else 0, nv):
+            p, e = prefix[i], exps[i]
+            if e:
+                plist = powers[i]
+                while len(plist) <= e:
+                    plist.append(plist[-1] * plist[1])
+                if p is None:
+                    p = plist[e]
+                else:
+                    # formed once for the run of monomials that share
+                    # exps[:i+1], at the largest trunc among them
+                    t, k = need[j], j
+                    while shared[k] > i:
+                        k += 1
+                        t = max(t, need[k])
+                    p = p.truncate(t) * plist[e]
+            prefix[i + 1] = p
+        mono = prefix[nv]
+        for g, t, out in zip(series, truncs, outs):
+            c = g.terms.get(exps)
+            if c is None:
+                continue
+            if mono is None:            # the constant term
+                products = [(one, c)]
+            elif mono.trunc > t:        # formed for a deeper member
+                products = [(e, v * c) for e, v in mono.terms.items()
+                            if sum(e) <= t]
+            else:
+                products = [(e, v * c) for e, v in mono.terms.items()]
+            get = out.get
+            for e, v in products:
+                cur = get(e)
+                out[e] = v if cur is None else cur + v
+    return [Series._trusted(target_vars, t,
+                            {e: c for e, c in out.items() if not c.is_zero()})
+            for t, out in zip(truncs, outs)]
 
 
 def hypersurface_vars(n: int) -> Tuple[str, ...]:

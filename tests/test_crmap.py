@@ -1,22 +1,35 @@
+import hashlib
+import json
+
 import pytest
 
 import crgeom.crmap
 from crgeom import corpus
-from crgeom.crmap import (HoloMap, _theta_hat_f, check_identities,
+from crgeom.cli import main
+from crgeom.crmap import (HoloMap, check_identities, compose_target,
                           compose_with_map, frame_data, map_vars, maps_into,
                           restrict_map, restriction_data)
 from crgeom.errors import InvariantViolation, ValidationError
 from crgeom.frame import Frame, levi
 from crgeom.hypersurface import Hypersurface
+from crgeom.parsing import parse_series
 from crgeom.report import HALF_OVER_I
 from crgeom.scalars import GaussRational
 from crgeom.series import Series, hypersurface_vars, implicit_solve
 
 T = 9
+# the source of the n = 2 scale specimen M2 (ROADMAP)
+M2_PHI = "s*z1*c1 + s*z2*c2^2 + s*z2^2*c2 + s^2*z1*c2 + s^2*z2*c1"
 
 
 def map_frame_data(f, source, target):
-    return frame_data(Frame(source), Frame(target), restriction_data(f, source))
+    fr, rd = Frame(source), restriction_data(f, source)
+    return frame_data(fr, rd, compose_target(fr, Frame(target), rd))
+
+
+def containment(f, source, target):
+    rd = restriction_data(f, source)
+    return maps_into(rd, compose_with_map([target.phi], rd)[0])
 
 
 def assert_tangent(f, source, target):
@@ -24,8 +37,9 @@ def assert_tangent(f, source, target):
     That-part is L_B(s_hat) and whose Lhat_C-part is gamma^C_B (its
     Lhat_Cbar-part vanishes by holomorphy), is zero for every B."""
     fr, fr_hat, rd = Frame(source), Frame(target), restriction_data(f, source)
-    fd = frame_data(fr, fr_hat, rd)
-    theta_f = _theta_hat_f(fr_hat, rd)
+    ct = compose_target(fr, fr_hat, rd)
+    fd = frame_data(fr, rd, ct)
+    theta_f = ct.theta
     for B in range(source.n):
         paired = theta_f["s"] * fr.L(B, rd.s_hat)
         for C in range(target.n):
@@ -54,14 +68,14 @@ def test_power_maps_into_targets():
         trunc = 2 * k + 4
         m0 = corpus.model_surface(trunc)
         mk = corpus.power_target(k, trunc)
-        res = maps_into(restriction_data(corpus.power_map(k, trunc), m0), mk)
+        res = containment(corpus.power_map(k, trunc), m0, mk)
         assert res.is_zero()
 
 
 def test_wrong_target_gives_nonzero_residual():
     m0 = corpus.model_surface(T)
     m3 = corpus.power_target(3, T)
-    res = maps_into(restriction_data(corpus.power_map(2, T), m0), m3)
+    res = containment(corpus.power_map(2, T), m0, m3)
     assert not res.is_zero()
 
 
@@ -108,7 +122,7 @@ def test_functoriality_square_map_between_targets():
     m2 = corpus.power_target(2, trunc)
     m4 = corpus.power_target(4, trunc)
     f2 = corpus.power_map(2, trunc)
-    res = maps_into(restriction_data(f2, m2), m4)
+    res = containment(f2, m2, m4)
     assert res.is_zero()
     rr_step = check_identities(f2, m2, m4)
     assert rr_step.all_zero()
@@ -210,32 +224,64 @@ def test_theta_hat_f_matches_composed_quotient():
     for f, src, tgt in [w_dependent_example(T), (quadratic, h, h)]:
         fr_hat = Frame(tgt)
         rd = restriction_data(f, src)
-        got = _theta_hat_f(fr_hat, rd)
+        got = compose_target(Frame(src), fr_hat, rd).theta
         for C, p in enumerate(fr_hat.P, start=1):
-            want = compose_with_map(-p, rd)
+            want = compose_with_map([-p], rd)[0]
             assert len(want.terms) > 1
             assert got[f"z{C}"] == want and got[f"z{C}"].trunc == want.trunc
             assert got[f"c{C}"] == want.conjugate()
             assert got[f"c{C}"].trunc == want.trunc
 
 
+def test_batched_composition_matches_one_by_one():
+    # the one batched composition gives each series, terms and trunc, as
+    # composing it alone would; its members have truncs 9 (phihat), 8 (its
+    # partials) and 6 (the Levi functions) here, so products formed for
+    # the deeper ones are cut for the others, and h0hat_{ab} with a > b,
+    # filled in by conjugation, is checked too
+    mv = map_vars(2)
+    z1, z2, w = (Series.variable(x, mv, T) for x in mv)
+    quadratic = HoloMap.make(2, [z1 + z2 * z2 + z1 * w,
+                                 z2 + z1 * z2 * GaussRational(0, 1),
+                                 w + z1 * z1 * w - z1 * z2 * w])
+    src = Hypersurface.from_phi(
+        2, parse_series(M2_PHI, hypersurface_vars(2), T))
+    rd = restriction_data(quadratic, src)
+    fr_hat = Frame(src)
+    ct = compose_target(Frame(src), fr_hat, rd)
+    tgt = levi(fr_hat, ct.m_hat)
+
+    def alone(g):
+        return compose_with_map([g], rd)[0]
+
+    pairs = [(ct.phi, alone(src.phi))]
+    pairs += [(ct.h0[a][b], alone(tgt.h0[a][b]))
+              for a in range(2) for b in range(2)]
+    pairs += [(x, alone(y)) for x, y in zip(ct.h0_bar, tgt.h0_bar)]
+    assert sorted({want.trunc for _, want in pairs}) == [6, 9]
+    for got, want in pairs:
+        assert not want.is_zero()
+        assert got == want and got.trunc == want.trunc
+
+
 def test_check_identities_builds_each_piece_once(monkeypatch):
-    # one restriction, and at most (n+1) + n(n+1)/2 + n + 1 compositions:
-    # phihat_z and phihat_s for theta_hat, the target's h0 with a <= b,
-    # its h0bar, and the containment residual
-    calls = {"restrict_map": 0, "compose_with_map": 0}
+    # one restriction and one batched composition of (n+1) + n(n+1)/2 +
+    # n + 1 series: phihat and its n + 1 first partials, the target's h0
+    # with a <= b, and its h0bar
+    calls = {"restrict_map": [], "compose_with_map": []}
     for name in calls:
         original = getattr(crgeom.crmap, name)
 
         def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
+            calls[_name].append(len(args[0]) if _name == "compose_with_map"
+                                else 1)
             return _original(*args)
         monkeypatch.setattr(crgeom.crmap, name, counted)
     h = corpus.filtration_example_surface(T)
     n = h.n
     assert check_identities(corpus.identity_map(n, T), h, h).all_zero()
-    assert calls["restrict_map"] == 1
-    assert calls["compose_with_map"] <= (n + 1) + n * (n + 1) // 2 + n + 1
+    assert calls["restrict_map"] == [1]
+    assert calls["compose_with_map"] == [(n + 1) + n * (n + 1) // 2 + n + 1]
 
 
 def test_check_map_truncations_are_pinned():
@@ -255,3 +301,48 @@ def test_check_map_truncations_are_pinned():
     assert rr.xi.trunc == 7
     assert rr.map_residual.trunc == 9
     assert rr.max_checked_order == 6
+
+
+# check-map inputs for three maps that are not CR maps between their
+# surfaces, so their residuals are nonzero: genuine maps print only zeros,
+# and only these pin a reordered Levi sum or a wrong truncation in the
+# batched composition.  Each is (surface file, map file); the map's
+# source and target are the surface.  The n = 2 map's last component is
+# w times a unit, so that s_hat is s times a unit and xi is smooth.
+NON_MAPS = {
+    "z1w_w2_t6": ('n = 1\ntrunc = 6\nphi = "s*z1*c1"\n',
+                  'n = 1\ntrunc = 6\nF1 = "z1*w"\nF2 = "w^2"\n'),
+    "2z1_w_model": ('n = 1\ntrunc = 8\nphi = "s*z1*c1"\n',
+                    'n = 1\ntrunc = 8\nF1 = "2*z1"\nF2 = "w"\n'),
+    "quadratic_m2_t7": (f'n = 2\ntrunc = 7\nphi = "{M2_PHI}"\n',
+                        'n = 2\ntrunc = 7\nF1 = "z1 + z2^2 + z1*w"\n'
+                        'F2 = "z2 + i*z1*z2"\nF3 = "w + z1^2*w - z1*z2*w"\n'),
+}
+
+
+# sha256 of each stdout, recorded before the composition was batched
+NON_MAP_DIGESTS = {
+    "z1w_w2_t6":
+        "c74a110cafa4d56305bb89eadeabf613793a58d6b3bb546da3d48a6ca7be079d",
+    "2z1_w_model":
+        "d22f34de88eaf2135d8227028ff305c8abe2e58816bd85ec8e1b153582d12ec6",
+    "quadratic_m2_t7":
+        "55707180d159e19aec8f6c15811bf733a1298198fa6815ac0f95349b4e640aeb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_MAPS))
+def test_non_map_check_map_stdout_is_pinned(tmp_path, capsys, name):
+    surface, mapping = NON_MAPS[name]
+    (tmp_path / "m.hs").write_text(surface)
+    mp = tmp_path / "f.map"
+    mp.write_text(mapping + "source = m.hs\ntarget = m.hs\n")
+    assert main(["check-map", str(mp)]) == 0
+    out = capsys.readouterr().out
+    rep = json.loads(out)
+    assert rep["residuals"]["maps_into"] is False
+    assert any(r != "0" for r in rep["residuals"]["identities"]["levi"])
+    if name == "z1w_w2_t6":
+        assert rep["residuals"]["identities"]["levi"] == ["4*i - 2*i*s^2"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        NON_MAP_DIGESTS[name]

@@ -1,5 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from crgeom import corpus
 from crgeom.frame import (Frame, filtration, iterated_forms,
@@ -234,6 +238,80 @@ def test_desingularized_leading_term_is_mixed_hessian():
                     tuple(1 if j == a else 0 for j in range(n)) + (0,)
                 expected = lowest.get(exps, GaussRational(0))
                 assert ld.h0[a][b].constant_term() * HALF_OVER_I == expected
+
+
+@st.composite
+def hermitian_leading_surfaces(draw):
+    """(m, h) for a random real normal-form phi over n = 1..3 whose s^m
+    slice has a nonzero Hermitian quadratic part, so r = 2, plus random
+    real terms of higher degree at s^m and of any degree at s^(m+1)."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    small = st.integers(-3, 3)
+    terms = {}
+
+    def put(alpha, beta, k, c):
+        # c z^alpha c^beta s^k and its conjugate, so phi stays real
+        e, ebar = alpha + beta + (k,), beta + alpha + (k,)
+        if e == ebar:
+            c = GaussRational(c.re)
+        terms[e] = terms.get(e, GaussRational(0)) + c
+        if e != ebar:
+            terms[ebar] = terms.get(ebar, GaussRational(0)) + c.conjugate()
+
+    def unit(j):
+        return tuple(int(i == j) for i in range(n))
+
+    for a in range(n):
+        for b in range(a, n):
+            if (a, b) == (0, 0):
+                re = draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
+            else:
+                re = draw(small)
+            im = draw(small) if a != b else 0
+            put(unit(b), unit(a), m, GaussRational(re, im))
+    for _ in range(draw(st.integers(0, 4))):
+        alpha = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        beta = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        if not any(alpha) or not any(beta):
+            continue
+        k = m + 1 if sum(alpha) + sum(beta) < 3 else \
+            draw(st.sampled_from((m, m + 1)))
+        put(alpha, beta, k, GaussRational(draw(small), draw(small)))
+    phi = Series(hypersurface_vars(n), m + 4, terms)
+    return m, Hypersurface.from_phi(n, phi)
+
+
+@given(hermitian_leading_surfaces())
+@settings(max_examples=25, deadline=None)
+def test_levi_leading_term_matches_sympy_hessian(case):
+    # (1/2i) h0(0)[A][B] is the mixed Hessian d^2/dz_B dc_A of the
+    # lowest-order (here quadratic) part of phi_m, which sympy computes
+    # from phi's monomials alone
+    m, h = case
+    n = h.n
+    zs = sympy.symbols(f"z1:{n + 1}")
+    cs = sympy.symbols(f"c1:{n + 1}")
+    s = sympy.Symbol("s")
+    phi = sympy.Add(*[
+        (sympy.Rational(c.re.numerator, c.re.denominator)
+         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+        * sympy.Mul(*[x ** k for x, k in zip(zs + cs + (s,), e)])
+        for e, c in h.phi.terms.items()])
+    phi_m = sympy.expand(phi).coeff(s, m)
+    quadratic = sympy.Add(*[
+        coeff * sympy.Mul(*[x ** k for x, k in zip(zs + cs, monom)])
+        for monom, coeff in sympy.Poly(phi_m, *zs, *cs).terms()
+        if sum(monom) == 2])
+    assert quadratic != 0
+    rep = compute_infinite_type(h)
+    assert (rep.m, rep.r) == (m, 2)
+    ld = levi(Frame(h), m)
+    for a in range(n):
+        for b in range(n):
+            want = sympy.diff(quadratic, zs[b], cs[a])
+            re, im = sympy.re(want), sympy.im(want)
+            assert ld.h0[a][b].constant_term() * HALF_OVER_I == GaussRational(
+                Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
 
 
 def test_model_bracket_and_levi_values():

@@ -10,7 +10,8 @@ from crgeom.errors import (DivisibilityError, NotAContractionError,
 from crgeom.parsing import (MAX_COEFF_BITS, MAX_EXPONENT, drops_terms,
                             parse_series)
 from crgeom.scalars import GaussRational
-from crgeom.series import Series, hypersurface_vars, implicit_solve
+from crgeom.series import (Series, hypersurface_vars, implicit_solve,
+                           substitute)
 
 V = hypersurface_vars(1)        # ("z1", "c1", "s")
 T = 6
@@ -300,6 +301,54 @@ def test_subs_matches_sympy(f, g1, g2, g3):
     ref = to_sympy(f).subs({x: to_sympy(g) for x, g in zip(SYMBOLS, images.values())},
                            simultaneous=True)
     assert out.terms == cut(ref, trunc)
+
+
+@given(st.lists(truncs.flatmap(lambda t: series_at(t, max_size=4, max_exp=2)),
+                min_size=1, max_size=4),
+       truncs, gauss, small_image, small_image, small_image)
+# a monomial shared by members of truncs 6 and 2, and z1 alone: their
+# image products are formed at trunc 6 and must be cut for the second
+@example([parse_series("z1 + z1*c1 + c1*s", V, 6),
+          parse_series("3*z1 + z1*c1", V, 2)], 3, GaussRational(2),
+         parse_series("z1 + c1^4", V, 6), parse_series("c1 + z1*s^2", V, 5),
+         parse_series("s + i*z1*c1", V, 6))
+@settings(max_examples=30, deadline=None)
+def test_substitute_matches_sympy(members, t_const, c, g1, g2, g3):
+    # one batched substitution: members of different truncs, a
+    # constant-only member, and an image that no member uses (a unit of
+    # trunc 0, which would raise, or cut every trunc to 0, if it were
+    # read); each result equals the member substituted alone, terms and
+    # trunc
+    members = members + [Series.const(c, V, t_const)]
+    images = {**dict(zip(V, (g1, g2, g3))),
+              "t": Series.const(1, V, 0) + sv("z1")}
+    outs = substitute(members, images)
+    assert len(outs) == len(members)
+    for f, out in zip(members, outs):
+        used = [name for i, name in enumerate(V) if any(e[i] for e in f.terms)]
+        trunc = min([f.trunc] + [images[name].trunc for name in used])
+        assert out.vars == V and out.trunc == trunc
+        ref = to_sympy(f).subs({x: to_sympy(images[name])
+                                for x, name in zip(SYMBOLS, V)},
+                               simultaneous=True)
+        assert out.terms == cut(ref, trunc)
+        assert f.subs(images) == out and f.subs(images).trunc == out.trunc
+
+
+def test_substitute_errors():
+    z, s = sv("z1"), sv("s")
+    members = [z * s, Series.const(2, V, T)]
+    with pytest.raises(ValueError,
+                       match=r"no substitution supplied for \['s'\]"):
+        substitute(members, {"z1": z})
+    other = Series.variable("t", ("t",), T)
+    with pytest.raises(ValueError, match="mixed variable tuples"):
+        substitute(members, {"z1": z, "s": other})
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        substitute(members, {"z1": z, "s": s + Series.const(1, V, T)})
+    with pytest.raises(ValueError, match="mixed variable tuples"):
+        substitute([z, other], {"z1": z, "t": other})
+    assert substitute([], {"z1": z}) == []
 
 
 def test_public_constructor_still_validates():
