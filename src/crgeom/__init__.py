@@ -11,8 +11,7 @@ from .series import Series, hypersurface_vars, implicit_solve
 from .parsing import parse_series
 from .hypersurface import (EllVerdict, EssentialityVerdict, Hypersurface,
                            InvariantReport, compute_infinite_type,
-                           essentiality_check, full_report, nondegeneracy_ell,
-                           validate)
+                           essentiality_check, full_report, nondegeneracy_ell)
 from .frame import (Frame, Filtration, LeviData, filtration, iterated_forms,
                     levi)
 from .crmap import (ComposedTarget, HoloMap, MapFrameData, ResidualReport,
@@ -35,7 +34,7 @@ __all__ = [
     "parse_series",
     "EllVerdict", "EssentialityVerdict", "Hypersurface", "InvariantReport",
     "compute_infinite_type", "essentiality_check", "full_report",
-    "nondegeneracy_ell", "validate",
+    "nondegeneracy_ell",
     "Frame", "Filtration", "LeviData", "filtration",
     "iterated_forms", "levi",
     "ComposedTarget", "HoloMap", "MapFrameData", "ResidualReport",

@@ -27,7 +27,7 @@ def model_surface(trunc: int = DEFAULT_TRUNC) -> Hypersurface:
     v = hypersurface_vars(1)
     phi = Series.variable("s", v, trunc) * Series.variable("z1", v, trunc) \
         * Series.variable("c1", v, trunc)
-    return Hypersurface.from_phi(1, phi)
+    return Hypersurface(1, phi)
 
 
 def power_target_factor(k: int, trunc: int):
@@ -52,7 +52,7 @@ def power_target(k: int, trunc: int = DEFAULT_TRUNC) -> Hypersurface:
     surface."""
     v = hypersurface_vars(1)
     phi = Series.variable("s", v, trunc) * power_target_factor(k, trunc)
-    return Hypersurface.from_phi(1, phi)
+    return Hypersurface(1, phi)
 
 
 def power_map(k: int, trunc: int = DEFAULT_TRUNC) -> HoloMap:
@@ -98,7 +98,7 @@ def two_infinite_type_surface(trunc: int = DEFAULT_TRUNC) -> Hypersurface:
     u = Series.variable("z1", v, trunc) * Series.variable("c1", v, trunc)
     phi = theta.subs({"xi": arctan_series(u),
                       "s": Series.variable("s", v, trunc)})
-    return Hypersurface.from_phi(1, phi)
+    return Hypersurface(1, phi)
 
 
 def filtration_example_surface(trunc: int = DEFAULT_TRUNC) -> Hypersurface:
@@ -109,9 +109,9 @@ def filtration_example_surface(trunc: int = DEFAULT_TRUNC) -> Hypersurface:
     c1, c2 = (Series.variable(x, v, trunc) for x in ("c1", "c2"))
     s = Series.variable("s", v, trunc)
     phi = s * (z1 * c1 + z2 * c2 * c2 + z2 * z2 * c2)
-    return Hypersurface.from_phi(2, phi)
+    return Hypersurface(2, phi)
 
 
 def levi_flat_surface(trunc: int = DEFAULT_TRUNC) -> Hypersurface:
     v = hypersurface_vars(1)
-    return Hypersurface.from_phi(1, Series.zero(v, trunc))
+    return Hypersurface(1, Series.zero(v, trunc))

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: ValidationError -> 1,
+The CLI maps these onto process exit codes: ValidationError (and
+TruncationError, an input too short for the request) -> 1,
 InvariantViolation (and subclasses) -> 2, ParseError -> 3.
 """
 
@@ -23,6 +24,11 @@ class ValidationError(CrgeomError):
     """Input object violates a structural precondition (e.g. non-normal phi)."""
 
 
+class TruncationError(ValidationError):
+    """Requested computation exceeds what the truncation order supports:
+    the input is too short, which violates no theory."""
+
+
 class InvariantViolation(CrgeomError):
     """An exact identity or divisibility guaranteed by theory failed."""
 
@@ -42,6 +48,3 @@ class DivisibilityError(InvariantViolation):
 class NotAContractionError(InvariantViolation):
     """implicit_solve called on an equation that is not a contraction."""
 
-
-class TruncationError(InvariantViolation):
-    """Requested computation exceeds what the truncation order supports."""

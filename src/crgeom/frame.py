@@ -7,11 +7,12 @@ L_1bar..L_nbar with
     L_Abar = d/dc_A + Q_A d/ds,   Q_A = -i phi_{c_A} / (1 + i phi_s),
     L_A    = d/dz_A + P_A d/ds,   P_A = conj(Q_A).
 
-phi is real, so one reciprocal gives both halves.  Each field is a
-coordinate field plus a multiple of T, so a Frame stores only Q_A, P_A
-and the structure constants below, and applies its fields to a series
-as derivations: L(A, f) = f_{z_A} + P_A f_s, Lbar(A, f) = f_{c_A} +
-Q_A f_s and S(m, f) = s^m f_s.  The coframe theta
+phi is real (a Hypersurface checks it when it is built), so one
+reciprocal gives both halves.  Each field is a coordinate field plus a
+multiple of T, so a Frame stores only Q_A, P_A and the structure
+constants below, and applies its fields to a series as derivations:
+L(A, f) = f_{z_A} + P_A f_s, Lbar(A, f) = f_{c_A} + Q_A f_s and
+S(m, f) = s^m f_s.  The coframe theta
 (theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is
 ds - sum P_A dz_A - sum Q_A dc_A, and every bracket [L_abar, e_j] is a
 multiple of T.  A frame computes those multiples once: c[a][j] is the
@@ -37,7 +38,8 @@ them, in one normalization:
     their L_D-components h_{A1bar..Akbar D} satisfy
     h_{word Cbar D} = L_Cbar h_{word D} + h_{word T} h_{Cbar D}, and the
     length-1 member is h_{Abar D} = -h_{AbarD}.  Their values at the
-    origin give the kernel filtration.
+    origin give the kernel filtration, which `filtration` returns as its
+    rank sequence.
 """
 
 from __future__ import annotations
@@ -47,19 +49,18 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from .errors import TruncationError
-from .hypersurface import Hypersurface, validate
-from .linalg import kernel_basis, rank
+from .hypersurface import Hypersurface
+from .linalg import rank
 from .scalars import GaussRational
 from .series import Series
 
 
 class Frame:
-    """The frame on a validated hypersurface: the s-coefficients Q_A and
-    P_A of its fields, and the structure constants c.  Indices A are
-    0-based here, so L(0, f) applies L_1."""
+    """The frame on a hypersurface: the s-coefficients Q_A and P_A of its
+    fields, and the structure constants c.  Indices A are 0-based here,
+    so L(0, f) applies L_1."""
 
     def __init__(self, h: Hypersurface):
-        validate(h)               # phi real: the conjugate halves rest on it
         self.hypersurface = h
         n = self.n = h.n
         self.vars = h.vars()
@@ -147,8 +148,6 @@ class Filtration:
     ranks: List[int]                 # r_k = n - dim F_k(0), k = 0..ell
     ell: int
     nondegenerate: bool
-    stabilized: bool
-    basis_change: List[List[GaussRational]]   # columns = adapted L'_B in terms of L_A
 
 
 def levi(frame: Frame, m: int) -> LeviData:
@@ -185,73 +184,20 @@ def iterated_h0_at_origin(frame: Frame, m: int, max_len: int
 
 
 def filtration(frame: Frame, m: int, ell_max: int) -> Filtration:
-    """The nested kernels F_k(0), their ranks r_k = n - dim F_k(0), the
-    stabilization order ell, and a constant basis change adapting L_A to
-    the filtration (column-pivoted exact elimination, lowest index first).
-    Words are built only up to the length at which the kernels settle."""
+    """The ranks r_k = n - dim F_k(0) of the nested kernels F_k(0) and
+    the stabilization order ell.  F_k(0) is the common kernel of the
+    value rows of the words of length <= k, so r_k is their rank.  Words
+    are built only up to the length at which the ranks settle."""
     n = frame.n
     values = iterated_h0_at_origin(frame, m, ell_max)
     ranks = [0]                       # r_0 = n - dim F_0 = 0
-    kernels = []                      # kernel bases for k = 1..
-    rows_so_far: List[List[GaussRational]] = []
-    ell = None
-    nondeg = False
-    prev_dim = n
+    rows: List[List[GaussRational]] = []
     for k in range(1, ell_max + 1):
-        rows_so_far.extend(vals for _, vals in itertools.islice(values, n ** k))
-        kb = kernel_basis(rows_so_far, n)
-        dim = len(kb)
-        ranks.append(n - dim)
-        kernels.append(kb)
-        if dim == 0:
-            ell = k
-            nondeg = True
-            break
-        if dim == prev_dim and k >= 1 and ell is None and k > 1:
+        rows.extend(vals for _, vals in itertools.islice(values, n ** k))
+        ranks.append(rank(rows))
+        if ranks[k] == n:
+            return Filtration(ranks=ranks, ell=k, nondegenerate=True)
+        if k > 1 and ranks[k] == ranks[k - 1]:
             # stabilized strictly above zero
-            ell = k - 1
-            break
-        prev_dim = dim
-    if ell is None:
-        stabilized = False
-        ell = ell_max
-    else:
-        stabilized = True
-        ranks = ranks[:ell + 1]
-        kernels = kernels[:ell]
-    basis_change = _adapted_basis(kernels, n)
-    return Filtration(ranks=ranks, ell=ell, nondegenerate=nondeg,
-                      stabilized=stabilized, basis_change=basis_change)
-
-
-def _adapted_basis(kernels: List[List[List[GaussRational]]], n: int
-                   ) -> List[List[GaussRational]]:
-    """Columns r_k+1..n of the result span F_k(0) for each k."""
-    chosen: List[List[GaussRational]] = []
-
-    def independent(vec):
-        if not chosen:
-            return any(not c.is_zero() for c in vec)
-        return rank([list(v) for v in chosen] + [list(vec)]) > len(chosen)
-
-    # deepest kernel first so its vectors end up last
-    groups: List[List[List[GaussRational]]] = []
-    for kb in reversed(kernels):          # F_ell, ..., F_1
-        group = []
-        for vec in kb:
-            if independent(vec):
-                chosen.append(vec)
-                group.append(vec)
-        groups.append(group)
-    std = [[GaussRational(1 if i == j else 0) for i in range(n)]
-           for j in range(n)]
-    complement = []
-    for vec in std:
-        if independent(vec):
-            chosen.append(vec)
-            complement.append(vec)
-    ordered = complement[:]
-    for group in reversed(groups):        # F_1 extension first, deepest last
-        ordered.extend(group)
-    # columns of the basis-change matrix
-    return [[ordered[j][a] for j in range(n)] for a in range(n)]
+            return Filtration(ranks=ranks[:k], ell=k - 1, nondegenerate=False)
+    return Filtration(ranks=ranks, ell=ell_max, nondegenerate=False)

@@ -1,7 +1,9 @@
 """Hypersurfaces in normal form and their biholomorphic invariants.
 
 A hypersurface is Im w = phi(z, zbar, Re w) with phi(z,0,s) = phi(0,chi,s)
-= 0 (normality) and phi real.  From phi we compute:
+= 0 (normality) and phi real.  ``Hypersurface(n, phi)`` checks both once,
+at construction, and raises ValidationError naming an offending monomial;
+everything downstream relies on them.  From phi we compute:
 
   * m    -- least s-power carrying a nonzero (z,c)-part (infinity = Levi flat)
   * r    -- lowest total degree of phi_m
@@ -26,11 +28,13 @@ from .series import Series, hypersurface_vars
 class Hypersurface:
     n: int
     phi: Series
-    trunc: int
 
-    @staticmethod
-    def from_phi(n: int, phi: Series) -> "Hypersurface":
-        return Hypersurface(n=n, phi=phi, trunc=phi.trunc)
+    def __post_init__(self):
+        validate(self)
+
+    @property
+    def trunc(self) -> int:
+        return self.phi.trunc
 
     def vars(self) -> Tuple[str, ...]:
         return hypersurface_vars(self.n)
@@ -73,8 +77,9 @@ class InvariantReport:
 
 
 def validate(h: Hypersurface) -> None:
-    """Check normality (phi(z,0,s) = phi(0,chi,s) = 0) and reality of phi.
-    Raises ValidationError listing an offending monomial."""
+    """Check normality (phi(z,0,s) = phi(0,chi,s) = 0) and reality of phi;
+    the Hypersurface constructor calls it.  Raises ValidationError listing
+    an offending monomial."""
     phi = h.phi
     n = h.n
     for exps, _ in phi.terms.items():
@@ -226,8 +231,7 @@ def nondegeneracy_ell(h: Hypersurface, ell_max: int) -> EllVerdict:
 
 
 def full_report(h: Hypersurface, D: int = 4, ell_max: int = 4) -> InvariantReport:
-    """Validate and compute every invariant the module offers."""
-    validate(h)
+    """Compute every invariant the module offers."""
     report = compute_infinite_type(h)
     if not report.levi_flat:
         report.essential = essentiality_check(h, D)

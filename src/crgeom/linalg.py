@@ -78,23 +78,6 @@ def rank(rows: Matrix) -> int:
     return len(rref(rows)[1])
 
 
-def kernel_basis(rows: Matrix, ncols: int) -> List[List[GaussRational]]:
-    """Basis of the right kernel {v : rows @ v = 0}."""
-    if not rows:
-        return [[_ONE if i == j else _ZERO for i in range(ncols)]
-                for j in range(ncols)]
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
 def solve_linear(a: Matrix, b: Sequence[GaussRational]
                  ) -> Optional[List[GaussRational]]:
     """One particular solution of a @ x = b, or None if inconsistent.

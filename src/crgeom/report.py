@@ -21,7 +21,7 @@ from .briot_bouquet import (BBSystem, bb_vars, dulac_classify, formal_solve,
 from .crmap import HoloMap, check_identities, map_vars
 from .errors import ParseError, ValidationError
 from .frame import Frame, filtration, levi
-from .hypersurface import Hypersurface, full_report, validate
+from .hypersurface import Hypersurface, full_report
 from .parsing import MAX_DIM, MAX_TRUNC, drops_terms, parse_series
 from .prolongation import (ProlongedSystem, assemble_and_solve,
                            contact_prolong, rhs_vars)
@@ -134,9 +134,7 @@ def load_hypersurface(path: str, trunc_override: Optional[int] = None
         raise ValidationError(
             f"{path}: phi truncates to 0 at trunc {trunc}, which leaves "
             f"its invariants undetermined; raise trunc")
-    h = Hypersurface.from_phi(n, phi)
-    validate(h)
-    return h
+    return Hypersurface(n, phi)
 
 
 def load_map(path: str, trunc_override: Optional[int] = None

@@ -48,6 +48,48 @@ def test_report_at_minimal_trunc_clamps_ell(tmp_path, capsys):
     assert inv["filtration_ranks"] == [0, 1]
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_filtration_does_not_stall(tmp_path, capsys):
+    # the kernel dimension repeats at k = 2 (ranks 1, 1) before it drops
+    # at k = 3; ell already reads nondegenerate 3
+    path = write(tmp_path, "stall.hs",
+                 'n = 2\ntrunc = 8\n'
+                 'phi = "s*z1*c1 + s*z2*c2^3 + s*z2^3*c2"\n')
+    code, rep = run_json(capsys, ["report", path])
+    assert code == 0
+    inv = rep["invariants"]
+    assert inv["ell"] == {"status": "nondegenerate", "ell": 3}
+    assert inv["filtration_ranks"] == [0, 1, 1, 2]
+    assert inv["filtration_ell"] == 3
+    assert inv["filtration_nondegenerate"] is True
+
+
+def test_each_surface_is_validated_once(tmp_path, capsys, monkeypatch):
+    # count through every crgeom module that binds validate, so that a
+    # call from an imported name counts too
+    from crgeom.hypersurface import validate
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        validate(h)
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "crgeom"
+                and getattr(mod, "validate", None) is validate):
+            monkeypatch.setattr(mod, "validate", counted)
+    src = write(tmp_path, "m0.hs", MODEL)
+    tgt = write(tmp_path, "m2.hs", TARGET2)
+    mp = write(tmp_path, "sq.map",
+               'n = 1\ntrunc = 8\nsource = m0.hs\ntarget = m2.hs\n'
+               'F1 = "z1"\nF2 = "w^2"\n')
+    assert main(["report", src]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["check-map", mp]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
+
+
 def test_report_levi_flat_m_infinity(tmp_path, capsys):
     path = write(tmp_path, "flat.hs", FLAT)
     code, rep = run_json(capsys, ["report", path])

@@ -195,7 +195,7 @@ def w_dependent_example(trunc):
     mv = map_vars(1)
     z, w = (Series.variable(x, mv, trunc) for x in mv)
     f = HoloMap.make(1, [z + z * w, w])
-    return f, corpus.model_surface(trunc), Hypersurface.from_phi(1, phi)
+    return f, corpus.model_surface(trunc), Hypersurface(1, phi)
 
 
 def test_identities_vanish_for_w_dependent_map():
@@ -244,7 +244,7 @@ def test_batched_composition_matches_one_by_one():
     quadratic = HoloMap.make(2, [z1 + z2 * z2 + z1 * w,
                                  z2 + z1 * z2 * GaussRational(0, 1),
                                  w + z1 * z1 * w - z1 * z2 * w])
-    src = Hypersurface.from_phi(
+    src = Hypersurface(
         2, parse_series(M2_PHI, hypersurface_vars(2), T))
     rd = restriction_data(quadratic, src)
     fr_hat = Frame(src)

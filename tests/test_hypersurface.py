@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from crgeom import corpus
-from crgeom.errors import TruncationError, ValidationError
+from crgeom.errors import (InvariantViolation, TruncationError,
+                           ValidationError)
 from crgeom.hypersurface import (Hypersurface, compute_infinite_type,
                                  essentiality_check, full_report,
                                  nondegeneracy_ell, validate)
@@ -30,14 +31,14 @@ def test_validate_accepts_model():
 def test_validate_rejects_non_normal():
     phi = sv("s") * sv("z1")
     with pytest.raises(ValidationError) as exc:
-        validate(Hypersurface.from_phi(1, phi))
+        Hypersurface(1, phi)
     assert "normality" in str(exc.value)
 
 
 def test_validate_rejects_non_real():
     phi = sv("s") * sv("z1") * sv("c1") * GaussRational(0, 1)
     with pytest.raises(ValidationError) as exc:
-        validate(Hypersurface.from_phi(1, phi))
+        Hypersurface(1, phi)
     assert "reality" in str(exc.value)
 
 
@@ -77,7 +78,7 @@ def test_essentiality_certified_for_model():
 def test_essentiality_higher_degree_certificate():
     # psi = z^2 chi^2: the coefficient ideal is (z^2), codimension 2
     phi = sv("s") * (sv("z1") * sv("c1")) ** 2
-    v = essentiality_check(Hypersurface.from_phi(1, phi), 4)
+    v = essentiality_check(Hypersurface(1, phi), 4)
     assert v.status == "certified-essential"
     assert v.bound == 2
 
@@ -86,7 +87,7 @@ def test_essentiality_structural_obstruction():
     # z2 never appears: ideal sits inside (z1), infinite codimension
     z1, c1, s = sv("z1", V2), sv("c1", V2), sv("s", V2)
     phi = s * z1 * c1
-    v = essentiality_check(Hypersurface.from_phi(2, phi), 4)
+    v = essentiality_check(Hypersurface(2, phi), 4)
     assert v.status == "not-essential-up-to"
     assert "z2" in v.detail
 
@@ -105,8 +106,12 @@ def test_nondegeneracy_order_two():
 
 
 def test_nondegeneracy_truncation_guard():
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError) as exc:
         nondegeneracy_ell(model(), T + 5)
+    # asking for more words than the trunc determines means the input is
+    # too short; no theory is violated
+    assert isinstance(exc.value, ValidationError)
+    assert not isinstance(exc.value, InvariantViolation)
 
 
 def test_full_report_model():
@@ -130,8 +135,7 @@ def test_invariants_under_exact_rotation():
         mapping[f"c{j+1}"] = cs[0] * GaussRational(u[j][0]) + \
             cs[1] * GaussRational(u[j][1])
     phi_rot = h.phi.subs(mapping)
-    h_rot = Hypersurface.from_phi(2, phi_rot)
-    validate(h_rot)
+    h_rot = Hypersurface(2, phi_rot)     # checks normal form and reality
     rep, rep_rot = compute_infinite_type(h), compute_infinite_type(h_rot)
     assert rep.m == rep_rot.m
     assert rep.r == rep_rot.r
