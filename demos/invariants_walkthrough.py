@@ -8,8 +8,8 @@ order m of phi in s = Re w, the lowest degree r of the leading slice,
 essentiality of the coefficient ideal, and the nondegeneracy order ell.
 """
 
-from crgeom import (Frame, compute_infinite_type, corpus, essentiality_check,
-                    filtration, full_report, levi, nondegeneracy_ell)
+from crgeom import (Frame, corpus, essentiality_check, filtration,
+                    full_report, levi, nondegeneracy_ell)
 from crgeom.report import HALF_OVER_I
 
 TRUNC = 8
@@ -18,10 +18,9 @@ TRUNC = 8
 m0 = corpus.model_surface(TRUNC)
 print("model surface  phi =", m0.phi.to_literal())
 
-rep = compute_infinite_type(m0)
-print("  m   =", rep.m, "  (vanishing order of phi in s)")
-print("  r   =", rep.r, "  (lowest degree of the s^m slice)")
-print("  psi =", rep.psi.to_literal())
+print("  m   =", m0.m, "  (vanishing order of phi in s)")
+print("  r   =", m0.r, "  (lowest degree of the s^m slice)")
+print("  psi =", m0.psi.to_literal())
 
 ess = essentiality_check(m0, 4)
 print("  essentiality:", ess.status, "at degree", ess.bound)
@@ -30,7 +29,7 @@ print("  nondegeneracy order ell =", ell.ell)
 
 # the desingularized Levi matrix h0 = h / s^m and its origin value, in
 # the reports' normalization h = (1/2i) <theta, [L_1bar, L_1]>
-ld = levi(Frame(m0), rep.m)
+ld = levi(Frame(m0))
 h = ld.h[0][0] * HALF_OVER_I
 h0 = ld.h0[0][0] * HALF_OVER_I
 print("  h   =", h.to_literal())
@@ -43,19 +42,18 @@ print("  h0(0) =", h0.constant_term())
 e12 = corpus.two_infinite_type_surface(TRUNC)
 print()
 print("implicit surface  phi =", e12.phi.to_literal())
-rep12 = compute_infinite_type(e12)
-print("  m =", rep12.m, " r =", rep12.r)
+print("  m =", e12.m, " r =", e12.r)
 
 # --- filtration on a two-variable example -------------------------------
 h2 = corpus.filtration_example_surface(TRUNC)
 print()
 print("two-variable surface  phi =", h2.phi.to_literal())
-filt = filtration(Frame(h2), 1, 4)
+filt = filtration(Frame(h2), 4)
 print("  kernel ranks:", filt.ranks, " ell =", filt.ell,
       " nondegenerate =", filt.nondegenerate)
 
 rep_all = full_report(m0)
 print()
-print("full report: m =", rep_all.m, " r =", rep_all.r,
+print("full report: m =", m0.m, " r =", m0.r,
       " essential =", rep_all.essential.status,
       " ell =", rep_all.ell.as_dict())

@@ -13,8 +13,7 @@ from crgeom import (BBSystem, assemble_and_solve, bb_vars, contact_prolong,
                     parse_series, rhs_vars, var_name)
 
 # --- a nonresonant scalar equation --------------------------------------
-sys1 = BBSystem.make(1, [parse_series("1/2*y1 + t + y1^2", bb_vars(1), 14)],
-                     12)
+sys1 = BBSystem(1, [parse_series("1/2*y1 + t + y1^2", bb_vars(1), 14)], 12)
 sol1 = formal_solve(sys1)
 print("t*y' = y/2 + t + y^2")
 print("  coefficients:", {k: [str(x) for x in v]
@@ -24,7 +23,7 @@ for t0 in (1e-2, -1e-2):
           f"{numeric_oracle(sys1, sol1, t0=t0):.2e}")
 
 # --- a resonant equation: the forcing hits an eigenvalue ----------------
-sys2 = BBSystem.make(1, [parse_series("y1 + t", bb_vars(1), 12)], 10)
+sys2 = BBSystem(1, [parse_series("y1 + t", bb_vars(1), 12)], 10)
 sol2 = formal_solve(sys2)
 print()
 print("t*y' = y + t   (resonant at k = 1)")

@@ -10,8 +10,8 @@ from .scalars import GaussRational
 from .series import Series, hypersurface_vars, implicit_solve
 from .parsing import parse_series
 from .hypersurface import (EllVerdict, EssentialityVerdict, Hypersurface,
-                           InvariantReport, compute_infinite_type,
-                           essentiality_check, full_report, nondegeneracy_ell)
+                           InvariantReport, essentiality_check, full_report,
+                           nondegeneracy_ell)
 from .frame import (Frame, Filtration, LeviData, filtration, iterated_forms,
                     levi)
 from .crmap import (ComposedTarget, HoloMap, MapFrameData, ResidualReport,
@@ -33,8 +33,7 @@ __all__ = [
     "GaussRational", "Series", "hypersurface_vars", "implicit_solve",
     "parse_series",
     "EllVerdict", "EssentialityVerdict", "Hypersurface", "InvariantReport",
-    "compute_infinite_type", "essentiality_check", "full_report",
-    "nondegeneracy_ell",
+    "essentiality_check", "full_report", "nondegeneracy_ell",
     "Frame", "Filtration", "LeviData", "filtration",
     "iterated_forms", "levi",
     "ComposedTarget", "HoloMap", "MapFrameData", "ResidualReport",

@@ -19,6 +19,7 @@ t*y' - f(t, y) through t^K, without the recurrence that produced it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -26,7 +27,7 @@ from typing import Dict, List, Tuple
 from .errors import InvariantViolation, ValidationError
 from .linalg import (char_poly, count_eigenvalues_nonpositive_real, rank,
                      solve_linear)
-from .scalars import GaussRational
+from .scalars import GaussRational, to_complex
 from .series import Series
 
 _ZERO = GaussRational(0)
@@ -40,12 +41,12 @@ def bb_vars(N: int) -> Tuple[str, ...]:
 @dataclass(frozen=True)
 class BBSystem:
     N: int
-    f: Tuple[Series, ...]
+    f: Tuple[Series, ...]            # checked, and stored as a tuple
     order: int
 
-    @staticmethod
-    def make(N: int, f, order: int) -> "BBSystem":
-        comps = tuple(f)
+    def __post_init__(self):
+        N, order, comps = self.N, self.order, tuple(self.f)
+        object.__setattr__(self, "f", comps)
         if len(comps) != N:
             raise ValidationError(f"expected {N} right-hand sides, got {len(comps)}")
         for j, g in enumerate(comps):
@@ -61,7 +62,6 @@ class BBSystem:
                 raise ValidationError(
                     f"order {order} exceeds trunc {g.trunc} of f{j+1}: "
                     f"coefficients past t^{g.trunc} are not determined")
-        return BBSystem(N=N, f=comps, order=order)
 
 
 @dataclass
@@ -273,14 +273,15 @@ def dulac_classify(lp: LinearPart) -> DulacReport:
     return DulacReport(N=lp.N, nonpositive_real=k, p=lp.N - k, char=char)
 
 
-def series_value(sol: FormalLogSolution, N: int, t: float) -> List[complex]:
+def _series_value(coeffs, N: int, t: float) -> List[complex]:
+    """The truncated solution at t, from its (k, r, float vector) terms."""
     vals = [0j] * N
     if t == 0:
         return vals
     lg = math.log(abs(t))
-    for (k, r), v in sol.coeffs.items():
+    for k, r, v in coeffs:
         for j in range(N):
-            vals[j] += complex(v[j]) * t ** k * lg ** r
+            vals[j] += v[j] * t ** k * lg ** r
     return vals
 
 
@@ -292,37 +293,58 @@ def numeric_oracle(sys: BBSystem, sol: FormalLogSolution,
     series along the way; returns the max componentwise deviation.
 
     Requires a pure power-series solution (no log terms) and t0 != 0.
+    The coefficients of f and of the solution are converted to floats
+    once; a value past the float range, there or in the integration,
+    raises ValidationError.
     """
     if sol.has_log_terms():
         raise ValidationError("numeric oracle requires a log-free solution")
     if t0 == 0:
         raise ValidationError("integration cannot start at the singularity")
     N = sys.N
+    f = [[(exps, to_complex(c, f"numeric oracle: f{j + 1}"))
+          for exps, c in g.terms.items()] for j, g in enumerate(sys.f)]
+    coeffs = [(k, r, [to_complex(x, "numeric oracle: solution")
+                      for x in v]) for (k, r), v in sol.coeffs.items()]
     sign = 1.0 if t0 > 0 else -1.0
     a, b = t0, sign * abs(t_end)
     h = (b - a) / steps
-    names = bb_vars(N)[1:]
 
     def rhs(t: float, y: List[complex]) -> List[complex]:
-        vals = {"t": complex(t)}
-        vals.update(zip(names, y))
+        vals = (complex(t), *y)         # in the order of bb_vars(N)
         inv_t = 1 / t
-        return [g.eval_complex(vals) * inv_t for g in sys.f]
+        out = []
+        for terms in f:
+            total = 0j
+            for exps, v in terms:
+                for x, e in zip(vals, exps):
+                    if e:
+                        v *= x ** e
+                total += v
+            out.append(total * inv_t)
+        return out
 
     def step(y: List[complex], c: float, k: List[complex]) -> List[complex]:
         return [yj + c * kj for yj, kj in zip(y, k)]
 
-    y = series_value(sol, N, a)
-    t = a
     dev = 0.0
-    for _ in range(steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, step(y, h / 2, k1))
-        k3 = rhs(t + h / 2, step(y, h / 2, k2))
-        k4 = rhs(t + h, step(y, h, k3))
-        y = step(y, h / 6, [p + 2 * q + 2 * r + u
-                            for p, q, r, u in zip(k1, k2, k3, k4)])
-        t = t + h
-        dev = max([dev] + [abs(yj - sj) for yj, sj
-                           in zip(y, series_value(sol, N, t))])
+    try:
+        y = _series_value(coeffs, N, a)
+        t = a
+        for _ in range(steps):
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2, step(y, h / 2, k1))
+            k3 = rhs(t + h / 2, step(y, h / 2, k2))
+            k4 = rhs(t + h, step(y, h, k3))
+            y = step(y, h / 6, [p + 2 * q + 2 * r + u
+                                for p, q, r, u in zip(k1, k2, k3, k4)])
+            t = t + h
+            dev = max([dev] + [abs(yj - sj) for yj, sj
+                               in zip(y, _series_value(coeffs, N, t))])
+    except OverflowError:
+        y = [math.nan]
+    # a nan, once reached, stays in y but drops out of max()
+    if not (math.isfinite(dev) and all(map(cmath.isfinite, y))):
+        raise ValidationError(
+            f"numeric oracle from t0 = {t0} leaves the float range")
     return dev

@@ -10,6 +10,7 @@ or usage error, 2 exact-invariant violation, 3 parse error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import InvariantViolation, ParseError, ValidationError
@@ -79,6 +80,9 @@ def run(args) -> int:
         if value is not None and not 1 <= value <= MAX_TRUNC:
             raise ValidationError(
                 f"--{flag} {value} is outside 1..{MAX_TRUNC}")
+    oracle = getattr(args, "oracle", None)
+    if oracle is not None and not math.isfinite(oracle):
+        raise ValidationError(f"--oracle {oracle} is not a finite number")
     if args.command == "report":
         rep = hypersurface_report(load_hypersurface(args.input, args.trunc))
         text = to_json(rep)

@@ -60,14 +60,14 @@ def power_map(k: int, trunc: int = DEFAULT_TRUNC) -> HoloMap:
     mv = map_vars(1)
     z = Series.variable("z1", mv, trunc)
     w = Series.variable("w", mv, trunc)
-    return HoloMap.make(1, [z, w ** k])
+    return HoloMap(1, [z, w ** k])
 
 
 def identity_map(n: int, trunc: int = DEFAULT_TRUNC) -> HoloMap:
     mv = map_vars(n)
     comps = [Series.variable(f"z{j}", mv, trunc) for j in range(1, n + 1)]
     comps.append(Series.variable("w", mv, trunc))
-    return HoloMap.make(n, comps)
+    return HoloMap(n, comps)
 
 
 def arctan_series(x: Series) -> Series:

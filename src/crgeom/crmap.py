@@ -14,9 +14,9 @@ The target enters only composed with f: compose_target composes phihat,
 its first partials and the target's Levi functions h0hat_{ab} (a <= b)
 and h0barhat_a with f in one batched substitution, so each product of
 image powers is formed once per map.  maps_into, frame_data and
-check_identities read that one result.  frame_data returns gamma, eta,
-xi and the types m, m_hat of source and target, the fields applied as
-the source frame's derivations.  It raises
+check_identities read that one result.  frame_data returns gamma, eta
+and xi, the fields applied as the source frame's derivations; the types
+m and m_hat are those of the source and target Hypersurface.  It raises
 InvariantViolation("xi-singular ...") when xi is not a smooth function,
 so a returned xi is always smooth.
 
@@ -39,7 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import (DivisibilityError, InvariantViolation, UnitRequiredError,
                      ValidationError)
 from .frame import Frame, levi
-from .hypersurface import Hypersurface, compute_infinite_type
+from .hypersurface import Hypersurface
 from .scalars import GaussRational
 from .series import Series, substitute
 
@@ -51,13 +51,13 @@ def map_vars(n: int) -> Tuple[str, ...]:
 @dataclass(frozen=True)
 class HoloMap:
     """Holomorphic map germ (C^{n+1},0) -> (C^{nhat+1},0); components are
-    series in (z_1..z_n, w) with zero constant term."""
+    series in (z_1..z_n, w) with zero constant term, checked when built."""
     n: int
-    components: Tuple[Series, ...]
+    components: Tuple[Series, ...]   # any iterable; stored as a tuple
 
-    @staticmethod
-    def make(n: int, components) -> "HoloMap":
-        comps = tuple(components)
+    def __post_init__(self):
+        n, comps = self.n, tuple(self.components)
+        object.__setattr__(self, "components", comps)
         for j, f in enumerate(comps):
             if not f.constant_term().is_zero():
                 raise ValidationError(
@@ -65,7 +65,6 @@ class HoloMap:
             if f.vars != map_vars(n):
                 raise ValidationError(
                     f"map component {j + 1} must be a series in {map_vars(n)}")
-        return HoloMap(n=n, components=comps)
 
 
 def restrict_map(f: HoloMap, source: Hypersurface) -> List[Series]:
@@ -123,8 +122,7 @@ def maps_into(rd: RestrictionData, phihat_f: Series) -> Series:
 @dataclass
 class ComposedTarget:
     """The target data that the identities read, composed with f, and the
-    types m, m_hat of source and target."""
-    m: int
+    target's type m_hat."""
     m_hat: int
     phi: Series                      # phihat o f
     theta: Dict[str, Series]         # theta_hat o f, by target coordinate
@@ -149,11 +147,15 @@ def compose_target(fr: Frame, fr_hat: Frame, rd: RestrictionData
     if source.n != target.n:
         raise ValidationError(
             "frame data requires equidimensional source and target")
+    if source.levi_flat:
+        raise InvariantViolation(
+            "xi-singular: source is Levi flat (m = infinity)")
+    if target.levi_flat:
+        raise InvariantViolation(
+            "xi-singular: target is Levi flat (m_hat = infinity)")
     n = target.n
-    m, m_hat = _types(source, target)
     upper = [(a, b) for a in range(n) for b in range(a, n)]
-    composed = iter(compose_with_map(
-        _target_pieces(fr_hat, m_hat, upper), rd))
+    composed = iter(compose_with_map(_target_pieces(fr_hat, upper), rd))
     phihat_f, phihat_s_f = next(composed), next(composed)
     phihat_z_f = [next(composed) for _ in range(n)]
     # h0hat_{bbar a} = -conj(h0hat_{abar b}) (see frame.Frame), and
@@ -164,33 +166,19 @@ def compose_target(fr: Frame, fr_hat: Frame, rd: RestrictionData
         h0[a][b] = x
         h0[b][a] = -x.conjugate() if b > a else x
     return ComposedTarget(
-        m=m, m_hat=m_hat, phi=phihat_f,
+        m_hat=target.m, phi=phihat_f,
         theta=_theta_hat_f(fr_hat, phihat_s_f, phihat_z_f), h0=h0,
         h0_bar=list(composed))
 
 
-def _types(source: Hypersurface, target: Hypersurface) -> Tuple[int, int]:
-    """The types m, m_hat of source and target; raises
-    InvariantViolation("xi-singular ...") when either is Levi flat."""
-    rep = compute_infinite_type(source)
-    rep_hat = compute_infinite_type(target)
-    if rep.levi_flat:
-        raise InvariantViolation(
-            "xi-singular: source is Levi flat (m = infinity)")
-    if rep_hat.levi_flat:
-        raise InvariantViolation(
-            "xi-singular: target is Levi flat (m_hat = infinity)")
-    return rep.m, rep_hat.m
-
-
-def _target_pieces(fr_hat: Frame, m_hat: int, upper: List[Tuple[int, int]]
+def _target_pieces(fr_hat: Frame, upper: List[Tuple[int, int]]
                    ) -> List[Series]:
     """The series compose_target composes, in its order: phihat, phihat_s,
     phihat_{z_C}, h0hat_{ab} for (a, b) in upper, and h0barhat_a.  The
     rest of the target's Levi data is freed on return, before the
     composition runs."""
     phihat = fr_hat.hypersurface.phi
-    tgt = levi(fr_hat, m_hat)
+    tgt = levi(fr_hat)
     return ([phihat, phihat.diff("s")]
             + [phihat.diff(f"z{C}") for C in range(1, fr_hat.n + 1)]
             + [tgt.h0[a][b] for a, b in upper] + tgt.h0_bar)
@@ -201,8 +189,6 @@ class MapFrameData:
     gamma: List[List[Series]]        # gamma[C][B] = L_B(F_C|M)
     eta: List[Series]                # eta[C] = S(F_C|M)
     xi: Series
-    m: int
-    m_hat: int
 
 
 def frame_data(fr: Frame, rd: RestrictionData, ct: ComposedTarget
@@ -214,7 +200,7 @@ def frame_data(fr: Frame, rd: RestrictionData, ct: ComposedTarget
     Raises InvariantViolation("xi-singular ...") when the That-component of
     f_* S is not divisible by (s_hat)^m_hat.
     """
-    n, m = fr.n, ct.m
+    n = fr.n
 
     # holomorphy of the restriction: CR fields annihilate conj components
     for B in range(n):
@@ -225,10 +211,10 @@ def frame_data(fr: Frame, rd: RestrictionData, ct: ComposedTarget
                     f"L_{B+1}bar(F_{C+1}) != 0: restriction is not CR")
 
     gamma = [[fr.L(B, rd.F[C]) for B in range(n)] for C in range(n)]
-    eta = [fr.S(m, rd.F[C]) for C in range(n)]
+    eta = [fr.S(rd.F[C]) for C in range(n)]
 
     # the That-component of f_* S is theta_hat o f paired with it
-    push_s = {"s": fr.S(m, rd.s_hat)}
+    push_s = {"s": fr.S(rd.s_hat)}
     for C in range(n):
         push_s[f"z{C+1}"] = eta[C]
         push_s[f"c{C+1}"] = eta[C].conjugate()
@@ -238,7 +224,7 @@ def frame_data(fr: Frame, rd: RestrictionData, ct: ComposedTarget
         xi = t_hat_comp.divide_unit_form(rd.s_hat ** ct.m_hat, unit_var="s")
     except (UnitRequiredError, DivisibilityError) as exc:
         raise InvariantViolation(f"xi-singular: {exc}")
-    return MapFrameData(gamma=gamma, eta=eta, xi=xi, m=m, m_hat=ct.m_hat)
+    return MapFrameData(gamma=gamma, eta=eta, xi=xi)
 
 
 def _theta_hat_f(fr_hat: Frame, phihat_s_f: Series,
@@ -312,7 +298,7 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
     rd = restriction_data(f, source)
     ct = compose_target(fr, fr_hat, rd)
     data = frame_data(fr, rd, ct)
-    src = levi(fr, data.m)
+    src = levi(fr)
     h0, h0bar = src.h0, src.h0_bar
 
     gamma, eta, xi = data.gamma, data.eta, data.xi
@@ -348,7 +334,7 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
             res["eta-cr"].append(acc)
     for A in range(n):
         for E in range(n):
-            acc = fr.S(data.m, gamma[E][A]) - fr.L(A, eta[E]) \
+            acc = fr.S(gamma[E][A]) - fr.L(A, eta[E]) \
                 - eta[E] * h0bar[A].conjugate()
             res["gamma-s"].append(acc)
 

@@ -12,7 +12,8 @@ reciprocal gives both halves.  Each field is a coordinate field plus a
 multiple of T, so a Frame stores only Q_A, P_A and the structure
 constants below, and applies its fields to a series as derivations:
 L(A, f) = f_{z_A} + P_A f_s, Lbar(A, f) = f_{c_A} + Q_A f_s and
-S(m, f) = s^m f_s.  The coframe theta
+S(f) = s^m f_s, with m the type of the frame's hypersurface (levi and
+filtration read it there too).  The coframe theta
 (theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is
 ds - sum P_A dz_A - sum Q_A dc_A, and every bracket [L_abar, e_j] is a
 multiple of T.  A frame computes those multiples once: c[a][j] is the
@@ -105,9 +106,10 @@ class Frame:
         """L_Abar f = f_{c_A} + Q_A f_s."""
         return f.diff(f"c{A + 1}") + self.Q[A] * f.diff("s")
 
-    def S(self, m: int, f: Series) -> Series:
-        """S f = s^m T f = s^m f_s."""
-        return Series.variable("s", self.vars, self.trunc) ** m * f.diff("s")
+    def S(self, f: Series) -> Series:
+        """S f = s^m T f = s^m f_s, m the type of the hypersurface."""
+        return (Series.variable("s", self.vars, self.trunc)
+                ** self.hypersurface.m * f.diff("s"))
 
 
 def iterated_forms(frame: Frame, max_len: int
@@ -136,7 +138,6 @@ def iterated_forms(frame: Frame, max_len: int
 
 @dataclass
 class LeviData:
-    m: int
     h: List[List[Series]]            # <theta,[L_Abar, L_B]>
     h0: List[List[Series]]           # h / s^m
     h0_bar: List[Series]             # from [L_Abar, s^m T] = -s^m h0_Abar T
@@ -150,29 +151,31 @@ class Filtration:
     nondegenerate: bool
 
 
-def levi(frame: Frame, m: int) -> LeviData:
+def levi(frame: Frame) -> LeviData:
     """The Levi matrix h_{AbarB} = <theta,[L_Abar,L_B]> = c[A][B+1], its
-    quotient h0 by s^m, and the tail data h0_Abar and a_Cbar.
+    quotient h0 by s^m (m the type of the frame's hypersurface, which
+    must not be Levi flat), and the tail data h0_Abar and a_Cbar.
 
     [L_Abar, s^m T] = s^m (a_Abar + c[A][0]) T, so
     h0_Abar = -(a_Abar + c[A][0]), cut to the order the bracket with
     s^m T leaves exact.  Raises DivisibilityError (naming the offending
-    monomial) when h is not divisible by s^m, which signals a wrong m or
-    a non-normal input.
+    monomial) when h is not divisible by s^m, which signals a non-normal
+    input.
     """
-    n = frame.n
+    n, m = frame.n, frame.hypersurface.m
     h = [[frame.c[a][b + 1] for b in range(n)] for a in range(n)]
     h0 = [[x.divide_by_power("s", m) for x in row] for row in h]
     a_bar = [q.divide_by_power("s", 1) * GaussRational(m) for q in frame.Q]
     h0_bar = [-(a_bar[a] + frame.c[a][0]).truncate(frame.trunc - 1 - m)
               for a in range(n)]
-    return LeviData(m=m, h=h, h0=h0, h0_bar=h0_bar, a_bar=a_bar)
+    return LeviData(h=h, h0=h0, h0_bar=h0_bar, a_bar=a_bar)
 
 
-def iterated_h0_at_origin(frame: Frame, m: int, max_len: int
+def iterated_h0_at_origin(frame: Frame, max_len: int
                           ) -> Iterator[Tuple[Tuple[int, ...], List[GaussRational]]]:
     """(word, (h^0_{word D}(0))_D) for every word of length 1..max_len,
     in the order of iterated_forms."""
+    m = frame.hypersurface.m
     # a word of length k leaves its form exact through order trunc - k,
     # which must reach s^m
     if max_len >= 1 and frame.trunc - max_len < m:
@@ -183,13 +186,13 @@ def iterated_h0_at_origin(frame: Frame, m: int, max_len: int
                      for d in range(1, frame.n + 1)]
 
 
-def filtration(frame: Frame, m: int, ell_max: int) -> Filtration:
+def filtration(frame: Frame, ell_max: int) -> Filtration:
     """The ranks r_k = n - dim F_k(0) of the nested kernels F_k(0) and
     the stabilization order ell.  F_k(0) is the common kernel of the
     value rows of the words of length <= k, so r_k is their rank.  Words
     are built only up to the length at which the ranks settle."""
     n = frame.n
-    values = iterated_h0_at_origin(frame, m, ell_max)
+    values = iterated_h0_at_origin(frame, ell_max)
     ranks = [0]                       # r_0 = n - dim F_0 = 0
     rows: List[List[GaussRational]] = []
     for k in range(1, ell_max + 1):

@@ -3,11 +3,15 @@
 A hypersurface is Im w = phi(z, zbar, Re w) with phi(z,0,s) = phi(0,chi,s)
 = 0 (normality) and phi real.  ``Hypersurface(n, phi)`` checks both once,
 at construction, and raises ValidationError naming an offending monomial;
-everything downstream relies on them.  From phi we compute:
+everything downstream relies on them.  A surface computes these at most
+once, and every function reads them from it:
 
-  * m    -- least s-power carrying a nonzero (z,c)-part (infinity = Levi flat)
+  * m    -- least s-power carrying a nonzero (z,c)-part (None = Levi flat)
   * r    -- lowest total degree of phi_m
   * psi  -- phi / s^m
+
+From psi we compute:
+
   * essentiality of the coefficient ideal of psi(z,chi,0), certified by a
     truncated Nakayama argument
   * the nondegeneracy order ell from chi-derivatives of d(psi)/dz at 0
@@ -16,6 +20,7 @@ everything downstream relies on them.  From phi we compute:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .errors import TruncationError, ValidationError
@@ -35,6 +40,28 @@ class Hypersurface:
     @property
     def trunc(self) -> int:
         return self.phi.trunc
+
+    # cached_property writes to __dict__, which frozen=True leaves open
+    @cached_property
+    def m(self) -> Optional[int]:
+        return None if self.phi.is_zero() else self.phi.min_degree_in("s")
+
+    @property
+    def levi_flat(self) -> bool:
+        return self.m is None
+
+    @cached_property
+    def phi_m(self) -> Optional[Series]:
+        return None if self.levi_flat else self.phi.coefficient_in("s", self.m)
+
+    @property
+    def r(self) -> Optional[int]:
+        return None if self.levi_flat else self.phi_m.min_total_degree()
+
+    @cached_property
+    def psi(self) -> Optional[Series]:
+        m = self.m
+        return None if m is None else self.phi.divide_by_power("s", m)
 
     def vars(self) -> Tuple[str, ...]:
         return hypersurface_vars(self.n)
@@ -63,17 +90,9 @@ class EllVerdict:
 
 @dataclass
 class InvariantReport:
-    m: Optional[int]                 # None encodes infinity (Levi flat)
-    phi_m: Optional[Series]
-    r: Optional[int]
-    psi: Optional[Series]
-    essential: Optional[EssentialityVerdict] = None
-    ell: Optional[EllVerdict] = None
-    ell_max: Optional[int] = None    # word length probed by ell and the filtration
-
-    @property
-    def levi_flat(self) -> bool:
-        return self.m is None
+    essential: EssentialityVerdict
+    ell: EllVerdict
+    ell_max: int                     # longest word ell and filtration probe
 
 
 def validate(h: Hypersurface) -> None:
@@ -95,18 +114,6 @@ def validate(h: Hypersurface) -> None:
         raise ValidationError(
             f"reality violation near monomial {phi._monomial_str(exps)}: "
             "conjugate(phi) != phi")
-
-
-def compute_infinite_type(h: Hypersurface) -> InvariantReport:
-    """Invariants m, phi_m, r and the desingularized psi = phi / s^m."""
-    phi = h.phi
-    if phi.is_zero():
-        return InvariantReport(m=None, phi_m=None, r=None, psi=None)
-    m = phi.min_degree_in("s")
-    phi_m = phi.coefficient_in("s", m)
-    r = phi_m.min_total_degree()
-    psi = phi.divide_by_power("s", m)
-    return InvariantReport(m=m, phi_m=phi_m, r=r, psi=psi)
 
 
 def _coefficient_functions(psi: Series, n: int) -> List[Series]:
@@ -144,11 +151,10 @@ def essentiality_check(h: Hypersurface, D: int) -> EssentialityVerdict:
     missing from every a_alpha) yields not-essential-up-to(D); otherwise
     inconclusive.
     """
-    report = compute_infinite_type(h)
-    if report.levi_flat:
+    if h.levi_flat:
         raise ValidationError("essentiality undefined for Levi-flat input")
     n = h.n
-    a_funcs = _coefficient_functions(report.psi, n)
+    a_funcs = _coefficient_functions(h.psi, n)
     if not a_funcs:
         return EssentialityVerdict("inconclusive", D,
                                    "no coefficient functions at truncation")
@@ -203,11 +209,10 @@ def essentiality_check(h: Hypersurface, D: int) -> EssentialityVerdict:
 def nondegeneracy_ell(h: Hypersurface, ell_max: int) -> EllVerdict:
     """Least ell such that the chi-derivatives of d(psi)/dz up to order ell,
     evaluated at the origin, span C^n."""
-    report = compute_infinite_type(h)
-    if report.levi_flat:
+    if h.levi_flat:
         raise ValidationError("nondegeneracy undefined for Levi-flat input")
     n = h.n
-    psi = report.psi
+    psi = h.psi
     if ell_max + 1 > psi.trunc:
         raise TruncationError(
             f"ell_max={ell_max} needs truncation >= {ell_max + 1} after "
@@ -230,14 +235,12 @@ def nondegeneracy_ell(h: Hypersurface, ell_max: int) -> EllVerdict:
     return EllVerdict(degenerate=True, ell=ell_max)
 
 
-def full_report(h: Hypersurface, D: int = 4, ell_max: int = 4) -> InvariantReport:
-    """Compute every invariant the module offers."""
-    report = compute_infinite_type(h)
-    if not report.levi_flat:
-        report.essential = essentiality_check(h, D)
-        # psi = phi / s^m is known through order trunc - m, and a word of
-        # length ell needs order ell + 1; a nonzero normal-form phi has
-        # trunc >= m + 2, so the bound is at least 1
-        report.ell_max = min(ell_max, h.phi.trunc - report.m - 1)
-        report.ell = nondegeneracy_ell(h, report.ell_max)
-    return report
+def full_report(h: Hypersurface) -> InvariantReport:
+    """Essentiality up to degree 4 and the nondegeneracy order up to word
+    length 4 of a surface that is not Levi flat."""
+    essential = essentiality_check(h, 4)     # raises if Levi flat
+    # psi = phi / s^m is known through order trunc - m, and a word of
+    # length ell needs order ell + 1; a nonzero normal-form phi has
+    # trunc >= m + 2, so the bound is at least 1
+    ell_max = min(4, h.trunc - h.m - 1)
+    return InvariantReport(essential, nondegeneracy_ell(h, ell_max), ell_max)

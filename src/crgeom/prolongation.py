@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .briot_bouquet import BBSystem, FormalLogSolution, bb_vars, formal_solve
 from .errors import ValidationError
-from .scalars import GaussRational
+from .scalars import GaussRational, to_complex
 from .series import Series
 
 Slot = Tuple[Tuple[int, ...], int]          # (alpha, p)
@@ -175,10 +175,11 @@ def assemble_and_solve(ps: ProlongedSystem, order: int
                     f"centering failure at sample {tuple(map(str, sample))}: "
                     f"rhs for {nm} has constant term {frozen.constant_term()}")
             rhs_list[j] = frozen
-        sol = formal_solve(BBSystem.make(N, rhs_list, order))
+        sol = formal_solve(BBSystem(N, rhs_list, order))
+        where = f"growth at sample {tuple(map(str, sample))}"
         growth = 0.0
         for (k, r), v in sol.coeffs.items():
-            mag = max(abs(complex(x)) for x in v)
+            mag = max(abs(to_complex(x, where)) for x in v)
             if mag > 0:
                 growth = max(growth, mag ** (1.0 / k))
         radius = (1.0 / growth) if growth > 0 else None

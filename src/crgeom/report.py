@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import corpus
-from .briot_bouquet import (BBSystem, bb_vars, dulac_classify, formal_solve,
-                            linear_part, numeric_oracle)
+from .briot_bouquet import (BBSystem, FormalLogSolution, bb_vars,
+                            dulac_classify, formal_solve, linear_part,
+                            numeric_oracle)
 from .crmap import HoloMap, check_identities, map_vars
 from .errors import ParseError, ValidationError
 from .frame import Frame, filtration, levi
 from .hypersurface import Hypersurface, full_report
-from .parsing import MAX_DIM, MAX_TRUNC, drops_terms, parse_series
+from .parsing import (MAX_COEFF_BITS, MAX_DIM, MAX_TRUNC, drops_terms,
+                      parse_series)
 from .prolongation import (ProlongedSystem, assemble_and_solve,
                            contact_prolong, rhs_vars)
 from .scalars import GaussRational, format_coefficient
@@ -157,7 +160,7 @@ def load_map(path: str, trunc_override: Optional[int] = None
         raise ValidationError(
             f"{path}: expected {tgt.n + 1} components F1..F{tgt.n + 1}, "
             f"got {len(comps)}")
-    return HoloMap.make(n, comps), src, tgt
+    return HoloMap(n, comps), src, tgt
 
 
 def load_bb_system(path: str, order_override: Optional[int] = None
@@ -170,7 +173,7 @@ def load_bb_system(path: str, order_override: Optional[int] = None
                      default=max(order + 2, 12))
     comps = [_series(pairs, where, f"f{j}", path, bb_vars(N), trunc)
              for j in range(1, N + 1)]
-    return BBSystem.make(N, comps, order)
+    return BBSystem(N, comps, order)
 
 
 def load_prolonged_system(path: str) -> Tuple[ProlongedSystem, int]:
@@ -186,8 +189,8 @@ def load_prolonged_system(path: str) -> Tuple[ProlongedSystem, int]:
         ps.supplied[name] = _series(pairs, where, name, path, rv, trunc)
     if "samples" in pairs and pairs["samples"].strip():
         for chunk in pairs["samples"].split(";"):
-            vals = tuple(Fraction(x.strip()) for x in chunk.split(",")
-                         if x.strip())
+            vals = tuple(_rational(x.strip(), chunk, path)
+                         for x in chunk.split(",") if x.strip())
             if len(vals) != 2 * n:
                 raise ValidationError(
                     f"{path}: sample {chunk.strip()!r} must have {2*n} entries")
@@ -195,44 +198,54 @@ def load_prolonged_system(path: str) -> Tuple[ProlongedSystem, int]:
     return ps, order
 
 
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(text: str, sample: str, path: str) -> Fraction:
+    """A sample entry: an optionally signed integer or p/q with q != 0,
+    each of at most MAX_COEFF_BITS bits."""
+    m = _RATIONAL.fullmatch(text)
+    if m:
+        p, q = (d.lstrip("0") or "0" for d in (m[2], m[3] or "1"))
+        # d digits carry more than 3.3 * (d - 1) bits; test that before int()
+        if (max(len(p), len(q)) - 1) * 33 // 10 <= MAX_COEFF_BITS:
+            p, q = int(p), int(q)
+            if q and max(p.bit_length(), q.bit_length()) <= MAX_COEFF_BITS:
+                return Fraction(-p if m[1] == "-" else p, q)
+    raise ValidationError(
+        f"{path}: sample {sample.strip()!r}: entry {text!r} must be an "
+        f"integer or p/q with q != 0, of at most {MAX_COEFF_BITS} bits")
+
+
 # ---------------------------------------------------------------------------
 # report dictionaries
 # ---------------------------------------------------------------------------
 
-def _fmt(x: GaussRational) -> str:
-    return format_coefficient(x)
-
-
-def _m_str(m: Optional[int]):
-    return "infinity" if m is None else m
-
-
-def hypersurface_report(h: Hypersurface, ell_max: int = 4,
-                        ess_bound: int = 4) -> dict:
-    rep = full_report(h, D=ess_bound, ell_max=ell_max)
+def hypersurface_report(h: Hypersurface) -> dict:
     out = {
         "schema_version": SCHEMA_VERSION,
         "command": "report",
         "input": {"n": h.n, "trunc": h.trunc, "phi": h.phi.to_literal()},
         "invariants": {
-            "m": _m_str(rep.m),
-            "levi_flat": rep.levi_flat,
+            "m": "infinity" if h.levi_flat else h.m,
+            "levi_flat": h.levi_flat,
         },
     }
-    if rep.levi_flat:
+    if h.levi_flat:
         return out
+    rep = full_report(h)
     inv = out["invariants"]
-    inv["r"] = rep.r
-    inv["phi_m"] = rep.phi_m.to_literal()
+    inv["r"] = h.r
+    inv["phi_m"] = h.phi_m.to_literal()
     inv["essential"] = rep.essential.as_dict()
     inv["ell"] = rep.ell.as_dict()
 
     fr = Frame(h)
-    ld = levi(fr, rep.m)
+    ld = levi(fr)
     type2 = any(not ld.h0[a][b].constant_term().is_zero()
                 for a in range(h.n) for b in range(h.n))
     inv["type_2"] = type2
-    filt = filtration(fr, rep.m, rep.ell_max)
+    filt = filtration(fr, rep.ell_max)
     inv["filtration_ranks"] = filt.ranks
     inv["filtration_ell"] = filt.ell
     inv["filtration_nondegenerate"] = filt.nondegenerate
@@ -243,7 +256,7 @@ def hypersurface_report(h: Hypersurface, ell_max: int = 4,
     out["levi"] = {
         "h": [[x.to_literal() for x in row] for row in hs],
         "h0": [[x.to_literal() for x in row] for row in h0s],
-        "h0_at_origin": [[_fmt(x.constant_term()) for x in row]
+        "h0_at_origin": [[format_coefficient(x.constant_term()) for x in row]
                          for row in h0s],
     }
     return out
@@ -278,24 +291,23 @@ def bb_report(sys: BBSystem, oracle_t0: Optional[float] = None) -> dict:
     lp = linear_part(sys)
     sol = formal_solve(sys)
     dul = dulac_classify(lp)
+    lists = _solution_lists(sol)
     out = {
         "schema_version": SCHEMA_VERSION,
         "command": "bb-solve",
         "input": {"N": sys.N, "order": sys.order,
                   "f": [g.to_literal() for g in sys.f]},
         "linear_part": {
-            "p": [_fmt(x) for x in lp.p],
-            "A": [[_fmt(x) for x in row] for row in lp.A],
-            "char_poly": [_fmt(c) for c in dul.char],
+            "p": [format_coefficient(x) for x in lp.p],
+            "A": [[format_coefficient(x) for x in row] for row in lp.A],
+            "char_poly": [format_coefficient(c) for c in dul.char],
         },
-        "resonances": [{"k": k, "kernel_dim": d} for k, d in sol.resonances],
+        "resonances": lists["resonances"],
         "dulac": {"p": dul.p, "nonpositive_real": dul.nonpositive_real},
         "solution": {
             "family_dim": sol.family_dim,
             "has_log_terms": sol.has_log_terms(),
-            "coefficients": [
-                {"k": k, "r": r, "vector": [_fmt(x) for x in v]}
-                for (k, r), v in sorted(sol.coeffs.items())],
+            "coefficients": lists["coefficients"],
         },
     }
     if oracle_t0 is not None:
@@ -315,16 +327,22 @@ def prolong_report(ps: ProlongedSystem, order: int) -> dict:
         "samples": [
             {
                 "x": [str(v) for v in ss.sample],
-                "coefficients": [
-                    {"k": k, "r": r, "vector": [_fmt(x) for x in v]}
-                    for (k, r), v in sorted(ss.solution.coeffs.items())],
-                "resonances": [{"k": k, "kernel_dim": d}
-                               for k, d in ss.solution.resonances],
+                **_solution_lists(ss.solution),
                 "family_dim": ss.solution.family_dim,
                 "diagnostics": {"growth": ss.growth,
                                 "radius_proxy": ss.radius_proxy},
             } for ss in samples],
     }
+
+
+def _solution_lists(sol: FormalLogSolution) -> dict:
+    """The ``coefficients`` and ``resonances`` lists of a solution, as
+    bb-solve and prolong print them."""
+    return {"coefficients": [
+                {"k": k, "r": r, "vector": [format_coefficient(x) for x in v]}
+                for (k, r), v in sorted(sol.coeffs.items())],
+            "resonances": [{"k": k, "kernel_dim": d}
+                           for k, d in sol.resonances]}
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +365,20 @@ def examples_report(trunc: Optional[int] = None) -> dict:
             "implicit surface's m and r and the filtration are undetermined")
     m0 = corpus.model_surface(t)
     rep0 = full_report(m0)
-    check("model-surface m", 1, rep0.m)
-    check("model-surface r", 2, rep0.r)
+    check("model-surface m", 1, m0.m)
+    check("model-surface r", 2, m0.r)
     check("model-surface ell", {"status": "nondegenerate", "ell": 1},
           rep0.ell.as_dict())
     check("model-surface essential",
           {"status": "certified-essential", "bound": 1, "detail": ""},
           rep0.essential.as_dict())
-    levi0 = levi(Frame(m0), 1)
+    levi0 = levi(Frame(m0))
     check("model-surface type-2 leading term", "1",
-          _fmt(levi0.h0[0][0].constant_term() * HALF_OVER_I))
+          format_coefficient(levi0.h0[0][0].constant_term() * HALF_OVER_I))
 
     e12 = corpus.two_infinite_type_surface(t)
-    rep12 = full_report(e12)
-    check("implicit-surface m", 2, rep12.m)
-    check("implicit-surface r", 2, rep12.r)
+    check("implicit-surface m", 2, e12.m)
+    check("implicit-surface r", 2, e12.r)
 
     for k in (2, 3, 4):
         tk = max(t, 2 * k + 4)
@@ -377,8 +394,7 @@ def examples_report(trunc: Optional[int] = None) -> dict:
     check("identity-map residuals", True, rr_id.all_zero())
 
     filt_h = corpus.filtration_example_surface(t)
-    rep_f = full_report(filt_h)
-    filt = filtration(Frame(filt_h), rep_f.m, rep_f.ell_max)
+    filt = filtration(Frame(filt_h), full_report(filt_h).ell_max)
     check("filtration ranks", [0, 1, 2], filt.ranks)
     check("filtration ell", 2, filt.ell)
 

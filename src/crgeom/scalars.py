@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
+from .errors import ValidationError
+
 RationalLike = Union[int, Fraction]
 
 _new = object.__new__
@@ -180,6 +182,19 @@ class GaussRational:
 
     def __str__(self):
         return format_coefficient(self)
+
+
+def to_complex(x: GaussRational, where: str) -> complex:
+    """x as a complex float, the one conversion the numeric diagnostics
+    make; ValidationError naming ``where`` when x or its modulus is past
+    the float range."""
+    try:
+        z = complex(x)
+        abs(z)
+    except OverflowError:
+        raise ValidationError(
+            f"{where}: a coefficient is too large for a float") from None
+    return z
 
 
 def _triple(a: int, b: int, d: int) -> GaussRational:

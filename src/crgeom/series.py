@@ -391,17 +391,6 @@ class Series:
 
     # -- evaluation --------------------------------------------------------------
 
-    def eval_complex(self, values: Mapping[str, complex]) -> complex:
-        """Floating-point evaluation (for the numeric oracle only)."""
-        total = 0j
-        for exps, c in self.terms.items():
-            v = complex(c)
-            for i, e in enumerate(exps):
-                if e:
-                    v *= values[self.vars[i]] ** e
-            total += v
-        return total
-
     # -- formatting ---------------------------------------------------------------
 
     def _monomial_str(self, exps: Exponents) -> str:

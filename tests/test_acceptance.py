@@ -14,7 +14,7 @@ from crgeom.cli import main
 from crgeom.crmap import (check_identities, compose_with_map, maps_into,
                           restriction_data)
 from crgeom.frame import Frame, iterated_forms, levi
-from crgeom.hypersurface import compute_infinite_type, full_report
+from crgeom.hypersurface import full_report
 from crgeom.parsing import parse_series
 from crgeom.prolongation import (assemble_and_solve, contact_prolong,
                                  rhs_vars, var_name)
@@ -33,9 +33,10 @@ def corpus_surfaces(t=8):
 
 
 def test_criterion_01_model_invariants():
-    rep = full_report(corpus.model_surface(8))
-    ld = levi(Frame(corpus.model_surface(8)), 1)
-    ok = (rep.m == 1 and rep.r == 2
+    h = corpus.model_surface(8)
+    rep = full_report(h)
+    ld = levi(Frame(h))
+    ok = (h.m == 1 and h.r == 2
           and rep.ell.as_dict() == {"status": "nondegenerate", "ell": 1}
           and rep.essential.status == "certified-essential"
           and rep.essential.bound == 1
@@ -44,8 +45,8 @@ def test_criterion_01_model_invariants():
 
 
 def test_criterion_02_implicit_surface_pipeline():
-    rep = compute_infinite_type(corpus.two_infinite_type_surface(8))
-    _verdict("02 implicit-surface pipeline", rep.m == 2 and rep.r == 2)
+    h = corpus.two_infinite_type_surface(8)
+    _verdict("02 implicit-surface pipeline", h.m == 2 and h.r == 2)
 
 
 def test_criterion_03_power_map_containment():
@@ -62,10 +63,9 @@ def test_criterion_03_power_map_containment():
 def test_criterion_04_levi_divisibility_and_leading_term():
     ok = True
     for h in corpus_surfaces():
-        rep = compute_infinite_type(h)
-        ld = levi(Frame(h), rep.m)   # raises if not divisible
-        lowest = {e: c for e, c in rep.phi_m.terms.items()
-                  if sum(e) == rep.r}
+        ld = levi(Frame(h))   # raises if not divisible
+        lowest = {e: c for e, c in h.phi_m.terms.items()
+                  if sum(e) == h.r}
         n = h.n
         for a in range(n):
             for b in range(n):
@@ -107,7 +107,7 @@ def test_criterion_06_map_identities():
 
 
 def test_criterion_07_numeric_oracle():
-    sys_ = BBSystem.make(
+    sys_ = BBSystem(
         1, [parse_series("1/2*y1 + t", bb_vars(1), 12)], 10)
     sol = formal_solve(sys_)
     ok = all(numeric_oracle(sys_, sol, t0=t0) < 1e-8
@@ -116,7 +116,7 @@ def test_criterion_07_numeric_oracle():
 
 
 def test_criterion_08_resonance_and_log_terms():
-    sol = formal_solve(BBSystem.make(
+    sol = formal_solve(BBSystem(
         1, [parse_series("y1 + t", bb_vars(1), 12)], 10))
     ok = (sol.has_log_terms() and sol.family_dim == 1
           and [k for k, _ in sol.resonances] == [1]
@@ -125,7 +125,7 @@ def test_criterion_08_resonance_and_log_terms():
     for exprs, want_p in ((["y1"], 1), (["-2*y1"], 0),
                           (["y2", "-1*y1"], 2)):
         N = len(exprs)
-        lp = linear_part(BBSystem.make(
+        lp = linear_part(BBSystem(
             N, [parse_series(e, bb_vars(N), 12) for e in exprs], 6))
         ok = ok and dulac_classify(lp).p == want_p
     _verdict("08 resonance and log terms", ok)

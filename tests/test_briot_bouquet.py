@@ -15,7 +15,7 @@ from crgeom.series import Series
 
 
 def mk(N, exprs, order=10, trunc=12):
-    return BBSystem.make(
+    return BBSystem(
         N, [parse_series(e, bb_vars(N), trunc) for e in exprs], order)
 
 
@@ -26,6 +26,18 @@ def coeffs_str(sol):
 def test_constant_term_rejected():
     with pytest.raises(ValidationError, match="invalid system"):
         mk(1, ["1 + y1"])
+
+
+def test_constructor_checks_the_system():
+    # the checks run in the constructor, which stores f as a tuple
+    f1 = parse_series("1/2*y1 + t", bb_vars(1), 12)
+    assert BBSystem(1, [f1], 10).f == (f1,)
+    with pytest.raises(ValidationError, match="expected 2 right-hand sides"):
+        mk(2, ["y1"])
+    with pytest.raises(ValidationError, match="must be a series in"):
+        BBSystem(1, [parse_series("y1", bb_vars(2), 12)], 10)
+    with pytest.raises(ValidationError, match="exceeds trunc"):
+        mk(1, ["y1 + t"], order=10, trunc=8)
 
 
 def test_linear_part_readoff():
@@ -109,7 +121,7 @@ def test_scaling_covariance():
     v = bb_vars(1)
     t = Series.variable("t", v, 12)
     y = Series.variable("y1", v, 12)
-    scaled = BBSystem.make(1, [base.f[0].subs({"t": t * a, "y1": y})], 10)
+    scaled = BBSystem(1, [base.f[0].subs({"t": t * a, "y1": y})], 10)
     sol_scaled = formal_solve(scaled)
     for (k, r), vec in sol.coeffs.items():
         assert sol_scaled.coeffs[(k, r)][0] == vec[0] * a ** k
@@ -210,3 +222,13 @@ def test_numeric_oracle_rejects_logs():
     with pytest.raises(ValidationError):
         numeric_oracle(mk(1, ["1/2*y1"]), formal_solve(mk(1, ["1/2*y1"])),
                        t0=0.0)
+
+
+def test_numeric_oracle_leaving_the_float_range():
+    # 1/t overflows to inf at t0 = 1e-320, and t^k overflows at t0 = 1e200:
+    # a ValidationError, not a silent nan or an OverflowError
+    sys_ = mk(1, ["1/2*y1 + t + y1^2"], order=12, trunc=14)
+    sol = formal_solve(sys_)
+    for t0 in (1e-320, 1e200):
+        with pytest.raises(ValidationError, match="float range"):
+            numeric_oracle(sys_, sol, t0=t0)

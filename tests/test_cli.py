@@ -90,6 +90,31 @@ def test_each_surface_is_validated_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_each_type_is_computed_once(tmp_path, capsys, monkeypatch):
+    # the type m is a cached property of the Hypersurface: one s-order
+    # per surface, however many stages read it; check-map's third call
+    # is the unit-form division of xi
+    from crgeom.series import Series
+    calls = []
+    min_degree_in = Series.min_degree_in
+
+    def counted(self, var):
+        calls.append(var)
+        return min_degree_in(self, var)
+    monkeypatch.setattr(Series, "min_degree_in", counted)
+    src = write(tmp_path, "m0.hs", MODEL)
+    tgt = write(tmp_path, "m2.hs", TARGET2)
+    mp = write(tmp_path, "sq.map",
+               'n = 1\ntrunc = 8\nsource = m0.hs\ntarget = m2.hs\n'
+               'F1 = "z1"\nF2 = "w^2"\n')
+    assert main(["report", src]) == 0
+    assert calls == ["s"]
+    calls.clear()
+    assert main(["check-map", mp]) == 0
+    assert calls == ["s"] * 3
+    capsys.readouterr()
+
+
 def test_report_levi_flat_m_infinity(tmp_path, capsys):
     path = write(tmp_path, "flat.hs", FLAT)
     code, rep = run_json(capsys, ["report", path])
@@ -369,6 +394,56 @@ def test_prolong_x_dependent_without_samples_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert "'samples'" in err and "u1_00_0" in err
+
+
+JETS_K0 = ('n = 1\nk = 0\norder = 4\nsamples = "{}"\n'
+           'u1_00_0 = "(-1)*u1_00_0 + {}*s"\n'
+           'u2_00_0 = "(-2)*u2_00_0 + x1*s"\n'
+           'u3_00_0 = "(-3)*u3_00_0 + x2*s"\n')
+
+
+def test_prolong_samples_are_exact_rationals(tmp_path, capsys):
+    # malformed, zero-denominator, float-syntax and huge-exponent entries
+    # are validation errors, not a traceback or unbounded work
+    for sample in ("abc", "1/0, 1", "1e400, 1", "1e100000000, 1"):
+        path = write(tmp_path, "bad.ps", JETS_K0.format(sample, 1))
+        assert main(["prolong", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error" in captured.err
+        assert f"sample {sample!r}" in captured.err
+    path = write(tmp_path, "ok.ps", JETS_K0.format("-3/4, +2; 007, 1/3", 1))
+    code, rep = run_json(capsys, ["prolong", path])
+    assert code == 0
+    assert [s["x"] for s in rep["samples"]] == [["-3/4", "2"], ["7", "1/3"]]
+
+
+def test_float_diagnostics_stay_in_range(tmp_path, capsys):
+    # a non-finite --oracle, and a coefficient past the float range in
+    # bb-solve --oracle or in a prolong solution, are validation errors,
+    # not a silent 0.0 deviation or an OverflowError traceback
+    lin = write(tmp_path, "l.bb", 'N = 1\norder = 6\nf1 = "(-1)*y1 + t"\n')
+    big = write(tmp_path, "big.bb",
+                'N = 1\norder = 6\nf1 = "(-1)*y1 + (10^300)^2*t"\n')
+    jets = write(tmp_path, "big.ps", JETS_K0.format("1, 1/2", "(10^300)^2"))
+    # parts that fit a float but whose modulus does not ("absolute value
+    # too large")
+    wide = write(tmp_path, "wide.ps",
+                 JETS_K0.format("1, 1/2", "(30*10^307 + 30*10^307*i)"))
+    for argv, names in [
+            (["bb-solve", lin, "--oracle", "nan"], "--oracle nan"),
+            (["bb-solve", lin, "--oracle", "inf"], "--oracle inf"),
+            (["bb-solve", big, "--oracle", "0.01"], "f1"),
+            (["prolong", jets], "sample ('1', '1/2')"),
+            (["prolong", wide], "sample ('1', '1/2')")]:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error" in captured.err and names in captured.err
+    # without the oracle the exact solution prints as before
+    code, rep = run_json(capsys, ["bb-solve", big])
+    assert code == 0
+    assert rep["solution"]["coefficients"][0]["vector"] == ["5" + "0" * 599]
 
 
 def test_examples_json_deterministic(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from crgeom import corpus
 from crgeom.frame import (Frame, filtration, iterated_forms,
                           iterated_h0_at_origin, levi)
-from crgeom.hypersurface import Hypersurface, compute_infinite_type
+from crgeom.hypersurface import Hypersurface
 from crgeom.linalg import rank
 from crgeom.report import HALF_OVER_I
 from crgeom.scalars import GaussRational
@@ -150,22 +150,26 @@ def test_frame_matches_two_sided_construction():
 
 
 def test_derivations_match_coordinate_fields():
-    # L(A, f), Lbar(A, f) and S(m, f) give the terms and the truncation,
+    # L(A, f), Lbar(A, f) and S(f) give the terms and the truncation,
     # min(f.trunc - 1, fr.trunc), of the coordinate fields they stand for,
     # also where Q_A is zero (Levi flat) and for f exact past or short of
-    # the frame's truncation
+    # the frame's truncation; S is s^m d/ds with the surface's own m,
+    # which is 1 and 2 among frame_surfaces
+    assert {1, 2} <= {h.m for h in frame_surfaces()}
     for h in list(frame_surfaces()) + [corpus.levi_flat_surface(T)]:
         fr = Frame(h)
         n = fr.n
         fs = fields(fr)
-        s_sq = Field(fr.vars, {"s": Series.variable("s", fr.vars, fr.trunc) ** 2})
+        s_m = None if h.levi_flat else Field(
+            fr.vars, {"s": Series.variable("s", fr.vars, fr.trunc) ** h.m})
         z1 = Series.variable("z1", fr.vars, fr.trunc + 3)
         for f in (h.phi, fr.c[0][0], h.phi.truncate(fr.trunc - 2),
                   z1 * Series.variable("s", fr.vars, fr.trunc + 3) + z1):
             for A in range(n):
                 assert identical(fr.L(A, f), fs[1 + A].apply(f))
                 assert identical(fr.Lbar(A, f), fs[1 + n + A].apply(f))
-            assert identical(fr.S(2, f), s_sq.apply(f))
+            if s_m is not None:
+                assert identical(fr.S(f), s_m.apply(f))
 
 
 def test_frame_duality():
@@ -215,7 +219,7 @@ def test_structure_constants_match_coordinate_bracket():
 def test_levi_matrix_hermitian():
     # (1/2i) <theta, [L_Abar, L_B]> is Hermitian
     for h in surfaces():
-        ld = levi(Frame(h), compute_infinite_type(h).m)
+        ld = levi(Frame(h))
         n = h.n
         for a in range(n):
             for b in range(n):
@@ -228,11 +232,10 @@ def test_desingularized_leading_term_is_mixed_hessian():
     # (1/2i) h0(0)[A][B] equals the coefficient of z_B * c_A in the
     # lowest-order part of phi_m
     for h in surfaces():
-        rep = compute_infinite_type(h)
-        ld = levi(Frame(h), rep.m)
+        ld = levi(Frame(h))
         n = h.n
-        lowest = {e: c for e, c in rep.phi_m.terms.items()
-                  if sum(e) == rep.r}
+        lowest = {e: c for e, c in h.phi_m.terms.items()
+                  if sum(e) == h.r}
         for a in range(n):
             for b in range(n):
                 exps = tuple(1 if j == b else 0 for j in range(n)) + \
@@ -304,9 +307,8 @@ def test_levi_leading_term_matches_sympy_hessian(case):
         for monom, coeff in sympy.Poly(phi_m, *zs, *cs).terms()
         if sum(monom) == 2])
     assert quadratic != 0
-    rep = compute_infinite_type(h)
-    assert (rep.m, rep.r) == (m, 2)
-    ld = levi(Frame(h), m)
+    assert (h.m, h.r) == (m, 2)
+    ld = levi(Frame(h))
     for a in range(n):
         for b in range(n):
             want = sympy.diff(quadratic, zs[b], cs[a])
@@ -322,7 +324,7 @@ def test_model_bracket_and_levi_values():
     # [L_1bar, L_1] = (2is + O(3)) T
     assert br.coefficient((0, 0, 1)) == GaussRational(0, 2)
     assert fr.c[0][1] == br
-    ld = levi(fr, 1)
+    ld = levi(fr)
     assert ld.h[0][0].coefficient((0, 0, 1)) == GaussRational(0, 2)
     assert ld.h0[0][0].constant_term() == GaussRational(0, 2)
     # phi = s*g(z,c) makes the bracket with s^m T collapse exactly
@@ -387,7 +389,7 @@ def test_iterated_forms_match_coordinate_lie_derivative():
 
 def test_filtration_model():
     fr = Frame(corpus.model_surface(T))
-    filt = filtration(fr, 1, 4)
+    filt = filtration(fr, 4)
     assert filt.ranks == [0, 1]
     assert filt.ell == 1
     assert filt.nondegenerate
@@ -396,7 +398,7 @@ def test_filtration_model():
 def test_filtration_example():
     h = corpus.filtration_example_surface(T)
     fr = Frame(h)
-    filt = filtration(fr, 1, 4)
+    filt = filtration(fr, 4)
     assert filt.ranks == [0, 1, 2]
     assert filt.ell == 2
     assert filt.nondegenerate
@@ -405,9 +407,8 @@ def test_filtration_example():
 def test_filtration_matches_nondegeneracy_order():
     from crgeom.hypersurface import nondegeneracy_ell
     for h in surfaces():
-        rep = compute_infinite_type(h)
         fr = Frame(h)
-        filt = filtration(fr, rep.m, 4)
+        filt = filtration(fr, 4)
         verdict = nondegeneracy_ell(h, 4)
         assert filt.nondegenerate == (not verdict.degenerate)
         if filt.nondegenerate:
@@ -419,7 +420,7 @@ def test_kernel_lemma():
     # example surface F_1 = span(e2) and F_2 = 0
     h = corpus.filtration_example_surface(T)
     fr = Frame(h)
-    values = dict(iterated_h0_at_origin(fr, 1, 2))
+    values = dict(iterated_h0_at_origin(fr, 2))
     rows_1 = [v for w, v in values.items() if len(w) == 1]
     rows_12 = list(values.values())
     # rank 1 with every row zero in slot 2: the kernel is span(e2)
@@ -431,8 +432,7 @@ def test_kernel_lemma():
 def test_type_two_detection():
     # type 2 (h0(0) != 0) holds for every corpus surface of finite type
     for h in surfaces():
-        rep = compute_infinite_type(h)
-        ld = levi(Frame(h), rep.m)
+        ld = levi(Frame(h))
         some_nonzero = any(not ld.h0[a][b].constant_term().is_zero()
                            for a in range(h.n) for b in range(h.n))
-        assert some_nonzero == (rep.r == 2)
+        assert some_nonzero == (h.r == 2)

@@ -5,9 +5,8 @@ import pytest
 from crgeom import corpus
 from crgeom.errors import (InvariantViolation, TruncationError,
                            ValidationError)
-from crgeom.hypersurface import (Hypersurface, compute_infinite_type,
-                                 essentiality_check, full_report,
-                                 nondegeneracy_ell, validate)
+from crgeom.hypersurface import (Hypersurface, essentiality_check,
+                                 full_report, nondegeneracy_ell, validate)
 from crgeom.scalars import GaussRational
 from crgeom.series import Series, hypersurface_vars
 
@@ -43,18 +42,18 @@ def test_validate_rejects_non_real():
 
 
 def test_model_invariants():
-    rep = compute_infinite_type(model())
-    assert rep.m == 1
-    assert rep.r == 2
-    z, c = sv("z1", trunc=rep.psi.trunc), sv("c1", trunc=rep.psi.trunc)
-    assert rep.psi == z * c
-    assert rep.phi_m.to_literal() == "z1*c1"
+    h = model()
+    assert h.m == 1
+    assert h.r == 2
+    z, c = sv("z1", trunc=h.psi.trunc), sv("c1", trunc=h.psi.trunc)
+    assert h.psi == z * c
+    assert h.phi_m.to_literal() == "z1*c1"
 
 
 def test_levi_flat():
-    rep = compute_infinite_type(corpus.levi_flat_surface(T))
-    assert rep.levi_flat
-    assert rep.m is None
+    h = corpus.levi_flat_surface(T)
+    assert h.levi_flat
+    assert h.m is None
     with pytest.raises(ValidationError):
         essentiality_check(corpus.levi_flat_surface(T), 3)
     with pytest.raises(ValidationError):
@@ -64,9 +63,8 @@ def test_levi_flat():
 def test_two_infinite_type_surface():
     h = corpus.two_infinite_type_surface(T)
     validate(h)
-    rep = compute_infinite_type(h)
-    assert rep.m == 2
-    assert rep.r == 2
+    assert h.m == 2
+    assert h.r == 2
 
 
 def test_essentiality_certified_for_model():
@@ -116,7 +114,6 @@ def test_nondegeneracy_truncation_guard():
 
 def test_full_report_model():
     rep = full_report(model())
-    assert (rep.m, rep.r) == (1, 2)
     assert rep.essential.status == "certified-essential"
     assert rep.ell.as_dict() == {"status": "nondegenerate", "ell": 1}
 
@@ -136,9 +133,8 @@ def test_invariants_under_exact_rotation():
             cs[1] * GaussRational(u[j][1])
     phi_rot = h.phi.subs(mapping)
     h_rot = Hypersurface(2, phi_rot)     # checks normal form and reality
-    rep, rep_rot = compute_infinite_type(h), compute_infinite_type(h_rot)
-    assert rep.m == rep_rot.m
-    assert rep.r == rep_rot.r
+    assert h.m == h_rot.m
+    assert h.r == h_rot.r
     assert nondegeneracy_ell(h, 4).ell == nondegeneracy_ell(h_rot, 4).ell
     assert essentiality_check(h, 4).status == \
         essentiality_check(h_rot, 4).status
