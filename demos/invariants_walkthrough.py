@@ -8,8 +8,8 @@ order m of phi in s = Re w, the lowest degree r of the leading slice,
 essentiality of the coefficient ideal, and the nondegeneracy order ell.
 """
 
-from crgeom import (Frame, corpus, essentiality_check, filtration,
-                    full_report, levi, nondegeneracy_ell)
+from crgeom import (Frame, corpus, essentiality_check, filtration, levi,
+                    nondegeneracy_ell)
 from crgeom.report import HALF_OVER_I
 
 TRUNC = 8
@@ -22,9 +22,10 @@ print("  m   =", m0.m, "  (vanishing order of phi in s)")
 print("  r   =", m0.r, "  (lowest degree of the s^m slice)")
 print("  psi =", m0.psi.to_literal())
 
-ess = essentiality_check(m0, 4)
+ess = essentiality_check(m0)
 print("  essentiality:", ess.status, "at degree", ess.bound)
-ell = nondegeneracy_ell(m0, 4)
+# ell is probed up to word length m0.ell_max = min(4, trunc - m - 1)
+ell = nondegeneracy_ell(m0)
 print("  nondegeneracy order ell =", ell.ell)
 
 # the desingularized Levi matrix h0 = h / s^m and its origin value, in
@@ -48,12 +49,11 @@ print("  m =", e12.m, " r =", e12.r)
 h2 = corpus.filtration_example_surface(TRUNC)
 print()
 print("two-variable surface  phi =", h2.phi.to_literal())
-filt = filtration(Frame(h2), 4)
+filt = filtration(Frame(h2))
 print("  kernel ranks:", filt.ranks, " ell =", filt.ell,
       " nondegenerate =", filt.nondegenerate)
 
-rep_all = full_report(m0)
 print()
 print("full report: m =", m0.m, " r =", m0.r,
-      " essential =", rep_all.essential.status,
-      " ell =", rep_all.ell.as_dict())
+      " essential =", ess.status,
+      " ell =", ell.as_dict())

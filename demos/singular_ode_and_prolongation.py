@@ -9,8 +9,8 @@ pipeline whose closure equations reduce to systems of this shape.
 """
 
 from crgeom import (BBSystem, assemble_and_solve, bb_vars, contact_prolong,
-                    dulac_classify, formal_solve, linear_part, numeric_oracle,
-                    parse_series, rhs_vars, var_name)
+                    dulac_classify, formal_solve, numeric_oracle, parse_series,
+                    rhs_vars, var_name)
 
 # --- a nonresonant scalar equation --------------------------------------
 sys1 = BBSystem(1, [parse_series("1/2*y1 + t + y1^2", bb_vars(1), 14)], 12)
@@ -32,7 +32,7 @@ print("  log terms:", sol2.has_log_terms(),
       " -> solution t*log(t):", {k: [str(x) for x in v]
                                  for k, v in sol2.coeffs.items()})
 print("  eigenvalue count off the nonpositive reals:",
-      dulac_classify(linear_part(sys2)).p)
+      dulac_classify(sys2).p)
 
 # --- the contact pipeline on a toy closure ------------------------------
 # one jet variable u with closure (s d/ds) u = 2u + s; the unique formal

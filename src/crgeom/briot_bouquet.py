@@ -8,7 +8,8 @@ against f = p*t + A*y + Q(t,y) gives, per power k and log degree r,
     (k I - A) c_{k,r} + (r+1) c_{k,r+1} = g_{k,r},
 
 where g_k depends only on lower-order coefficients.  The linear part
-(p, A) is read off f once.  k is resonant when kI - A is singular,
+(p, A) is read off f once, and the resonances k <= order once from A, as
+cached properties of the system.  k is resonant when kI - A is singular,
 decided by its rank alone; the characteristic polynomial of A is formed
 only for the Dulac eigenvalue count.  Nonresonant k solve uniquely
 top-down in r; resonant k solve as one stacked triangular system with
@@ -22,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .errors import InvariantViolation, ValidationError
@@ -63,51 +65,46 @@ class BBSystem:
                     f"order {order} exceeds trunc {g.trunc} of f{j+1}: "
                     f"coefficients past t^{g.trunc} are not determined")
 
+    # cached_property writes to __dict__, which frozen=True leaves open
+    @cached_property
+    def p(self) -> List[GaussRational]:
+        """The coefficient of t in each component of f."""
+        t_exp = (1,) + (0,) * self.N
+        return [g.coefficient(t_exp) for g in self.f]
 
-@dataclass
-class LinearPart:
-    N: int
-    p: List[GaussRational]            # coefficient of t
-    A: List[List[GaussRational]]      # coefficient of y
+    @cached_property
+    def A(self) -> List[List[GaussRational]]:
+        """A[j][b], the coefficient of y_{b+1} in f_{j+1}."""
+        N = self.N
+        y_exps = [tuple(1 if i == b + 1 else 0 for i in range(N + 1))
+                  for b in range(N)]
+        return [[g.coefficient(e) for e in y_exps] for g in self.f]
+
+    @cached_property
+    def resonances(self) -> List[Tuple[int, int]]:
+        """Positive integers k <= order at which kI - A is singular (the
+        integer eigenvalues of A), each with its kernel dimension
+        N - rank(kI - A), found by that one rank test."""
+        out = []
+        for k in range(1, self.order + 1):
+            dim = self.N - rank(_shifted(self.A, k))
+            if dim:
+                out.append((k, dim))
+        return out
 
 
 @dataclass
 class FormalLogSolution:
-    order: int
     coeffs: Dict[Tuple[int, int], List[GaussRational]]   # (k, r) -> vector
     resonances: List[Tuple[int, int]]                    # (k, kernel dim)
-    family_dim: int
+
+    @property
+    def family_dim(self) -> int:
+        return sum(d for _, d in self.resonances)
 
     def has_log_terms(self) -> bool:
         return any(r > 0 and any(not c.is_zero() for c in v)
                    for (k, r), v in self.coeffs.items())
-
-
-def linear_part(sys: BBSystem) -> LinearPart:
-    N = sys.N
-    p = []
-    A = []
-    t_exp = (1,) + (0,) * N
-    for j in range(N):
-        p.append(sys.f[j].coefficient(t_exp))
-        row = []
-        for b in range(N):
-            y_exp = tuple(1 if i == b + 1 else 0 for i in range(N + 1))
-            row.append(sys.f[j].coefficient(y_exp))
-        A.append(row)
-    return LinearPart(N=N, p=p, A=A)
-
-
-def resonances(lp: LinearPart, K: int) -> List[Tuple[int, int]]:
-    """Positive integers k <= K at which kI - A is singular (the integer
-    eigenvalues of A), each with its kernel dimension N - rank(kI - A),
-    found by that one rank test."""
-    out = []
-    for k in range(1, K + 1):
-        dim = lp.N - rank(_shifted(lp.A, k))
-        if dim:
-            out.append((k, dim))
-    return out
 
 
 def _shifted(A, k: int):
@@ -171,15 +168,12 @@ def _rhs_at_order(sys: BBSystem, sol: Dict[Tuple[int, int], List[GaussRational]]
 def formal_solve(sys: BBSystem) -> FormalLogSolution:
     """Exact solution coefficients c_{k,r} through order K = sys.order."""
     N, K = sys.N, sys.order
-    lp = linear_part(sys)
-    res = resonances(lp, K)
-    resonant = {k for k, _ in res}
-    family_dim = sum(d for _, d in res)
+    resonant = {k for k, _ in sys.resonances}
     sol: Dict[Tuple[int, int], List[GaussRational]] = {}
     for k in range(1, K + 1):
         g = _rhs_at_order(sys, sol, k)
         d = max((r for comp in g for r in comp), default=0)
-        B = _shifted(lp.A, k)
+        B = _shifted(sys.A, k)
         if k not in resonant:
             # unique top-down solve in r
             upper = [_ZERO] * N
@@ -219,8 +213,7 @@ def formal_solve(sys: BBSystem) -> FormalLogSolution:
                 if any(not v.is_zero() for v in c):
                     sol[(k, r)] = c
     _check_residual(sys, sol, K)
-    return FormalLogSolution(order=K, coeffs=sol, resonances=res,
-                             family_dim=family_dim)
+    return FormalLogSolution(coeffs=sol, resonances=sys.resonances)
 
 
 def _check_residual(sys: BBSystem, sol, K: int) -> None:
@@ -258,19 +251,18 @@ def _check_residual(sys: BBSystem, sol, K: int) -> None:
 
 @dataclass
 class DulacReport:
-    N: int
     nonpositive_real: int        # eigenvalues on R_{<=0}, with multiplicity
     p: int                       # N - nonpositive_real
     char: List[GaussRational]
 
 
-def dulac_classify(lp: LinearPart) -> DulacReport:
+def dulac_classify(sys: BBSystem) -> DulacReport:
     """p = number of eigenvalues of A (with multiplicity) not lying on the
     closed negative real axis, counted from the characteristic polynomial
     of A (the solver itself never forms it)."""
-    char = char_poly(lp.A)
+    char = char_poly(sys.A)
     k = count_eigenvalues_nonpositive_real(char)
-    return DulacReport(N=lp.N, nonpositive_real=k, p=lp.N - k, char=char)
+    return DulacReport(nonpositive_real=k, p=sys.N - k, char=char)
 
 
 def _series_value(coeffs, N: int, t: float) -> List[complex]:

@@ -13,8 +13,8 @@ multiple of T, so a Frame stores only Q_A, P_A and the structure
 constants below, and applies its fields to a series as derivations:
 L(A, f) = f_{z_A} + P_A f_s, Lbar(A, f) = f_{c_A} + Q_A f_s and
 S(f) = s^m f_s, with m the type of the frame's hypersurface (levi and
-filtration read it there too).  The coframe theta
-(theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is
+filtration read it there too, and filtration its ell_max).  The coframe
+theta (theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is
 ds - sum P_A dz_A - sum Q_A dc_A, and every bracket [L_abar, e_j] is a
 multiple of T.  A frame computes those multiples once: c[a][j] is the
 T-coefficient of [L_abar, e_j] for e_j in (T, L_1..L_n),
@@ -141,7 +141,6 @@ class LeviData:
     h: List[List[Series]]            # <theta,[L_Abar, L_B]>
     h0: List[List[Series]]           # h / s^m
     h0_bar: List[Series]             # from [L_Abar, s^m T] = -s^m h0_Abar T
-    a_bar: List[Series]              # m (L_Cbar s)/s
 
 
 @dataclass
@@ -154,8 +153,9 @@ class Filtration:
 def levi(frame: Frame) -> LeviData:
     """The Levi matrix h_{AbarB} = <theta,[L_Abar,L_B]> = c[A][B+1], its
     quotient h0 by s^m (m the type of the frame's hypersurface, which
-    must not be Levi flat), and the tail data h0_Abar and a_Cbar.
+    must not be Levi flat), and the tail data h0_Abar.
 
+    With a_Abar = m (L_Abar s)/s = m Q_A / s,
     [L_Abar, s^m T] = s^m (a_Abar + c[A][0]) T, so
     h0_Abar = -(a_Abar + c[A][0]), cut to the order the bracket with
     s^m T leaves exact.  Raises DivisibilityError (naming the offending
@@ -168,7 +168,7 @@ def levi(frame: Frame) -> LeviData:
     a_bar = [q.divide_by_power("s", 1) * GaussRational(m) for q in frame.Q]
     h0_bar = [-(a_bar[a] + frame.c[a][0]).truncate(frame.trunc - 1 - m)
               for a in range(n)]
-    return LeviData(h=h, h0=h0, h0_bar=h0_bar, a_bar=a_bar)
+    return LeviData(h=h, h0=h0, h0_bar=h0_bar)
 
 
 def iterated_h0_at_origin(frame: Frame, max_len: int
@@ -186,12 +186,13 @@ def iterated_h0_at_origin(frame: Frame, max_len: int
                      for d in range(1, frame.n + 1)]
 
 
-def filtration(frame: Frame, ell_max: int) -> Filtration:
+def filtration(frame: Frame) -> Filtration:
     """The ranks r_k = n - dim F_k(0) of the nested kernels F_k(0) and
-    the stabilization order ell.  F_k(0) is the common kernel of the
-    value rows of the words of length <= k, so r_k is their rank.  Words
-    are built only up to the length at which the ranks settle."""
-    n = frame.n
+    the stabilization order ell, for k up to the ell_max of the frame's
+    hypersurface.  F_k(0) is the common kernel of the value rows of the
+    words of length <= k, so r_k is their rank.  Words are built only up
+    to the length at which the ranks settle."""
+    n, ell_max = frame.n, frame.hypersurface.ell_max
     values = iterated_h0_at_origin(frame, ell_max)
     ranks = [0]                       # r_0 = n - dim F_0 = 0
     rows: List[List[GaussRational]] = []

@@ -9,12 +9,15 @@ once, and every function reads them from it:
   * m    -- least s-power carrying a nonzero (z,c)-part (None = Levi flat)
   * r    -- lowest total degree of phi_m
   * psi  -- phi / s^m
+  * ell_max -- min(ELL_CAP, trunc - m - 1), the longest word that ell and
+    the filtration probe
 
 From psi we compute:
 
   * essentiality of the coefficient ideal of psi(z,chi,0), certified by a
-    truncated Nakayama argument
-  * the nondegeneracy order ell from chi-derivatives of d(psi)/dz at 0
+    truncated Nakayama argument up to degree ESSENTIALITY_DEGREE
+  * the nondegeneracy order ell from chi-derivatives of d(psi)/dz at 0,
+    up to order ell_max
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Tuple
 
-from .errors import TruncationError, ValidationError
+from .errors import ValidationError
 from .linalg import rank, rref
 from .scalars import GaussRational
 from .series import Series, hypersurface_vars
+
+ESSENTIALITY_DEGREE = 4              # largest certificate degree tried
+ELL_CAP = 4                          # longest word ell and filtration probe
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,14 @@ class Hypersurface:
         m = self.m
         return None if m is None else self.phi.divide_by_power("s", m)
 
+    @property
+    def ell_max(self) -> Optional[int]:
+        # psi = phi / s^m is known through order trunc - m, and a word of
+        # length ell needs order ell + 1; a nonzero normal-form phi has
+        # trunc >= m + 2, so the bound is at least 1
+        m = self.m
+        return None if m is None else min(ELL_CAP, self.trunc - m - 1)
+
     def vars(self) -> Tuple[str, ...]:
         return hypersurface_vars(self.n)
 
@@ -86,13 +100,6 @@ class EllVerdict:
         if self.degenerate:
             return {"status": "degenerate-up-to", "ell_max": self.ell}
         return {"status": "nondegenerate", "ell": self.ell}
-
-
-@dataclass
-class InvariantReport:
-    essential: EssentialityVerdict
-    ell: EllVerdict
-    ell_max: int                     # longest word ell and filtration probe
 
 
 def validate(h: Hypersurface) -> None:
@@ -141,8 +148,8 @@ def _z_monomials(n: int, deg: int):
             yield (head,) + tail
 
 
-def essentiality_check(h: Hypersurface, D: int) -> EssentialityVerdict:
-    """Decide m-essentiality up to degree bound D.
+def essentiality_check(h: Hypersurface) -> EssentialityVerdict:
+    """Decide m-essentiality up to degree D = ESSENTIALITY_DEGREE.
 
     certified-essential(d): every z-monomial of degree d lies in the span of
     the products z^delta * a_alpha reduced mod degree > d; by Nakayama the
@@ -153,7 +160,7 @@ def essentiality_check(h: Hypersurface, D: int) -> EssentialityVerdict:
     """
     if h.levi_flat:
         raise ValidationError("essentiality undefined for Levi-flat input")
-    n = h.n
+    n, D = h.n, ESSENTIALITY_DEGREE
     a_funcs = _coefficient_functions(h.psi, n)
     if not a_funcs:
         return EssentialityVerdict("inconclusive", D,
@@ -206,18 +213,13 @@ def essentiality_check(h: Hypersurface, D: int) -> EssentialityVerdict:
                                f"no certificate found up to degree {D}")
 
 
-def nondegeneracy_ell(h: Hypersurface, ell_max: int) -> EllVerdict:
-    """Least ell such that the chi-derivatives of d(psi)/dz up to order ell,
-    evaluated at the origin, span C^n."""
+def nondegeneracy_ell(h: Hypersurface) -> EllVerdict:
+    """Least ell <= h.ell_max such that the chi-derivatives of d(psi)/dz
+    up to order ell, evaluated at the origin, span C^n."""
     if h.levi_flat:
         raise ValidationError("nondegeneracy undefined for Levi-flat input")
-    n = h.n
-    psi = h.psi
-    if ell_max + 1 > psi.trunc:
-        raise TruncationError(
-            f"ell_max={ell_max} needs truncation >= {ell_max + 1} after "
-            f"desingularization, have {psi.trunc}")
-    psi0 = psi.set_var_zero("s")
+    n, ell_max = h.n, h.ell_max
+    psi0 = h.psi.set_var_zero("s")
     rows = []
     for ell in range(0, ell_max + 1):
         for alpha in _z_monomials(n, ell):
@@ -233,14 +235,3 @@ def nondegeneracy_ell(h: Hypersurface, ell_max: int) -> EllVerdict:
         if rows and rank(rows) == n:
             return EllVerdict(degenerate=False, ell=ell)
     return EllVerdict(degenerate=True, ell=ell_max)
-
-
-def full_report(h: Hypersurface) -> InvariantReport:
-    """Essentiality up to degree 4 and the nondegeneracy order up to word
-    length 4 of a surface that is not Levi flat."""
-    essential = essentiality_check(h, 4)     # raises if Levi flat
-    # psi = phi / s^m is known through order trunc - m, and a word of
-    # length ell needs order ell + 1; a nonzero normal-form phi has
-    # trunc >= m + 2, so the bound is at least 1
-    ell_max = min(4, h.trunc - h.m - 1)
-    return InvariantReport(essential, nondegeneracy_ell(h, ell_max), ell_max)

@@ -18,6 +18,7 @@ Briot-Bouquet system in (t = s, y = jet variables).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -124,7 +125,7 @@ class SampleSolution:
     sample: Tuple[Fraction, ...]
     solution: FormalLogSolution
     growth: float                # max_k ||c_k||_inf^{1/k} (0 if trivial)
-    radius_proxy: Optional[float]
+    radius_proxy: Optional[float]  # 1/growth if a finite float, else None
 
 
 def assemble_and_solve(ps: ProlongedSystem, order: int
@@ -182,7 +183,10 @@ def assemble_and_solve(ps: ProlongedSystem, order: int
             mag = max(abs(to_complex(x, where)) for x in v)
             if mag > 0:
                 growth = max(growth, mag ** (1.0 / k))
-        radius = (1.0 / growth) if growth > 0 else None
-        results.append(SampleSolution(sample=tuple(sample), solution=sol,
-                                      growth=growth, radius_proxy=radius))
+        # JSON has no infinity: no proxy when the growth is 0 or its
+        # reciprocal leaves the float range
+        radius = 1.0 / growth if growth > 0 else math.inf
+        results.append(SampleSolution(
+            sample=tuple(sample), solution=sol, growth=growth,
+            radius_proxy=radius if math.isfinite(radius) else None))
     return results

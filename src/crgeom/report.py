@@ -18,12 +18,12 @@ from typing import Dict, Optional, Tuple
 
 from . import corpus
 from .briot_bouquet import (BBSystem, FormalLogSolution, bb_vars,
-                            dulac_classify, formal_solve, linear_part,
-                            numeric_oracle)
+                            dulac_classify, formal_solve, numeric_oracle)
 from .crmap import HoloMap, check_identities, map_vars
 from .errors import ParseError, ValidationError
 from .frame import Frame, filtration, levi
-from .hypersurface import Hypersurface, full_report
+from .hypersurface import (Hypersurface, essentiality_check,
+                           nondegeneracy_ell)
 from .parsing import (MAX_COEFF_BITS, MAX_DIM, MAX_TRUNC, drops_terms,
                       parse_series)
 from .prolongation import (ProlongedSystem, assemble_and_solve,
@@ -233,19 +233,18 @@ def hypersurface_report(h: Hypersurface) -> dict:
     }
     if h.levi_flat:
         return out
-    rep = full_report(h)
     inv = out["invariants"]
     inv["r"] = h.r
     inv["phi_m"] = h.phi_m.to_literal()
-    inv["essential"] = rep.essential.as_dict()
-    inv["ell"] = rep.ell.as_dict()
+    inv["essential"] = essentiality_check(h).as_dict()
+    inv["ell"] = nondegeneracy_ell(h).as_dict()
 
     fr = Frame(h)
     ld = levi(fr)
     type2 = any(not ld.h0[a][b].constant_term().is_zero()
                 for a in range(h.n) for b in range(h.n))
     inv["type_2"] = type2
-    filt = filtration(fr, rep.ell_max)
+    filt = filtration(fr)
     inv["filtration_ranks"] = filt.ranks
     inv["filtration_ell"] = filt.ell
     inv["filtration_nondegenerate"] = filt.nondegenerate
@@ -288,9 +287,8 @@ def map_report(f: HoloMap, src: Hypersurface, tgt: Hypersurface) -> dict:
 
 
 def bb_report(sys: BBSystem, oracle_t0: Optional[float] = None) -> dict:
-    lp = linear_part(sys)
     sol = formal_solve(sys)
-    dul = dulac_classify(lp)
+    dul = dulac_classify(sys)
     lists = _solution_lists(sol)
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -298,8 +296,8 @@ def bb_report(sys: BBSystem, oracle_t0: Optional[float] = None) -> dict:
         "input": {"N": sys.N, "order": sys.order,
                   "f": [g.to_literal() for g in sys.f]},
         "linear_part": {
-            "p": [format_coefficient(x) for x in lp.p],
-            "A": [[format_coefficient(x) for x in row] for row in lp.A],
+            "p": [format_coefficient(x) for x in sys.p],
+            "A": [[format_coefficient(x) for x in row] for row in sys.A],
             "char_poly": [format_coefficient(c) for c in dul.char],
         },
         "resonances": lists["resonances"],
@@ -364,14 +362,13 @@ def examples_report(trunc: Optional[int] = None) -> dict:
             f"examples needs --trunc >= {corpus.MIN_TRUNC}: below it the "
             "implicit surface's m and r and the filtration are undetermined")
     m0 = corpus.model_surface(t)
-    rep0 = full_report(m0)
     check("model-surface m", 1, m0.m)
     check("model-surface r", 2, m0.r)
     check("model-surface ell", {"status": "nondegenerate", "ell": 1},
-          rep0.ell.as_dict())
+          nondegeneracy_ell(m0).as_dict())
     check("model-surface essential",
           {"status": "certified-essential", "bound": 1, "detail": ""},
-          rep0.essential.as_dict())
+          essentiality_check(m0).as_dict())
     levi0 = levi(Frame(m0))
     check("model-surface type-2 leading term", "1",
           format_coefficient(levi0.h0[0][0].constant_term() * HALF_OVER_I))
@@ -393,8 +390,7 @@ def examples_report(trunc: Optional[int] = None) -> dict:
     check("identity-map xi", "1", rr_id.xi.to_literal())
     check("identity-map residuals", True, rr_id.all_zero())
 
-    filt_h = corpus.filtration_example_surface(t)
-    filt = filtration(Frame(filt_h), full_report(filt_h).ell_max)
+    filt = filtration(Frame(corpus.filtration_example_surface(t)))
     check("filtration ranks", [0, 1, 2], filt.ranks)
     check("filtration ell", 2, filt.ell)
 

@@ -389,8 +389,6 @@ class Series:
         :func:`substitute`."""
         return substitute([self], mapping)[0]
 
-    # -- evaluation --------------------------------------------------------------
-
     # -- formatting ---------------------------------------------------------------
 
     def _monomial_str(self, exps: Exponents) -> str:

@@ -9,12 +9,12 @@ import json
 
 from crgeom import corpus
 from crgeom.briot_bouquet import (bb_vars, BBSystem, dulac_classify,
-                                  formal_solve, linear_part, numeric_oracle)
+                                  formal_solve, numeric_oracle)
 from crgeom.cli import main
 from crgeom.crmap import (check_identities, compose_with_map, maps_into,
                           restriction_data)
 from crgeom.frame import Frame, iterated_forms, levi
-from crgeom.hypersurface import full_report
+from crgeom.hypersurface import essentiality_check, nondegeneracy_ell
 from crgeom.parsing import parse_series
 from crgeom.prolongation import (assemble_and_solve, contact_prolong,
                                  rhs_vars, var_name)
@@ -34,12 +34,13 @@ def corpus_surfaces(t=8):
 
 def test_criterion_01_model_invariants():
     h = corpus.model_surface(8)
-    rep = full_report(h)
+    essential = essentiality_check(h)
     ld = levi(Frame(h))
     ok = (h.m == 1 and h.r == 2
-          and rep.ell.as_dict() == {"status": "nondegenerate", "ell": 1}
-          and rep.essential.status == "certified-essential"
-          and rep.essential.bound == 1
+          and nondegeneracy_ell(h).as_dict() == {"status": "nondegenerate",
+                                                 "ell": 1}
+          and essential.status == "certified-essential"
+          and essential.bound == 1
           and ld.h0[0][0].constant_term() * HALF_OVER_I == GaussRational(1))
     _verdict("01 model-surface invariants", ok)
 
@@ -125,9 +126,8 @@ def test_criterion_08_resonance_and_log_terms():
     for exprs, want_p in ((["y1"], 1), (["-2*y1"], 0),
                           (["y2", "-1*y1"], 2)):
         N = len(exprs)
-        lp = linear_part(BBSystem(
-            N, [parse_series(e, bb_vars(N), 12) for e in exprs], 6))
-        ok = ok and dulac_classify(lp).p == want_p
+        sys_ = BBSystem(N, [parse_series(e, bb_vars(N), 12) for e in exprs], 6)
+        ok = ok and dulac_classify(sys_).p == want_p
     _verdict("08 resonance and log terms", ok)
 
 

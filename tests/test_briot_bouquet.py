@@ -5,8 +5,7 @@ import pytest
 
 import crgeom.briot_bouquet as bb
 from crgeom.briot_bouquet import (BBSystem, bb_vars, dulac_classify,
-                                  formal_solve, linear_part, numeric_oracle,
-                                  resonances)
+                                  formal_solve, numeric_oracle)
 from crgeom.errors import InvariantViolation, ValidationError
 from crgeom.linalg import count_eigenvalues_nonpositive_real, mat_mul
 from crgeom.parsing import parse_series
@@ -41,21 +40,26 @@ def test_constructor_checks_the_system():
 
 
 def test_linear_part_readoff():
-    lp = linear_part(mk(1, ["3/2*y1 + t"]))
-    assert [str(x) for x in lp.p] == ["1"]
-    assert [[str(x) for x in r] for r in lp.A] == [["3/2"]]
+    sys1 = mk(1, ["3/2*y1 + t"])
+    assert [str(x) for x in sys1.p] == ["1"]
+    assert [[str(x) for x in r] for r in sys1.A] == [["3/2"]]
 
-    lp2 = linear_part(mk(2, ["y2 + t^2", "y1"]))
-    assert [str(x) for x in lp2.p] == ["0", "0"]
-    assert [[str(x) for x in r] for r in lp2.A] == [["0", "1"], ["1", "0"]]
-    char = dulac_classify(lp2).char
+    sys2 = mk(2, ["y2 + t^2", "y1"])
+    assert [str(x) for x in sys2.p] == ["0", "0"]
+    assert [[str(x) for x in r] for r in sys2.A] == [["0", "1"], ["1", "0"]]
+    char = dulac_classify(sys2).char
     assert [str(c) for c in char] == ["-1", "0", "1"]    # k^2 - 1
+    # read off f once, and kept
+    assert sys2.A is sys2.A and sys2.p is sys2.p
 
 
 def test_resonances():
-    assert resonances(linear_part(mk(1, ["y1"])), 10) == [(1, 1)]
-    assert resonances(linear_part(mk(1, ["1/2*y1"])), 10) == []
-    assert resonances(linear_part(mk(2, ["y2 + t^2", "y1"])), 10) == [(1, 1)]
+    assert mk(1, ["y1"]).resonances == [(1, 1)]
+    assert mk(1, ["1/2*y1"]).resonances == []
+    assert mk(2, ["y2 + t^2", "y1"]).resonances == [(1, 1)]
+    # only k <= order is probed
+    assert mk(1, ["3*y1"], order=2).resonances == []
+    assert mk(1, ["3*y1"], order=3).resonances == [(3, 1)]
 
 
 def test_nonresonant_solution():
@@ -137,12 +141,12 @@ def test_nonresonant_uniqueness_by_perturbation():
 
 
 def test_dulac_counts():
-    assert dulac_classify(linear_part(mk(1, ["-2*y1"]))).p == 0
-    assert dulac_classify(linear_part(mk(1, ["y1"]))).p == 1
+    assert dulac_classify(mk(1, ["-2*y1"])).p == 0
+    assert dulac_classify(mk(1, ["y1"])).p == 1
     # rotation: eigenvalues +-i, both count toward p
-    assert dulac_classify(linear_part(mk(2, ["y2", "-1*y1"]))).p == 2
+    assert dulac_classify(mk(2, ["y2", "-1*y1"])).p == 2
     # mixed: eigenvalues 1 and -2
-    rep = dulac_classify(linear_part(mk(2, ["y1", "-2*y2"])))
+    rep = dulac_classify(mk(2, ["y1", "-2*y2"]))
     assert rep.p == 1 and rep.nonpositive_real == 1
 
 
@@ -181,12 +185,11 @@ def test_dulac_count_matches_chosen_roots():
 def test_dulac_similarity_invariance():
     # A -> P^-1 A P preserves the characteristic polynomial, hence p
     base = mk(2, ["y1 + y2", "-3*y2"])
-    lp = linear_part(base)
     p_mat = [[GaussRational(1), GaussRational(2)],
              [GaussRational(1), GaussRational(3)]]
     p_inv = [[GaussRational(3), GaussRational(-2)],
              [GaussRational(-1), GaussRational(1)]]
-    sim = mat_mul(p_inv, mat_mul(lp.A, p_mat))
+    sim = mat_mul(p_inv, mat_mul(base.A, p_mat))
     exprs = []
     for i in range(2):
         parts = []
@@ -196,7 +199,7 @@ def test_dulac_similarity_invariance():
                 parts.append(f"({c.re})*y{j+1}" if c.im == 0 else "?")
         exprs.append(" + ".join(parts) if parts else "t*0")
     sys2 = mk(2, exprs)
-    assert dulac_classify(linear_part(sys2)).p == dulac_classify(lp).p
+    assert dulac_classify(sys2).p == dulac_classify(base).p
 
 
 def test_numeric_oracle_both_signs():

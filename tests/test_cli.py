@@ -115,6 +115,32 @@ def test_each_type_is_computed_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_each_linear_part_is_read_once(tmp_path, capsys, monkeypatch):
+    # p, A and the resonances are cached properties of the BBSystem:
+    # bb-solve reads the N(N + 1) coefficients of the linear part off f
+    # once for the solver and the report, and ranks kI - A once per k
+    import crgeom.briot_bouquet as bb
+    from crgeom.series import Series
+    coefficients, ranks = [], []
+    coefficient, rank = Series.coefficient, bb.rank
+
+    def counted_coefficient(self, exps):
+        coefficients.append(exps)
+        return coefficient(self, exps)
+
+    def counted_rank(rows):
+        ranks.append(len(rows))
+        return rank(rows)
+    monkeypatch.setattr(Series, "coefficient", counted_coefficient)
+    monkeypatch.setattr(bb, "rank", counted_rank)
+    path = write(tmp_path, "two.bb", 'N = 2\norder = 7\n'
+                 'f1 = "y1 + t + y1*y2"\nf2 = "-1/2*y2 + t*y1"\n')
+    assert main(["bb-solve", path]) == 0
+    assert len(coefficients) == 2 * 3
+    assert ranks == [2] * 7
+    capsys.readouterr()
+
+
 def test_report_levi_flat_m_infinity(tmp_path, capsys):
     path = write(tmp_path, "flat.hs", FLAT)
     code, rep = run_json(capsys, ["report", path])
@@ -384,6 +410,22 @@ def test_prolong_toy(tmp_path, capsys):
     assert sample["coefficients"] == [{"k": 1, "r": 0, "vector": ["-1"]}]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_prolong_radius_proxy_past_the_float_range_is_null(tmp_path, capsys):
+    # growth 2^-1074 (5e-324): its reciprocal overflows to inf, which
+    # printed as Infinity, and that is not JSON
+    path = write(tmp_path, "tiny.pr", 'n = 0\nk = 0\norder = 1\n'
+                 'u1__0 = "(-1)*u1__0 + 2*(1/2^537)^2*s"\n')
+    assert main(["prolong", path]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    diagnostics = rep["samples"][0]["diagnostics"]
+    assert diagnostics["growth"] == 5e-324
+    assert diagnostics["radius_proxy"] is None
+
+
 def test_prolong_x_dependent_without_samples_exit_1(tmp_path, capsys):
     path = write(tmp_path, "nox.pr",
                  'n = 1\nk = 0\norder = 6\ntrunc = 8\n'
@@ -477,7 +519,7 @@ def test_examples_below_trunc_4_exit_1(capsys, trunc):
 
 @pytest.mark.parametrize("trunc", ["4", "5"])
 def test_examples_at_trunc_4_and_5_all_ok(capsys, trunc):
-    # the filtration probes the words that full_report's clamp allows
+    # the filtration probes words up to the surface's ell_max
     code, rep = run_json(capsys, ["examples", "--json", "--trunc", trunc])
     assert code == 0
     assert rep["trunc"] == int(trunc)

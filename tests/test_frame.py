@@ -2,10 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from crgeom import corpus
+from crgeom.errors import InvariantViolation, TruncationError, ValidationError
 from crgeom.frame import (Frame, filtration, iterated_forms,
                           iterated_h0_at_origin, levi)
 from crgeom.hypersurface import Hypersurface
@@ -329,9 +331,11 @@ def test_model_bracket_and_levi_values():
     assert ld.h0[0][0].constant_term() == GaussRational(0, 2)
     # phi = s*g(z,c) makes the bracket with s^m T collapse exactly
     assert ld.h0_bar[0].is_zero()
-    # a_1bar = m (L_1bar s)/s = -i z/(1 + i z c)
-    assert ld.a_bar[0].coefficient((1, 0, 0)) == GaussRational(0, -1)
-    assert ld.a_bar[0].coefficient((2, 1, 0)) == GaussRational(-1)
+    # a_1bar = m Q_1 / s = -i z/(1 + i z c), with m = 1: levi forms it
+    # for h0_bar, from the frame's Q
+    assert fr.hypersurface.m == 1
+    assert fr.Q[0].coefficient((1, 0, 1)) == GaussRational(0, -1)
+    assert fr.Q[0].coefficient((2, 1, 1)) == GaussRational(-1)
 
 
 def test_iterated_recursion():
@@ -352,6 +356,16 @@ def test_iterated_recursion():
                         forms[word][0] * forms[(c,)][d]
                     tr = min(lhs.trunc, rhs.trunc)
                     assert (lhs.truncate(tr) - rhs.truncate(tr)).is_zero()
+
+
+def test_iterated_forms_truncation_guard():
+    fr = Frame(corpus.model_surface(T))
+    with pytest.raises(TruncationError) as exc:
+        list(iterated_forms(fr, fr.trunc + 1))
+    # asking for more words than the trunc determines means the input is
+    # too short; no theory is violated
+    assert isinstance(exc.value, ValidationError)
+    assert not isinstance(exc.value, InvariantViolation)
 
 
 def coordinate_lie_derivative(x, omega):
@@ -389,7 +403,7 @@ def test_iterated_forms_match_coordinate_lie_derivative():
 
 def test_filtration_model():
     fr = Frame(corpus.model_surface(T))
-    filt = filtration(fr, 4)
+    filt = filtration(fr)
     assert filt.ranks == [0, 1]
     assert filt.ell == 1
     assert filt.nondegenerate
@@ -398,7 +412,7 @@ def test_filtration_model():
 def test_filtration_example():
     h = corpus.filtration_example_surface(T)
     fr = Frame(h)
-    filt = filtration(fr, 4)
+    filt = filtration(fr)
     assert filt.ranks == [0, 1, 2]
     assert filt.ell == 2
     assert filt.nondegenerate
@@ -408,8 +422,8 @@ def test_filtration_matches_nondegeneracy_order():
     from crgeom.hypersurface import nondegeneracy_ell
     for h in surfaces():
         fr = Frame(h)
-        filt = filtration(fr, 4)
-        verdict = nondegeneracy_ell(h, 4)
+        filt = filtration(fr)
+        verdict = nondegeneracy_ell(h)
         assert filt.nondegenerate == (not verdict.degenerate)
         if filt.nondegenerate:
             assert filt.ell == verdict.ell

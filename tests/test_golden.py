@@ -1,5 +1,6 @@
 """Byte-identity gate: the CLI's stdout on seed 0 of each benchmark
-workload must match the SHA-256 digests recorded in perfbench/golden.json.
+workload must match the SHA-256 digests recorded in perfbench/golden.json,
+and must be strict JSON (no NaN or Infinity).
 
 The inputs come from the benchmark's own generator (perfbench/gen.py,
 run as a child process); nothing under perfbench/ is written.
@@ -22,6 +23,10 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 SEED = 0
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("workload", ["invariants", "maps", "odes"])
 def test_golden_stdout(workload, tmp_path):
     subprocess.run([sys.executable, os.path.join(PERFBENCH, "gen.py"),
@@ -40,5 +45,6 @@ def test_golden_stdout(workload, tmp_path):
         with contextlib.redirect_stdout(out):
             code = main(argv)
         assert code == 0, argv
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
         got = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
         assert got == want, f"stdout of {' '.join(job['argv'])} changed"

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from crgeom import corpus
-from crgeom.errors import (InvariantViolation, TruncationError,
-                           ValidationError)
+from crgeom.errors import ValidationError
 from crgeom.hypersurface import (Hypersurface, essentiality_check,
-                                 full_report, nondegeneracy_ell, validate)
+                                 nondegeneracy_ell, validate)
 from crgeom.scalars import GaussRational
 from crgeom.series import Series, hypersurface_vars
 
@@ -54,10 +53,11 @@ def test_levi_flat():
     h = corpus.levi_flat_surface(T)
     assert h.levi_flat
     assert h.m is None
+    assert h.ell_max is None
     with pytest.raises(ValidationError):
-        essentiality_check(corpus.levi_flat_surface(T), 3)
+        essentiality_check(h)
     with pytest.raises(ValidationError):
-        nondegeneracy_ell(corpus.levi_flat_surface(T), 3)
+        nondegeneracy_ell(h)
 
 
 def test_two_infinite_type_surface():
@@ -68,7 +68,7 @@ def test_two_infinite_type_surface():
 
 
 def test_essentiality_certified_for_model():
-    v = essentiality_check(model(), 4)
+    v = essentiality_check(model())
     assert v.status == "certified-essential"
     assert v.bound == 1
 
@@ -76,7 +76,7 @@ def test_essentiality_certified_for_model():
 def test_essentiality_higher_degree_certificate():
     # psi = z^2 chi^2: the coefficient ideal is (z^2), codimension 2
     phi = sv("s") * (sv("z1") * sv("c1")) ** 2
-    v = essentiality_check(Hypersurface(1, phi), 4)
+    v = essentiality_check(Hypersurface(1, phi))
     assert v.status == "certified-essential"
     assert v.bound == 2
 
@@ -85,37 +85,34 @@ def test_essentiality_structural_obstruction():
     # z2 never appears: ideal sits inside (z1), infinite codimension
     z1, c1, s = sv("z1", V2), sv("c1", V2), sv("s", V2)
     phi = s * z1 * c1
-    v = essentiality_check(Hypersurface(2, phi), 4)
+    v = essentiality_check(Hypersurface(2, phi))
     assert v.status == "not-essential-up-to"
     assert "z2" in v.detail
 
 
 def test_nondegeneracy_model():
-    v = nondegeneracy_ell(model(), 4)
+    v = nondegeneracy_ell(model())
     assert not v.degenerate
     assert v.ell == 1
 
 
 def test_nondegeneracy_order_two():
     h = corpus.filtration_example_surface(T)
-    v = nondegeneracy_ell(h, 4)
+    v = nondegeneracy_ell(h)
     assert not v.degenerate
     assert v.ell == 2
 
 
-def test_nondegeneracy_truncation_guard():
-    with pytest.raises(TruncationError) as exc:
-        nondegeneracy_ell(model(), T + 5)
-    # asking for more words than the trunc determines means the input is
-    # too short; no theory is violated
-    assert isinstance(exc.value, ValidationError)
-    assert not isinstance(exc.value, InvariantViolation)
-
-
-def test_full_report_model():
-    rep = full_report(model())
-    assert rep.essential.status == "certified-essential"
-    assert rep.ell.as_dict() == {"status": "nondegenerate", "ell": 1}
+def test_model_verdicts():
+    h = model()
+    assert h.ell_max == 4
+    assert essentiality_check(h).status == "certified-essential"
+    assert nondegeneracy_ell(h).as_dict() == {"status": "nondegenerate",
+                                              "ell": 1}
+    # psi = phi / s is known through order 2 at trunc 3: words of length 1
+    short = corpus.model_surface(3)
+    assert short.ell_max == 1
+    assert nondegeneracy_ell(short).ell == 1
 
 
 def test_invariants_under_exact_rotation():
@@ -135,6 +132,5 @@ def test_invariants_under_exact_rotation():
     h_rot = Hypersurface(2, phi_rot)     # checks normal form and reality
     assert h.m == h_rot.m
     assert h.r == h_rot.r
-    assert nondegeneracy_ell(h, 4).ell == nondegeneracy_ell(h_rot, 4).ell
-    assert essentiality_check(h, 4).status == \
-        essentiality_check(h_rot, 4).status
+    assert nondegeneracy_ell(h).ell == nondegeneracy_ell(h_rot).ell
+    assert essentiality_check(h).status == essentiality_check(h_rot).status
