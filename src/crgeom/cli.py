@@ -3,8 +3,10 @@
 Subcommands: report, check-map, bb-solve, prolong, examples.  --trunc
 overrides the series truncation of report, check-map and examples;
 bb-solve takes its solve order from --order or its file, and prolong
-reads both from its file.  Exit codes: 0 success, 1 validation failure
-or usage error, 2 exact-invariant violation, 3 parse error.
+reads both from its file.  Every command prints JSON but examples,
+which prints a table, or JSON under --json.  Exit codes: 0 success,
+1 validation failure or usage error, 2 exact-invariant violation, 3 parse
+error.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def output(p):
         p.add_argument("--out", default=None, help="write report to a file")
-        p.add_argument("--json", action="store_true",
-                       help="force JSON output (default for most commands)")
 
     def common(p):
         p.add_argument("--trunc", type=int, default=None,
@@ -71,6 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("examples", help="run the built-in example corpus")
     common(p)
+    p.add_argument("--json", action="store_true",
+                   help="JSON output instead of the summary table")
     return ap
 
 

@@ -1,9 +1,10 @@
 """Hypersurfaces in normal form and their biholomorphic invariants.
 
 A hypersurface is Im w = phi(z, zbar, Re w) with phi(z,0,s) = phi(0,chi,s)
-= 0 (normality) and phi real.  ``Hypersurface(n, phi)`` checks both once,
-at construction, and raises ValidationError naming an offending monomial;
-everything downstream relies on them.  A surface computes these at most
+= 0 (normality) and phi real, over hypersurface_vars(n).
+``Hypersurface(n, phi)`` checks all three once, at construction, and
+raises ValidationError naming an offending monomial or the variable
+tuples; everything downstream relies on them.  A surface computes these at most
 once, and every function reads them from it:
 
   * m    -- least s-power carrying a nonzero (z,c)-part (None = Levi flat)
@@ -29,7 +30,7 @@ from typing import List, Optional, Tuple
 from .errors import ValidationError
 from .linalg import rank, rref
 from .scalars import GaussRational
-from .series import Series, hypersurface_vars
+from .series import Series, exponent_vectors, hypersurface_vars
 
 ESSENTIALITY_DEGREE = 4              # largest certificate degree tried
 ELL_CAP = 4                          # longest word ell and filtration probe
@@ -105,9 +106,14 @@ class EllVerdict:
 def validate(h: Hypersurface) -> None:
     """Check normality (phi(z,0,s) = phi(0,chi,s) = 0) and reality of phi;
     the Hypersurface constructor calls it.  Raises ValidationError listing
-    an offending monomial."""
+    an offending monomial, or the variable tuples when phi is not over
+    hypersurface_vars(n)."""
     phi = h.phi
     n = h.n
+    if n < 0 or phi.vars != h.vars():
+        raise ValidationError(
+            f"phi is a series over {phi.vars}; a hypersurface with n = {n} "
+            f"needs n >= 0 and phi over {h.vars()}")
     for exps, _ in phi.terms.items():
         zdeg = sum(exps[:n])
         cdeg = sum(exps[n:2 * n])
@@ -136,16 +142,6 @@ def _coefficient_functions(psi: Series, n: int) -> List[Series]:
         by_alpha.setdefault(alpha, {})[zpart] = c
     return [Series(psi.vars, psi.trunc, terms) for _, terms in
             sorted(by_alpha.items())]
-
-
-def _z_monomials(n: int, deg: int):
-    """All exponent vectors of z-monomials of exact total degree `deg`."""
-    if n == 1:
-        yield (deg,)
-        return
-    for head in range(deg + 1):
-        for tail in _z_monomials(n - 1, deg - head):
-            yield (head,) + tail
 
 
 def essentiality_check(h: Hypersurface) -> EssentialityVerdict:
@@ -182,32 +178,31 @@ def essentiality_check(h: Hypersurface) -> EssentialityVerdict:
         if d > h.trunc:
             break
         # span of z^delta * a_alpha (mod degree > d), as vectors over the
-        # monomial basis of C[z] of degree <= d
-        index = {}
-        for deg in range(d + 1):
-            for mono in _z_monomials(n, deg):
-                index[mono] = len(index)
+        # monomial basis of C[z] of degree <= d, ordered by degree
+        monos = sorted(exponent_vectors(n, d), key=sum)
+        index = {mono: k for k, mono in enumerate(monos)}
         rows = []
         for a in a_funcs:
-            for delta_deg in range(d):
-                for delta in _z_monomials(n, delta_deg):
-                    row = [GaussRational(0)] * len(index)
-                    nonzero = False
-                    for exps, c in a.terms.items():
-                        ze = tuple(exps[j] + delta[j] for j in range(n))
-                        if sum(ze) > d:
-                            continue
-                        row[index[ze]] = row[index[ze]] + c
-                        nonzero = True
-                    if nonzero:
-                        rows.append(row)
+            for delta in monos:
+                if sum(delta) == d:      # monos is ordered by degree
+                    break
+                row = [GaussRational(0)] * len(index)
+                nonzero = False
+                for exps, c in a.terms.items():
+                    ze = tuple(exps[j] + delta[j] for j in range(n))
+                    if sum(ze) > d:
+                        continue
+                    row[index[ze]] = row[index[ze]] + c
+                    nonzero = True
+                if nonzero:
+                    rows.append(row)
         if not rows:
             continue
         red, pivots = rref(rows)
         # e_c lies in the row span iff c is a pivot whose reduced row is e_c
         units = {c for c, row in zip(pivots, red)
                  if sum(not x.is_zero() for x in row) == 1}
-        if all(index[mono] in units for mono in _z_monomials(n, d)):
+        if all(index[mono] in units for mono in monos if sum(mono) == d):
             return EssentialityVerdict("certified-essential", d, "")
     return EssentialityVerdict("inconclusive", D,
                                f"no certificate found up to degree {D}")
@@ -222,7 +217,9 @@ def nondegeneracy_ell(h: Hypersurface) -> EllVerdict:
     psi0 = h.psi.set_var_zero("s")
     rows = []
     for ell in range(0, ell_max + 1):
-        for alpha in _z_monomials(n, ell):
+        for alpha in exponent_vectors(n, ell):
+            if sum(alpha) < ell:
+                continue                 # probed at a lower order
             # row B-component: d^alpha/d chi^alpha  d psi/d z_B at 0
             # = alpha! * coefficient of z_B * chi^alpha  (scaling irrelevant)
             row = []

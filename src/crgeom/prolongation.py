@@ -26,26 +26,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .briot_bouquet import BBSystem, FormalLogSolution, bb_vars, formal_solve
 from .errors import ValidationError
 from .scalars import GaussRational, to_complex
-from .series import Series
+from .series import Series, exponent_vectors
 
 Slot = Tuple[Tuple[int, ...], int]          # (alpha, p)
 
 _ZERO = GaussRational(0)
 
 
-def _bounded(dim: int, budget: int) -> List[Tuple[int, ...]]:
-    """All alpha in Z_+^dim with |alpha| <= budget, in lexicographic order."""
-    if dim == 0:
-        return [()]
-    return [(a,) + rest for a in range(budget + 1)
-            for rest in _bounded(dim - 1, budget - a)]
-
-
 def jet_slots(n: int, k: int) -> List[Slot]:
     """All (alpha, p) with alpha in Z_+^{2n}, p >= 0, |alpha| + p <= k,
     graded-lexicographically ordered."""
     return [(alpha, total - sum(alpha)) for total in range(k + 1)
-            for alpha in _bounded(2 * n, total)]
+            for alpha in exponent_vectors(2 * n, total)]
 
 
 def var_name(i: int, alpha: Tuple[int, ...], p: int) -> str:

@@ -99,25 +99,18 @@ def _require(pairs: Dict[str, str], key: str, path: str) -> str:
     return pairs[key]
 
 
-def _int(pairs: Dict[str, str], key: str, path: str,
-         default: Optional[int] = None) -> int:
-    if key not in pairs:
-        if default is not None:
-            return default
-        raise ValidationError(f"{path}: missing required key {key!r}")
-    try:
-        return int(pairs[key])
-    except ValueError:
-        raise ValidationError(f"{path}: key {key!r} must be an integer")
-
-
 def _bounded(pairs: Dict[str, str], key: str, path: str, lo: int, hi: int,
              default: Optional[int] = None) -> int:
     """An integer key in ``lo..hi``, like ``--trunc``, so that a short
     file cannot demand unbounded work; a default is not a key and is not
     checked."""
-    value = _int(pairs, key, path, default=default)
-    if key in pairs and not lo <= value <= hi:
+    if key not in pairs and default is not None:
+        return default
+    try:
+        value = int(_require(pairs, key, path))
+    except ValueError:
+        raise ValidationError(f"{path}: key {key!r} must be an integer")
+    if not lo <= value <= hi:
         raise ValidationError(
             f"{path}: key {key!r} = {value} is outside {lo}..{hi}")
     return value

@@ -17,12 +17,12 @@ A product visits only the term pairs that survive the truncation; when
 one operand has a single term the product is a shift of the other's
 exponents and a scaling of its coefficients (the constant 1 returns the
 other operand), with no accumulation.  ``substitute`` maps several
-series through one image set in one walk over the union of their
-monomials, so monomials with a common prefix share its product of image
-powers, formed once for all of them (``Series.subs`` is the one-series
-case); ``reciprocal`` solves ``f * g = 1`` degree by degree (one
-division for a constant), and ``conjugate`` reads a z <-> c index map
-computed once per variable tuple.
+series through one image set in one recursive walk over the trie of
+their exponent vectors, so the monomials below a node share the product
+of image powers on its path, formed once for all of them
+(``Series.subs`` is the one-series case); ``reciprocal`` solves
+``f * g = 1`` degree by degree (one division for a constant), and
+``conjugate`` reads a z <-> c index map computed once per variable tuple.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import re as _re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import groupby, islice
 from operator import add as _add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -440,33 +440,23 @@ def substitute(series: Sequence[Series], mapping: Mapping[str, Series]
     member's result is exact through the minimum of its own trunc and
     those of the images it uses, as if it were substituted alone.
 
-    The union of the members' monomials is walked in exponent order, so
-    consecutive monomials share the product of their leading image
-    powers.  Each such product is formed once for all members, at the
-    largest trunc that a monomial sharing it needs.
+    The union of the members' monomials is walked as a trie of exponent
+    vectors: the monomials below a node share the product of the image
+    powers on the path to it, formed once for all of them, at the
+    largest trunc that a member with such a monomial needs.
     """
     if not series:
         return []
     vars = series[0].vars
     if any(g.vars != vars for g in series):
         raise ValueError("substitution into series over mixed variable tuples")
-    nv = len(vars)
-    uses = []
-    for g in series:
-        u = [False] * nv
-        for exps in g.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    u[i] = True
-        uses.append(u)
-    used = {vars[i] for u in uses for i in range(nv) if u[i]}
+    uses = [{i for exps in g.terms for i, e in enumerate(exps) if e}
+            for g in series]
+    used = {vars[i] for u in uses for i in u}
     missing = sorted(used - set(mapping))
     if missing:
         raise ValueError(f"no substitution supplied for {missing}")
-    if mapping:
-        target_vars = next(iter(mapping.values())).vars
-    else:
-        target_vars = vars
+    target_vars = next(iter(mapping.values())).vars if mapping else vars
     for name in used:
         img = mapping[name]
         if img.vars != target_vars:
@@ -474,67 +464,49 @@ def substitute(series: Sequence[Series], mapping: Mapping[str, Series]
         if not img.constant_term().is_zero():
             raise ValueError(
                 f"substitution image for {name!r} has nonzero constant term")
-    truncs = [min([g.trunc] + [mapping[vars[i]].trunc
-                               for i in range(nv) if u[i]])
+    truncs = [min([g.trunc] + [mapping[vars[i]].trunc for i in u])
               for g, u in zip(series, uses)]
-    order = sorted(set().union(*(g.terms for g in series)))
-    # need[j]: the largest trunc of a member with the monomial order[j];
-    # shared[j]: how many leading exponents order[j] shares with the next
-    need = [max(t for g, t in zip(series, truncs) if exps in g.terms)
-            for exps in order]
-    shared = []
-    for a, b in zip(order, order[1:]):
-        k = 0
-        while a[k] == b[k]:
-            k += 1
-        shared.append(k)
-    shared.append(0)
     # powers[i][e] = (image of variable i)^e, grown on demand, at the
     # largest trunc of a member that uses variable i
-    powers = [None] * nv
-    for i in range(nv):
-        ts = [t for u, t in zip(uses, truncs) if u[i]]
-        if ts:
-            powers[i] = [None, mapping[vars[i]].truncate(max(ts))]
-    # prefix[i] = product of the image powers at positions < i (None for
-    # 1); in exponent order consecutive monomials share a prefix
-    prefix = [None] * (nv + 1)
+    powers = {i: [None, mapping[vars[i]].truncate(
+                  max(t for u, t in zip(uses, truncs) if i in u))]
+              for i in set().union(*uses)}
     outs = [{} for _ in series]
+    # one row per monomial: (exponents, largest trunc of a member with
+    # it, the (coefficient, trunc, output) of each such member)
+    members: Dict[Exponents, list] = {}
+    for g, t, out in zip(series, truncs, outs):
+        for exps, c in g.terms.items():
+            members.setdefault(exps, []).append((c, t, out))
+    rows = sorted((exps, max(t for _, t, _ in ms), ms)
+                  for exps, ms in members.items())
     one = (0,) * len(target_vars)
-    for j, exps in enumerate(order):
-        for i in range(shared[j - 1] if j else 0, nv):
-            p, e = prefix[i], exps[i]
+
+    def walk(rows, i, prefix):
+        # prefix: the product of the image powers at positions < i shared
+        # by every row here (None for 1)
+        if i == len(vars):
+            (_, _, ms), = rows
+            for c, t, out in ms:
+                products = ([(one, c)] if prefix is None else
+                            [(e, v * c) for e, v in
+                             prefix.truncate(t).terms.items()])
+                for e, v in products:
+                    cur = out.get(e)
+                    out[e] = v if cur is None else cur + v
+            return
+        for e, group in groupby(rows, key=lambda row: row[0][i]):
+            group = list(group)
+            p = prefix
             if e:
                 plist = powers[i]
                 while len(plist) <= e:
                     plist.append(plist[-1] * plist[1])
-                if p is None:
-                    p = plist[e]
-                else:
-                    # formed once for the run of monomials that share
-                    # exps[:i+1], at the largest trunc among them
-                    t, k = need[j], j
-                    while shared[k] > i:
-                        k += 1
-                        t = max(t, need[k])
-                    p = p.truncate(t) * plist[e]
-            prefix[i + 1] = p
-        mono = prefix[nv]
-        for g, t, out in zip(series, truncs, outs):
-            c = g.terms.get(exps)
-            if c is None:
-                continue
-            if mono is None:            # the constant term
-                products = [(one, c)]
-            elif mono.trunc > t:        # formed for a deeper member
-                products = [(e, v * c) for e, v in mono.terms.items()
-                            if sum(e) <= t]
-            else:
-                products = [(e, v * c) for e, v in mono.terms.items()]
-            get = out.get
-            for e, v in products:
-                cur = get(e)
-                out[e] = v if cur is None else cur + v
+                p = plist[e] if p is None else \
+                    p.truncate(max(row[1] for row in group)) * plist[e]
+            walk(group, i + 1, p)
+
+    walk(rows, 0, None)
     return [Series._trusted(target_vars, t,
                             {e: c for e, c in out.items() if not c.is_zero()})
             for t, out in zip(truncs, outs)]
@@ -544,6 +516,14 @@ def hypersurface_vars(n: int) -> Tuple[str, ...]:
     """Variable tuple (z1..zn, c1..cn, s) used for hypersurface series."""
     return tuple(f"z{i}" for i in range(1, n + 1)) + \
         tuple(f"c{i}" for i in range(1, n + 1)) + ("s",)
+
+
+def exponent_vectors(dim: int, budget: int) -> List[Exponents]:
+    """All alpha in Z_+^dim with |alpha| <= budget, in lexicographic order."""
+    if dim == 0:
+        return [()]
+    return [(a,) + rest for a in range(budget + 1)
+            for rest in exponent_vectors(dim - 1, budget - a)]
 
 
 def implicit_solve(G: Series, unknown: str) -> Series:

@@ -265,6 +265,25 @@ def test_trunc_flag_only_where_it_is_read(tmp_path, capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("command, text", [
+    ("report", MODEL),
+    ("check-map", 'n = 1\ntrunc = 8\nsource = m0.hs\ntarget = m0.hs\n'
+                  'F1 = "z1"\nF2 = "w"\n'),
+    ("bb-solve", 'N = 1\norder = 2\nf1 = "1/2*y1 + t"\n'),
+    ("prolong", 'n = 0\nk = 0\norder = 2\nu1__0 = "2*u1__0 + s"\n'),
+])
+def test_json_flag_only_on_examples(tmp_path, capsys, command, text):
+    # these commands always print JSON; --json was accepted and ignored
+    write(tmp_path, "m0.hs", MODEL)
+    path = write(tmp_path, "in.txt", text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--json"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+    code, _ = run_json(capsys, [command, path])
+    assert code == 0
+
+
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
     # argparse exits 2 on a usage error, the code of an exact-invariant
     # violation

@@ -1,6 +1,7 @@
-"""Byte-identity gate: the CLI's stdout on seed 0 of each benchmark
-workload must match the SHA-256 digests recorded in perfbench/golden.json,
-and must be strict JSON (no NaN or Infinity).
+"""Byte-identity gate: the CLI's stdout on seeds 0 and 1 of each benchmark
+workload (the benchmark runs seed 1) must match the SHA-256 digests
+recorded in perfbench/golden.json, and must be strict JSON (no NaN or
+Infinity).
 
 The inputs come from the benchmark's own generator (perfbench/gen.py,
 run as a child process); nothing under perfbench/ is written.
@@ -20,23 +21,24 @@ from crgeom.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
-SEED = 0
+SEEDS = (0, 1)
 
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload", ["invariants", "maps", "odes"])
-def test_golden_stdout(workload, tmp_path):
+def test_golden_stdout(workload, seed, tmp_path):
     subprocess.run([sys.executable, os.path.join(PERFBENCH, "gen.py"),
-                    "--workload", workload, "--seed", str(SEED),
+                    "--workload", workload, "--seed", str(seed),
                     "--out", str(tmp_path)], check=True, timeout=300,
                    env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
         jobs = json.load(fh)["jobs"]
     with open(os.path.join(PERFBENCH, "golden.json"), encoding="utf-8") as fh:
-        golden = json.load(fh)[workload][str(SEED)]
+        golden = json.load(fh)[workload][str(seed)]
     assert len(jobs) == len(golden)
     for job, want in zip(jobs, golden):
         argv = [a if i == 0 else str(tmp_path / a)

@@ -40,6 +40,23 @@ def test_validate_rejects_non_real():
     assert "reality" in str(exc.value)
 
 
+@pytest.mark.parametrize("n, vars_", [(2, V1), (1, V2)])
+def test_validate_rejects_phi_over_other_variables(n, vars_):
+    # an n = 1 phi on an n = 2 surface was built, and report then raised a
+    # bare "variable mismatch"; an n = 2 phi on an n = 1 surface read as
+    # a normality violation
+    phi = sv("s", vars_) * sv("z1", vars_) * sv("c1", vars_)
+    with pytest.raises(ValidationError) as exc:
+        Hypersurface(n, phi)
+    assert str(vars_) in str(exc.value)
+    assert str(hypersurface_vars(n)) in str(exc.value)
+
+
+def test_validate_rejects_negative_n():
+    with pytest.raises(ValidationError, match="n >= 0"):
+        Hypersurface(-1, Series.zero(("s",), T))
+
+
 def test_model_invariants():
     h = model()
     assert h.m == 1

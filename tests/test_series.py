@@ -335,6 +335,35 @@ def test_substitute_matches_sympy(members, t_const, c, g1, g2, g3):
         assert f.subs(images) == out and f.subs(images).trunc == out.trunc
 
 
+def test_substitute_shares_products_across_members(monkeypatch):
+    # the image-power products of a monomial are formed once for every
+    # member that has it, so a member whose monomials all occur in another
+    # adds no product, whatever its trunc; the sympy oracle cannot see this
+    V2 = hypersurface_vars(2)
+    g1 = parse_series("z1*c1*s + z1*c2*s + z1^2*c1 + z2*c2*s^2"
+                      " + z1*z2*c1*c2 + 3", V2, 6)
+    g2 = parse_series("2*z1*c1*s - z1^2*c1 + i*z2*c2*s^2", V2, 4)
+    images = {x: parse_series(f"{x} + {y}*s", V2, 6)
+              for x, y in zip(V2, ("c1", "c2", "z1", "z2", "z1"))}
+    mul = Series.__mul__
+    count = [0]
+
+    def counted(self, other):
+        count[0] += isinstance(other, Series)
+        return mul(self, other)
+    monkeypatch.setattr(Series, "__mul__", counted)
+
+    def products(members):
+        count[0] = 0
+        outs = substitute(members, images)
+        return count[0], outs
+
+    alone, (out1,) = products([g1])
+    together, outs = products([g1, g2])
+    assert alone > 0 and together == alone
+    assert outs == [out1, g2.subs(images)]
+
+
 def test_substitute_errors():
     z, s = sv("z1"), sv("s")
     members = [z * s, Series.const(2, V, T)]
