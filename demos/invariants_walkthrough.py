@@ -8,7 +8,7 @@ order m of phi in s = Re w, the lowest degree r of the leading slice,
 essentiality of the coefficient ideal, and the nondegeneracy order ell.
 """
 
-from crgeom import (Frame, corpus, essentiality_check, filtration, levi,
+from crgeom import (Frame, corpus, essentiality_check, filtration,
                     nondegeneracy_ell)
 from crgeom.report import HALF_OVER_I
 
@@ -29,10 +29,11 @@ ell = nondegeneracy_ell(m0)
 print("  nondegeneracy order ell =", ell.ell)
 
 # the desingularized Levi matrix h0 = h / s^m and its origin value, in
-# the reports' normalization h = (1/2i) <theta, [L_1bar, L_1]>
-ld = levi(Frame(m0))
-h = ld.h[0][0] * HALF_OVER_I
-h0 = ld.h0[0][0] * HALF_OVER_I
+# the reports' normalization h = (1/2i) <theta, [L_1bar, L_1]>, which
+# the frame holds as its structure constant c[0][1]
+fr0 = Frame(m0)
+h = fr0.c[0][1] * HALF_OVER_I
+h0 = fr0.h0[0][0] * HALF_OVER_I
 print("  h   =", h.to_literal())
 print("  h0  =", h0.to_literal())
 print("  h0(0) =", h0.constant_term())

@@ -8,9 +8,9 @@ solution against numeric integration, and runs the jet-space contact
 pipeline whose closure equations reduce to systems of this shape.
 """
 
-from crgeom import (BBSystem, assemble_and_solve, bb_vars, contact_prolong,
-                    dulac_classify, formal_solve, numeric_oracle, parse_series,
-                    rhs_vars, var_name)
+from crgeom import (BBSystem, ProlongedSystem, assemble_and_solve, bb_vars,
+                    formal_solve, numeric_oracle, parse_series, rhs_vars,
+                    var_name)
 
 # --- a nonresonant scalar equation --------------------------------------
 sys1 = BBSystem(1, [parse_series("1/2*y1 + t + y1^2", bb_vars(1), 14)], 12)
@@ -32,12 +32,12 @@ print("  log terms:", sol2.has_log_terms(),
       " -> solution t*log(t):", {k: [str(x) for x in v]
                                  for k, v in sol2.coeffs.items()})
 print("  eigenvalue count off the nonpositive reals:",
-      dulac_classify(sys2).p)
+      sys2.N - sys2.nonpositive_real)
 
 # --- the contact pipeline on a toy closure ------------------------------
 # one jet variable u with closure (s d/ds) u = 2u + s; the unique formal
 # solution is u = -s
-ps = contact_prolong(0, 0)
+ps = ProlongedSystem(0, 0)
 ps.supplied[var_name(1, (), 0)] = parse_series("2*u1__0 + s",
                                                rhs_vars(0, 0), 10)
 sol = assemble_and_solve(ps, 10)[0].solution
@@ -47,7 +47,7 @@ print("  solution coefficients:", {k: [str(x) for x in v]
                                    for k, v in sol.coeffs.items()})
 
 # counts for a genuine jet space: n = 1, order k = 3
-counts = contact_prolong(1, 3).counts()
+counts = ProlongedSystem(1, 3).counts()
 print()
 print("jet space n=1, k=3:",
       counts["variables"], "variables,",

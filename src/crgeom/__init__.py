@@ -11,16 +11,15 @@ from .series import Series, hypersurface_vars, implicit_solve
 from .parsing import parse_series
 from .hypersurface import (EllVerdict, EssentialityVerdict, Hypersurface,
                            essentiality_check, nondegeneracy_ell)
-from .frame import (Frame, Filtration, LeviData, filtration, iterated_forms,
-                    levi)
+from .frame import Frame, Filtration, filtration, iterated_forms
 from .crmap import (ComposedTarget, HoloMap, MapFrameData, ResidualReport,
                     RestrictionData, check_identities, compose_target,
                     frame_data, map_vars, maps_into, restrict_map,
                     restriction_data)
-from .briot_bouquet import (BBSystem, DulacReport, FormalLogSolution, bb_vars,
-                            dulac_classify, formal_solve, numeric_oracle)
-from .prolongation import (ProlongedSystem, assemble_and_solve,
-                           contact_prolong, jet_slots, rhs_vars, var_name)
+from .briot_bouquet import (BBSystem, FormalLogSolution, bb_vars,
+                            formal_solve, numeric_oracle)
+from .prolongation import (ProlongedSystem, assemble_and_solve, jet_slots,
+                           rhs_vars, var_name)
 
 __version__ = "0.1.0"
 
@@ -32,14 +31,13 @@ __all__ = [
     "parse_series",
     "EllVerdict", "EssentialityVerdict", "Hypersurface",
     "essentiality_check", "nondegeneracy_ell",
-    "Frame", "Filtration", "LeviData", "filtration",
-    "iterated_forms", "levi",
+    "Frame", "Filtration", "filtration", "iterated_forms",
     "ComposedTarget", "HoloMap", "MapFrameData", "ResidualReport",
     "RestrictionData", "check_identities", "compose_target", "frame_data",
     "map_vars", "maps_into", "restrict_map", "restriction_data",
-    "BBSystem", "DulacReport", "FormalLogSolution", "bb_vars",
-    "dulac_classify", "formal_solve", "numeric_oracle",
-    "ProlongedSystem", "assemble_and_solve", "contact_prolong",
-    "jet_slots", "rhs_vars", "var_name",
+    "BBSystem", "FormalLogSolution", "bb_vars", "formal_solve",
+    "numeric_oracle",
+    "ProlongedSystem", "assemble_and_solve", "jet_slots", "rhs_vars",
+    "var_name",
     "__version__",
 ]

@@ -10,12 +10,13 @@ against f = p*t + A*y + Q(t,y) gives, per power k and log degree r,
 where g_k depends only on lower-order coefficients.  The linear part
 (p, A) is read off f once, and the resonances k <= order once from A, as
 cached properties of the system.  k is resonant when kI - A is singular,
-decided by its rank alone; the characteristic polynomial of A is formed
-only for the Dulac eigenvalue count.  Nonresonant k solve uniquely
-top-down in r; resonant k solve as one stacked triangular system with
-free kernel parameters set to zero and the kernel dimension recorded in
-family_dim.  Every solution is checked by substituting it back into
-t*y' - f(t, y) through t^K, without the recurrence that produced it.
+decided by its rank alone; the characteristic polynomial of A and the
+Dulac eigenvalue count read from it are cached properties too, formed
+only when the report reads them.  Nonresonant k solve uniquely top-down
+in r; resonant k solve as one stacked triangular system with free kernel
+parameters set to zero and the kernel dimension recorded in family_dim.
+Every solution is checked by substituting it back into t*y' - f(t, y)
+through t^K, without the recurrence that produced it.
 """
 
 from __future__ import annotations
@@ -26,14 +27,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Tuple
 
+from . import linalg
 from .errors import InvariantViolation, ValidationError
-from .linalg import (char_poly, count_eigenvalues_nonpositive_real, rank,
-                     solve_linear)
+from .linalg import count_eigenvalues_nonpositive_real, rank, solve_linear
 from .scalars import GaussRational, to_complex
 from .series import Series
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
+
+ORACLE_T_END = 0.1          # numeric_oracle's |t| at the end of its run
+ORACLE_STEPS = 2000         # and its RK4 steps
 
 
 def bb_vars(N: int) -> Tuple[str, ...]:
@@ -91,6 +95,19 @@ class BBSystem:
             if dim:
                 out.append((k, dim))
         return out
+
+    @cached_property
+    def char_poly(self) -> List[GaussRational]:
+        """The characteristic polynomial of A; the solver never forms it."""
+        # through the module: this property's name is the function's
+        return linalg.char_poly(self.A)
+
+    @cached_property
+    def nonpositive_real(self) -> int:
+        """The number of eigenvalues of A (with multiplicity) on the closed
+        negative real axis, counted from char_poly.  The Dulac p is
+        N - nonpositive_real, the eigenvalues off that axis."""
+        return count_eigenvalues_nonpositive_real(self.char_poly)
 
 
 @dataclass
@@ -249,22 +266,6 @@ def _check_residual(sys: BBSystem, sol, K: int) -> None:
                 f"residual {total} at t^{k} log^{r} component {j+1}")
 
 
-@dataclass
-class DulacReport:
-    nonpositive_real: int        # eigenvalues on R_{<=0}, with multiplicity
-    p: int                       # N - nonpositive_real
-    char: List[GaussRational]
-
-
-def dulac_classify(sys: BBSystem) -> DulacReport:
-    """p = number of eigenvalues of A (with multiplicity) not lying on the
-    closed negative real axis, counted from the characteristic polynomial
-    of A (the solver itself never forms it)."""
-    char = char_poly(sys.A)
-    k = count_eigenvalues_nonpositive_real(char)
-    return DulacReport(nonpositive_real=k, p=sys.N - k, char=char)
-
-
 def _series_value(coeffs, N: int, t: float) -> List[complex]:
     """The truncated solution at t, from its (k, r, float vector) terms."""
     vals = [0j] * N
@@ -277,12 +278,12 @@ def _series_value(coeffs, N: int, t: float) -> List[complex]:
     return vals
 
 
-def numeric_oracle(sys: BBSystem, sol: FormalLogSolution,
-                   t0: float = 1e-2, t_end: float = 0.1,
-                   steps: int = 2000) -> float:
-    """Fixed-step RK4 integration of y' = f(t,y)/t from t0 out to
-    sign(t0)*t_end, started on the truncated series, compared against the
-    series along the way; returns the max componentwise deviation.
+def numeric_oracle(sys: BBSystem, sol: FormalLogSolution, t0: float
+                   ) -> float:
+    """Fixed-step RK4 integration of y' = f(t,y)/t in ORACLE_STEPS steps
+    from t0 out to sign(t0)*ORACLE_T_END, started on the truncated series,
+    compared against the series along the way; returns the max
+    componentwise deviation.
 
     Requires a pure power-series solution (no log terms) and t0 != 0.
     The coefficients of f and of the solution are converted to floats
@@ -299,8 +300,8 @@ def numeric_oracle(sys: BBSystem, sol: FormalLogSolution,
     coeffs = [(k, r, [to_complex(x, "numeric oracle: solution")
                       for x in v]) for (k, r), v in sol.coeffs.items()]
     sign = 1.0 if t0 > 0 else -1.0
-    a, b = t0, sign * abs(t_end)
-    h = (b - a) / steps
+    a, b = t0, sign * ORACLE_T_END
+    h = (b - a) / ORACLE_STEPS
 
     def rhs(t: float, y: List[complex]) -> List[complex]:
         vals = (complex(t), *y)         # in the order of bb_vars(N)
@@ -323,7 +324,7 @@ def numeric_oracle(sys: BBSystem, sol: FormalLogSolution,
     try:
         y = _series_value(coeffs, N, a)
         t = a
-        for _ in range(steps):
+        for _ in range(ORACLE_STEPS):
             k1 = rhs(t, y)
             k2 = rhs(t + h / 2, step(y, h / 2, k1))
             k3 = rhs(t + h / 2, step(y, h / 2, k2))

@@ -11,16 +11,16 @@ Im w = phi means substituting w -> s + i*phi; then
     f_* S = xi * S_hat + eta^C Lhat_C + conj(eta^C) Lhat_Cbar.
 
 The target enters only composed with f: compose_target composes phihat,
-its first partials and the target's Levi functions h0hat_{ab} (a <= b)
-and h0barhat_a with f in one batched substitution, so each product of
-image powers is formed once per map.  maps_into, frame_data and
-check_identities read that one result.  frame_data returns gamma, eta
+its first partials and the target frame's Levi functions h0hat_{ab}
+(a <= b) and h0barhat_a with f in one batched substitution, so each
+product of image powers is formed once per map.  maps_into, frame_data
+and check_identities read that one result.  frame_data returns gamma, eta
 and xi, the fields applied as the source frame's derivations; the types
 m and m_hat are those of the source and target Hypersurface.  It raises
 InvariantViolation("xi-singular ...") when xi is not a smooth function,
 so a returned xi is always smooth.
 
-The Levi functions are those of :mod:`crgeom.frame`, in its one
+The Levi functions are Frame.h0 and Frame.h0_bar, in the frame's one
 normalization h0_{AbarB} = <theta, [L_Abar, L_B]> / s^m, which is the
 one produced by <d omega, X ^ Y> = -<omega, [X, Y]> applied to
 omega = theta/s^m.  Used on source and target alike it makes all five
@@ -38,7 +38,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import (DivisibilityError, InvariantViolation, UnitRequiredError,
                      ValidationError)
-from .frame import Frame, levi
+from .frame import Frame
 from .hypersurface import Hypersurface
 from .scalars import GaussRational
 from .series import Series, substitute
@@ -155,7 +155,11 @@ def compose_target(fr: Frame, fr_hat: Frame, rd: RestrictionData
             "xi-singular: target is Levi flat (m_hat = infinity)")
     n = target.n
     upper = [(a, b) for a in range(n) for b in range(a, n)]
-    composed = iter(compose_with_map(_target_pieces(fr_hat, upper), rd))
+    phihat = target.phi
+    composed = iter(compose_with_map(
+        [phihat, phihat.diff("s")]
+        + [phihat.diff(f"z{C}") for C in range(1, n + 1)]
+        + [fr_hat.h0[a][b] for a, b in upper] + fr_hat.h0_bar, rd))
     phihat_f, phihat_s_f = next(composed), next(composed)
     phihat_z_f = [next(composed) for _ in range(n)]
     # h0hat_{bbar a} = -conj(h0hat_{abar b}) (see frame.Frame), and
@@ -169,19 +173,6 @@ def compose_target(fr: Frame, fr_hat: Frame, rd: RestrictionData
         m_hat=target.m, phi=phihat_f,
         theta=_theta_hat_f(fr_hat, phihat_s_f, phihat_z_f), h0=h0,
         h0_bar=list(composed))
-
-
-def _target_pieces(fr_hat: Frame, upper: List[Tuple[int, int]]
-                   ) -> List[Series]:
-    """The series compose_target composes, in its order: phihat, phihat_s,
-    phihat_{z_C}, h0hat_{ab} for (a, b) in upper, and h0barhat_a.  The
-    rest of the target's Levi data is freed on return, before the
-    composition runs."""
-    phihat = fr_hat.hypersurface.phi
-    tgt = levi(fr_hat)
-    return ([phihat, phihat.diff("s")]
-            + [phihat.diff(f"z{C}") for C in range(1, fr_hat.n + 1)]
-            + [tgt.h0[a][b] for a, b in upper] + tgt.h0_bar)
 
 
 @dataclass
@@ -221,7 +212,7 @@ def frame_data(fr: Frame, rd: RestrictionData, ct: ComposedTarget
     t_hat_comp = _pair(ct.theta, push_s)
 
     try:
-        xi = t_hat_comp.divide_unit_form(rd.s_hat ** ct.m_hat, unit_var="s")
+        xi = t_hat_comp.divide_unit_form(rd.s_hat ** ct.m_hat)
     except (UnitRequiredError, DivisibilityError) as exc:
         raise InvariantViolation(f"xi-singular: {exc}")
     return MapFrameData(gamma=gamma, eta=eta, xi=xi)
@@ -288,6 +279,9 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
       gamma-s:     S gamma^E_A - L_A eta^E - eta^E conj(h0bar_A)
 
     All vanish identically for a map with zero containment residual.
+    A map whose F_{n+1}|M is zero through its trunc collapses the source
+    into E' = {w = 0}, where xi is undefined and no identity fails: it
+    raises ValidationError, not InvariantViolation.
     The sums over C go through one n x n table
     M[A][D] = sum_C conj(gamma^C_A) h0hat_CD o f, which both Levi
     identities read.  Every residual is the exact series cut at the
@@ -297,9 +291,13 @@ def check_identities(f: HoloMap, source: Hypersurface, target: Hypersurface
     fr, fr_hat = Frame(source), Frame(target)
     rd = restriction_data(f, source)
     ct = compose_target(fr, fr_hat, rd)
+    if rd.F[-1].is_zero():
+        raise ValidationError(
+            f"F_{len(rd.F)}|M vanishes through trunc {rd.F[-1].trunc}: the "
+            "map collapses the source into E' = {w = 0}, where xi is "
+            "undefined")
     data = frame_data(fr, rd, ct)
-    src = levi(fr)
-    h0, h0bar = src.h0, src.h0_bar
+    h0, h0bar = fr.h0, fr.h0_bar
 
     gamma, eta, xi = data.gamma, data.eta, data.xi
     gamma_bar = [[gamma[C][A].conjugate() for A in range(n)] for C in range(n)]

@@ -1,4 +1,4 @@
-"""CR frame, its bracket structure constants, the Levi data and the
+"""CR frame, its bracket structure constants and Levi data, and the
 kernel filtration at the origin.
 
 Frame basis (order fixed throughout): T = d/ds, then L_1..L_n, then
@@ -12,8 +12,8 @@ reciprocal gives both halves.  Each field is a coordinate field plus a
 multiple of T, so a Frame stores only Q_A, P_A and the structure
 constants below, and applies its fields to a series as derivations:
 L(A, f) = f_{z_A} + P_A f_s, Lbar(A, f) = f_{c_A} + Q_A f_s and
-S(f) = s^m f_s, with m the type of the frame's hypersurface (levi and
-filtration read it there too, and filtration its ell_max).  The coframe
+S(f) = s^m f_s, with m the type of the frame's hypersurface (h0 and
+h0_bar read it there too, and filtration its ell_max).  The coframe
 theta (theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is
 ds - sum P_A dz_A - sum Q_A dc_A, and every bracket [L_abar, e_j] is a
 multiple of T.  A frame computes those multiples once: c[a][j] is the
@@ -31,8 +31,10 @@ them, in one normalization:
 
   * the Levi matrix h_{AbarB} = <theta, [L_Abar, L_B]> = c[A][B+1];
     reports print (1/2i) h, whose desingularized leading term is the
-    mixed Hessian of the lowest-order part of phi_m;
-  * the tail functions h0_Abar, from [L_Abar, s^m T] = -s^m h0_Abar T;
+    mixed Hessian of the lowest-order part of phi_m; Frame.h0 is its
+    quotient by s^m;
+  * the tail functions Frame.h0_bar, h0_Abar from
+    [L_Abar, s^m T] = -s^m h0_Abar T;
   * the iterated forms of theta along words in the L_Abar, grown one
     letter at a time by
         (L_{L_abar} omega)_j = L_abar(omega_j) - omega_0 c[a][j];
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Tuple
 
 from .errors import TruncationError
@@ -111,6 +114,29 @@ class Frame:
         return (Series.variable("s", self.vars, self.trunc)
                 ** self.hypersurface.m * f.diff("s"))
 
+    # The Levi data need the hypersurface not to be Levi flat.  Each is
+    # formed on first use and kept.
+
+    @cached_property
+    def h0(self) -> List[List[Series]]:
+        """h0_{AbarB} = c[A][B+1] / s^m, the Levi matrix divided by s^m.
+        Raises DivisibilityError (naming the offending monomial) when it
+        is not divisible by s^m, which signals a non-normal input."""
+        n, m = self.n, self.hypersurface.m
+        return [[self.c[a][b + 1].divide_by_power("s", m) for b in range(n)]
+                for a in range(n)]
+
+    @cached_property
+    def h0_bar(self) -> List[Series]:
+        """The tail data h0_Abar.  With a_Abar = m (L_Abar s)/s = m Q_A / s,
+        [L_Abar, s^m T] = s^m (a_Abar + c[A][0]) T, so
+        h0_Abar = -(a_Abar + c[A][0]), cut to the order the bracket with
+        s^m T leaves exact."""
+        m = self.hypersurface.m
+        a_bar = [q.divide_by_power("s", 1) * GaussRational(m) for q in self.Q]
+        return [-(x + ca[0]).truncate(self.trunc - 1 - m)
+                for x, ca in zip(a_bar, self.c)]
+
 
 def iterated_forms(frame: Frame, max_len: int
                    ) -> Iterator[Tuple[Tuple[int, ...], List[Series]]]:
@@ -137,38 +163,10 @@ def iterated_forms(frame: Frame, max_len: int
 
 
 @dataclass
-class LeviData:
-    h: List[List[Series]]            # <theta,[L_Abar, L_B]>
-    h0: List[List[Series]]           # h / s^m
-    h0_bar: List[Series]             # from [L_Abar, s^m T] = -s^m h0_Abar T
-
-
-@dataclass
 class Filtration:
     ranks: List[int]                 # r_k = n - dim F_k(0), k = 0..ell
     ell: int
     nondegenerate: bool
-
-
-def levi(frame: Frame) -> LeviData:
-    """The Levi matrix h_{AbarB} = <theta,[L_Abar,L_B]> = c[A][B+1], its
-    quotient h0 by s^m (m the type of the frame's hypersurface, which
-    must not be Levi flat), and the tail data h0_Abar.
-
-    With a_Abar = m (L_Abar s)/s = m Q_A / s,
-    [L_Abar, s^m T] = s^m (a_Abar + c[A][0]) T, so
-    h0_Abar = -(a_Abar + c[A][0]), cut to the order the bracket with
-    s^m T leaves exact.  Raises DivisibilityError (naming the offending
-    monomial) when h is not divisible by s^m, which signals a non-normal
-    input.
-    """
-    n, m = frame.n, frame.hypersurface.m
-    h = [[frame.c[a][b + 1] for b in range(n)] for a in range(n)]
-    h0 = [[x.divide_by_power("s", m) for x in row] for row in h]
-    a_bar = [q.divide_by_power("s", 1) * GaussRational(m) for q in frame.Q]
-    h0_bar = [-(a_bar[a] + frame.c[a][0]).truncate(frame.trunc - 1 - m)
-              for a in range(n)]
-    return LeviData(h=h, h0=h0, h0_bar=h0_bar)
 
 
 def iterated_h0_at_origin(frame: Frame, max_len: int

@@ -46,13 +46,19 @@ def var_name(i: int, alpha: Tuple[int, ...], p: int) -> str:
 
 @dataclass
 class ProlongedSystem:
-    """The jet slots of order k over n, and the supplied right-hand sides
-    of the top layer; variables are ordered by slot, then component."""
+    """The jet slots and contact chains of order k >= 0 over n, built
+    with the system, and the supplied right-hand sides of the top layer;
+    variables are ordered by slot, then component."""
     n: int
     k: int
-    slots: List[Slot]
     supplied: Dict[str, Series] = field(default_factory=dict)
     frozen_x: List[Tuple[Fraction, ...]] = field(default_factory=list)
+    slots: List[Slot] = field(init=False)
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValidationError("jet order must be nonnegative")
+        self.slots = jet_slots(self.n, self.k)
 
     def _names(self, slots) -> List[str]:
         return [var_name(i, alpha, p) for (alpha, p) in slots
@@ -74,13 +80,6 @@ class ProlongedSystem:
                 "closure_slots": c}
 
 
-def contact_prolong(n: int, k: int) -> ProlongedSystem:
-    """The jet slots and contact chains at order k >= 0."""
-    if k < 0:
-        raise ValidationError("jet order must be nonnegative")
-    return ProlongedSystem(n=n, k=k, slots=jet_slots(n, k))
-
-
 def base_vars(n: int) -> Tuple[str, ...]:
     return tuple(f"x{j}" for j in range(1, 2 * n + 1))
 
@@ -88,7 +87,7 @@ def base_vars(n: int) -> Tuple[str, ...]:
 def rhs_vars(n: int, k: int) -> Tuple[str, ...]:
     """Variable tuple for supplied right-hand sides: base x's, then s,
     then the jet variables in canonical order."""
-    return base_vars(n) + ("s",) + tuple(contact_prolong(n, k).var_names())
+    return base_vars(n) + ("s",) + tuple(ProlongedSystem(n, k).var_names())
 
 
 def freeze_x(g: Series, n: int, sample: Sequence[Fraction],

@@ -18,16 +18,15 @@ from typing import Dict, Optional, Tuple
 
 from . import corpus
 from .briot_bouquet import (BBSystem, FormalLogSolution, bb_vars,
-                            dulac_classify, formal_solve, numeric_oracle)
+                            formal_solve, numeric_oracle)
 from .crmap import HoloMap, check_identities, map_vars
 from .errors import ParseError, ValidationError
-from .frame import Frame, filtration, levi
+from .frame import Frame, filtration
 from .hypersurface import (Hypersurface, essentiality_check,
                            nondegeneracy_ell)
 from .parsing import (MAX_COEFF_BITS, MAX_DIM, MAX_TRUNC, drops_terms,
                       parse_series)
-from .prolongation import (ProlongedSystem, assemble_and_solve,
-                           contact_prolong, rhs_vars)
+from .prolongation import ProlongedSystem, assemble_and_solve, rhs_vars
 from .scalars import GaussRational, format_coefficient
 from .series import Series, hypersurface_vars
 
@@ -176,7 +175,7 @@ def load_prolonged_system(path: str) -> Tuple[ProlongedSystem, int]:
     order = _bounded(pairs, "order", path, 1, MAX_TRUNC, default=8)
     trunc = _bounded(pairs, "trunc", path, 1, MAX_TRUNC,
                      default=max(order + 2, 10))
-    ps = contact_prolong(n, k)
+    ps = ProlongedSystem(n, k)
     rv = rhs_vars(n, k)
     for name in ps.needed_rhs_names():
         ps.supplied[name] = _series(pairs, where, name, path, rv, trunc)
@@ -233,17 +232,16 @@ def hypersurface_report(h: Hypersurface) -> dict:
     inv["ell"] = nondegeneracy_ell(h).as_dict()
 
     fr = Frame(h)
-    ld = levi(fr)
-    type2 = any(not ld.h0[a][b].constant_term().is_zero()
+    type2 = any(not fr.h0[a][b].constant_term().is_zero()
                 for a in range(h.n) for b in range(h.n))
     inv["type_2"] = type2
     filt = filtration(fr)
     inv["filtration_ranks"] = filt.ranks
     inv["filtration_ell"] = filt.ell
     inv["filtration_nondegenerate"] = filt.nondegenerate
-    hs = [[ld.h[a][b] * HALF_OVER_I for b in range(h.n)]
+    hs = [[fr.c[a][b + 1] * HALF_OVER_I for b in range(h.n)]
           for a in range(h.n)]
-    h0s = [[ld.h0[a][b] * HALF_OVER_I for b in range(h.n)]
+    h0s = [[fr.h0[a][b] * HALF_OVER_I for b in range(h.n)]
            for a in range(h.n)]
     out["levi"] = {
         "h": [[x.to_literal() for x in row] for row in hs],
@@ -281,7 +279,6 @@ def map_report(f: HoloMap, src: Hypersurface, tgt: Hypersurface) -> dict:
 
 def bb_report(sys: BBSystem, oracle_t0: Optional[float] = None) -> dict:
     sol = formal_solve(sys)
-    dul = dulac_classify(sys)
     lists = _solution_lists(sol)
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -291,10 +288,11 @@ def bb_report(sys: BBSystem, oracle_t0: Optional[float] = None) -> dict:
         "linear_part": {
             "p": [format_coefficient(x) for x in sys.p],
             "A": [[format_coefficient(x) for x in row] for row in sys.A],
-            "char_poly": [format_coefficient(c) for c in dul.char],
+            "char_poly": [format_coefficient(c) for c in sys.char_poly],
         },
         "resonances": lists["resonances"],
-        "dulac": {"p": dul.p, "nonpositive_real": dul.nonpositive_real},
+        "dulac": {"p": sys.N - sys.nonpositive_real,
+                  "nonpositive_real": sys.nonpositive_real},
         "solution": {
             "family_dim": sol.family_dim,
             "has_log_terms": sol.has_log_terms(),
@@ -362,9 +360,9 @@ def examples_report(trunc: Optional[int] = None) -> dict:
     check("model-surface essential",
           {"status": "certified-essential", "bound": 1, "detail": ""},
           essentiality_check(m0).as_dict())
-    levi0 = levi(Frame(m0))
+    h0 = Frame(m0).h0
     check("model-surface type-2 leading term", "1",
-          format_coefficient(levi0.h0[0][0].constant_term() * HALF_OVER_I))
+          format_coefficient(h0[0][0].constant_term() * HALF_OVER_I))
 
     e12 = corpus.two_infinite_type_surface(t)
     check("implicit-surface m", 2, e12.m)

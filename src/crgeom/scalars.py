@@ -80,9 +80,6 @@ class GaussRational:
     def is_zero(self) -> bool:
         return self._a == 0 and self._b == 0
 
-    def is_real(self) -> bool:
-        return self._b == 0
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):

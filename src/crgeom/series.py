@@ -365,21 +365,20 @@ class Series:
             out[exps[:i] + (exps[i] - m,) + exps[i + 1:]] = c
         return Series._trusted(self.vars, self.trunc - m, out)
 
-    def divide_unit_form(self, b: "Series", unit_var: str = "s") -> "Series":
-        """Exact division a/b where b factors as unit_var^k * (unit).
+    def divide_unit_form(self, b: "Series") -> "Series":
+        """Exact division a/b where b factors as s^k * (unit).
 
         Raises UnitRequiredError when b has no such factorization and
-        DivisibilityError when a is not divisible by unit_var^k.
+        DivisibilityError when a is not divisible by s^k.
         """
         self._compat(b)
         if b.is_zero():
             raise UnitRequiredError("division by the zero series")
-        k = b.min_degree_in(unit_var)
-        bred = b.divide_by_power(unit_var, k)
+        k = b.min_degree_in("s")
+        bred = b.divide_by_power("s", k)
         if bred.constant_term().is_zero():
-            raise UnitRequiredError(
-                f"divisor is not of the form {unit_var}^k * unit")
-        ared = self.divide_by_power(unit_var, k)
+            raise UnitRequiredError("divisor is not of the form s^k * unit")
+        ared = self.divide_by_power("s", k)
         return ared * bred.reciprocal()
 
     # -- substitution -----------------------------------------------------------

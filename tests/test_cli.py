@@ -121,8 +121,10 @@ def test_each_linear_part_is_read_once(tmp_path, capsys, monkeypatch):
     # once for the solver and the report, and ranks kI - A once per k
     import crgeom.briot_bouquet as bb
     from crgeom.series import Series
-    coefficients, ranks = [], []
+    import crgeom.linalg as linalg
+    coefficients, ranks, char_polys = [], [], []
     coefficient, rank = Series.coefficient, bb.rank
+    char_poly = linalg.char_poly
 
     def counted_coefficient(self, exps):
         coefficients.append(exps)
@@ -131,13 +133,20 @@ def test_each_linear_part_is_read_once(tmp_path, capsys, monkeypatch):
     def counted_rank(rows):
         ranks.append(len(rows))
         return rank(rows)
+    def counted_char_poly(A):
+        char_polys.append(len(A))
+        return char_poly(A)
     monkeypatch.setattr(Series, "coefficient", counted_coefficient)
     monkeypatch.setattr(bb, "rank", counted_rank)
+    monkeypatch.setattr(linalg, "char_poly", counted_char_poly)
     path = write(tmp_path, "two.bb", 'N = 2\norder = 7\n'
                  'f1 = "y1 + t + y1*y2"\nf2 = "-1/2*y2 + t*y1"\n')
     assert main(["bb-solve", path]) == 0
     assert len(coefficients) == 2 * 3
     assert ranks == [2] * 7
+    # the characteristic polynomial is a cached property too, read for
+    # the printed char_poly and for the Dulac count
+    assert char_polys == [2]
     capsys.readouterr()
 
 
@@ -341,6 +350,46 @@ def test_check_map_square(tmp_path, capsys):
     assert rep["residuals"]["all_zero"] is True
     assert rep["xi"] == "2"
     assert rep["xi_smooth"] is True
+
+
+def test_check_map_forms_each_frames_levi_data_once(tmp_path, capsys,
+                                                   monkeypatch):
+    # h0 and h0_bar are cached properties of a Frame: one check-map run
+    # forms each once on the source frame and once on the target frame,
+    # though it reads h0hat_{ab} for three (a, b) at n = 2.  The count
+    # wraps the function the cached property calls, so a plain property
+    # (which has no such function) fails here too
+    from crgeom.frame import Frame
+    formed = {"h0": [], "h0_bar": []}
+    for name, frames in formed.items():
+        prop = Frame.__dict__[name]
+
+        def counted(self, func=prop.func, frames=frames):
+            frames.append(self)
+            return func(self)
+        monkeypatch.setattr(prop, "func", counted)
+    write(tmp_path, "m.hs", 'n = 2\ntrunc = 6\n'
+          'phi = "s*z1*c1 + s*z2*c2 + s^2*z1*c2 + s^2*z2*c1"\n')
+    mp = write(tmp_path, "id.map",
+               'n = 2\ntrunc = 6\nsource = m.hs\ntarget = m.hs\n'
+               'F1 = "z1"\nF2 = "z2"\nF3 = "w"\n')
+    code, rep = run_json(capsys, ["check-map", mp])
+    assert code == 0 and rep["residuals"]["all_zero"] is True
+    for frames in formed.values():
+        assert len(frames) == 2 and frames[0] is not frames[1]
+
+
+def test_check_map_collapsing_map_exit_1(tmp_path, capsys):
+    # (z, w) -> (z, 0) maps Im w = s|z|^2 into itself but collapses it
+    # into E' = {w = 0}: xi is undefined there, and no identity failed
+    write(tmp_path, "m0.hs", 'n = 1\ntrunc = 6\nphi = "s*z1*c1"\n')
+    mp = write(tmp_path, "collapse.map",
+               'n = 1\ntrunc = 6\nsource = m0.hs\ntarget = m0.hs\n'
+               'F1 = "z1"\nF2 = "0"\n')
+    assert main(["check-map", mp]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert "E' = {w = 0}" in err and "trunc 6" in err
 
 
 def test_check_map_levi_flat_exit_2(tmp_path, capsys):

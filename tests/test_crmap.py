@@ -10,7 +10,7 @@ from crgeom.crmap import (HoloMap, check_identities, compose_target,
                           compose_with_map, frame_data, map_vars, maps_into,
                           restrict_map, restriction_data)
 from crgeom.errors import InvariantViolation, ValidationError
-from crgeom.frame import Frame, levi
+from crgeom.frame import Frame
 from crgeom.hypersurface import Hypersurface
 from crgeom.parsing import parse_series
 from crgeom.report import HALF_OVER_I
@@ -164,12 +164,12 @@ def test_origin_value_of_levi_identity():
     m0 = corpus.model_surface(T)
     m2 = corpus.power_target(2, T)
     fd = map_frame_data(corpus.power_map(2, T), m0, m2)
-    h0 = levi(Frame(m0))
-    h0hat = levi(Frame(m2))
+    h0 = Frame(m0).h0
+    h0hat = Frame(m2).h0
     xi0 = fd.xi.constant_term()
     g0 = fd.gamma[0][0].constant_term()
-    lhs = xi0 * h0.h0[0][0].constant_term() * HALF_OVER_I
-    rhs = g0 * g0.conjugate() * h0hat.h0[0][0].constant_term() * HALF_OVER_I
+    lhs = xi0 * h0[0][0].constant_term() * HALF_OVER_I
+    rhs = g0 * g0.conjugate() * h0hat[0][0].constant_term() * HALF_OVER_I
     assert lhs == rhs
     assert lhs == GaussRational(2)
 
@@ -254,15 +254,14 @@ def test_batched_composition_matches_one_by_one():
     rd = restriction_data(quadratic, src)
     fr_hat = Frame(src)
     ct = compose_target(Frame(src), fr_hat, rd)
-    tgt = levi(fr_hat)
 
     def alone(g):
         return compose_with_map([g], rd)[0]
 
     pairs = [(ct.phi, alone(src.phi))]
-    pairs += [(ct.h0[a][b], alone(tgt.h0[a][b]))
+    pairs += [(ct.h0[a][b], alone(fr_hat.h0[a][b]))
               for a in range(2) for b in range(2)]
-    pairs += [(x, alone(y)) for x, y in zip(ct.h0_bar, tgt.h0_bar)]
+    pairs += [(x, alone(y)) for x, y in zip(ct.h0_bar, fr_hat.h0_bar)]
     assert sorted({want.trunc for _, want in pairs}) == [6, 9]
     for got, want in pairs:
         assert not want.is_zero()

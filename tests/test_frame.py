@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from crgeom import corpus
 from crgeom.errors import InvariantViolation, TruncationError, ValidationError
 from crgeom.frame import (Frame, filtration, iterated_forms,
-                          iterated_h0_at_origin, levi)
+                          iterated_h0_at_origin)
 from crgeom.hypersurface import Hypersurface
 from crgeom.linalg import rank
 from crgeom.report import HALF_OVER_I
@@ -221,12 +221,12 @@ def test_structure_constants_match_coordinate_bracket():
 def test_levi_matrix_hermitian():
     # (1/2i) <theta, [L_Abar, L_B]> is Hermitian
     for h in surfaces():
-        ld = levi(Frame(h))
+        fr = Frame(h)
         n = h.n
         for a in range(n):
             for b in range(n):
-                lhs = ld.h[a][b] * HALF_OVER_I
-                rhs = (ld.h[b][a] * HALF_OVER_I).conjugate()
+                lhs = fr.c[a][b + 1] * HALF_OVER_I
+                rhs = (fr.c[b][a + 1] * HALF_OVER_I).conjugate()
                 assert lhs == rhs.truncate(lhs.trunc)
 
 
@@ -234,7 +234,7 @@ def test_desingularized_leading_term_is_mixed_hessian():
     # (1/2i) h0(0)[A][B] equals the coefficient of z_B * c_A in the
     # lowest-order part of phi_m
     for h in surfaces():
-        ld = levi(Frame(h))
+        fr = Frame(h)
         n = h.n
         lowest = {e: c for e, c in h.phi_m.terms.items()
                   if sum(e) == h.r}
@@ -243,7 +243,7 @@ def test_desingularized_leading_term_is_mixed_hessian():
                 exps = tuple(1 if j == b else 0 for j in range(n)) + \
                     tuple(1 if j == a else 0 for j in range(n)) + (0,)
                 expected = lowest.get(exps, GaussRational(0))
-                assert ld.h0[a][b].constant_term() * HALF_OVER_I == expected
+                assert fr.h0[a][b].constant_term() * HALF_OVER_I == expected
 
 
 @st.composite
@@ -310,12 +310,12 @@ def test_levi_leading_term_matches_sympy_hessian(case):
         if sum(monom) == 2])
     assert quadratic != 0
     assert (h.m, h.r) == (m, 2)
-    ld = levi(Frame(h))
+    fr = Frame(h)
     for a in range(n):
         for b in range(n):
             want = sympy.diff(quadratic, zs[b], cs[a])
             re, im = sympy.re(want), sympy.im(want)
-            assert ld.h0[a][b].constant_term() * HALF_OVER_I == GaussRational(
+            assert fr.h0[a][b].constant_term() * HALF_OVER_I == GaussRational(
                 Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
 
 
@@ -326,13 +326,11 @@ def test_model_bracket_and_levi_values():
     # [L_1bar, L_1] = (2is + O(3)) T
     assert br.coefficient((0, 0, 1)) == GaussRational(0, 2)
     assert fr.c[0][1] == br
-    ld = levi(fr)
-    assert ld.h[0][0].coefficient((0, 0, 1)) == GaussRational(0, 2)
-    assert ld.h0[0][0].constant_term() == GaussRational(0, 2)
+    assert fr.h0[0][0].constant_term() == GaussRational(0, 2)
     # phi = s*g(z,c) makes the bracket with s^m T collapse exactly
-    assert ld.h0_bar[0].is_zero()
-    # a_1bar = m Q_1 / s = -i z/(1 + i z c), with m = 1: levi forms it
-    # for h0_bar, from the frame's Q
+    assert fr.h0_bar[0].is_zero()
+    # a_1bar = m Q_1 / s = -i z/(1 + i z c), with m = 1: h0_bar forms
+    # it from the frame's Q
     assert fr.hypersurface.m == 1
     assert fr.Q[0].coefficient((1, 0, 1)) == GaussRational(0, -1)
     assert fr.Q[0].coefficient((2, 1, 1)) == GaussRational(-1)
@@ -446,7 +444,7 @@ def test_kernel_lemma():
 def test_type_two_detection():
     # type 2 (h0(0) != 0) holds for every corpus surface of finite type
     for h in surfaces():
-        ld = levi(Frame(h))
-        some_nonzero = any(not ld.h0[a][b].constant_term().is_zero()
+        fr = Frame(h)
+        some_nonzero = any(not fr.h0[a][b].constant_term().is_zero()
                            for a in range(h.n) for b in range(h.n))
         assert some_nonzero == (h.r == 2)

@@ -9,7 +9,7 @@ from crgeom.briot_bouquet import bb_vars
 from crgeom.cli import main
 from crgeom.errors import ValidationError
 from crgeom.parsing import parse_series
-from crgeom.prolongation import (assemble_and_solve, contact_prolong,
+from crgeom.prolongation import (ProlongedSystem, assemble_and_solve,
                                  freeze_x, jet_slots, rhs_vars, var_name)
 from crgeom.series import Series
 
@@ -68,7 +68,7 @@ def test_slots_match_product_and_filter():
 
 
 def test_counts_n1_k3():
-    ps = contact_prolong(1, 3)
+    ps = ProlongedSystem(1, 3)
     assert len(ps.slots) == 20
     assert len(ps.var_names()) == 60
     assert ps.counts() == {"variables": 60, "contact_equations": 57,
@@ -81,7 +81,7 @@ def test_square_system():
     # the jet, closure names first
     for n in (0, 1, 2):
         for k in (0, 1, 2, 3):
-            ps = contact_prolong(n, k)
+            ps = ProlongedSystem(n, k)
             contact, closure = equations(n, k)
             counts = ps.counts()
             assert counts["variables"] == len(ps.var_names())
@@ -93,7 +93,7 @@ def test_square_system():
 
 
 def test_k1_unrolled():
-    ps = contact_prolong(1, 1)
+    ps = ProlongedSystem(1, 1)
     assert ps.slots == [((0, 0), 0), ((0, 0), 1), ((0, 1), 0),
                         ((1, 0), 0)]
     # per component: one pure contact equation (s d/ds)u = u^{0,1} with an
@@ -104,7 +104,7 @@ def test_k1_unrolled():
 
 
 def test_k0_fiber_only():
-    ps = contact_prolong(1, 0)
+    ps = ProlongedSystem(1, 0)
     assert ps.counts() == {"variables": 3, "contact_equations": 0,
                            "closure_slots": 3}
     assert ps.needed_rhs_names() == ps.var_names()
@@ -112,7 +112,7 @@ def test_k0_fiber_only():
 
 def test_negative_order_is_an_error():
     with pytest.raises(ValidationError, match="nonnegative"):
-        contact_prolong(1, -1)
+        ProlongedSystem(1, -1)
 
 
 def test_contact_chain_against_direct_derivatives():
@@ -135,7 +135,7 @@ def test_contact_chain_against_direct_derivatives():
 
 def test_toy_closure_solution():
     # (s d/ds) u = 2u + s  ->  u = -s  (c1 = 1/(1-2))
-    ps = contact_prolong(0, 0)
+    ps = ProlongedSystem(0, 0)
     rv = rhs_vars(0, 0)
     ps.supplied[var_name(1, (), 0)] = parse_series("2*u1__0 + s", rv, 10)
     sol = assemble_and_solve(ps, 10)[0].solution
@@ -145,7 +145,7 @@ def test_toy_closure_solution():
 
 def test_constant_closure_constant_solution():
     # homogeneous closure: zero series, all coefficients vanish
-    ps = contact_prolong(1, 0)
+    ps = ProlongedSystem(1, 0)
     rv = rhs_vars(1, 0)
     for nm in ps.needed_rhs_names():
         ps.supplied[nm] = parse_series(f"1/2*{nm}", rv, 10)
@@ -153,7 +153,7 @@ def test_constant_closure_constant_solution():
 
 
 def test_missing_rhs_is_an_error():
-    ps = contact_prolong(1, 0)
+    ps = ProlongedSystem(1, 0)
     with pytest.raises(ValidationError, match="missing right-hand side"):
         assemble_and_solve(ps, 4)
 
@@ -161,14 +161,14 @@ def test_missing_rhs_is_an_error():
 def test_rhs_over_other_variables_is_an_error():
     # supplied series are relabelled by position, so their variables
     # must be rhs_vars(n, k) in that order
-    ps = contact_prolong(0, 0)
+    ps = ProlongedSystem(0, 0)
     ps.supplied["u1__0"] = parse_series("2*u1__0 + s", ("u1__0", "s"), 8)
     with pytest.raises(ValidationError, match="must be a series in"):
         assemble_and_solve(ps, 6)
 
 
 def test_centering_failure():
-    ps = contact_prolong(0, 0)
+    ps = ProlongedSystem(0, 0)
     rv = rhs_vars(0, 0)
     ps.supplied[var_name(1, (), 0)] = parse_series("1 + 2*u1__0 + s", rv, 8)
     with pytest.raises(ValidationError, match="centering failure"):
@@ -176,7 +176,7 @@ def test_centering_failure():
 
 
 def test_two_samples_give_distinct_series():
-    ps = contact_prolong(1, 0)
+    ps = ProlongedSystem(1, 0)
     rv = rhs_vars(1, 0)
     for nm in ps.needed_rhs_names():
         ps.supplied[nm] = parse_series(f"2*{nm} + x1*s", rv, 10)
@@ -198,7 +198,7 @@ def test_x_terms_that_cancel_at_a_sample_leave_no_zero_term():
     assert frozen.terms == parse_series("2*y1", bb_vars(3), 8).terms
 
     def solve(u1):
-        ps = contact_prolong(1, 0)
+        ps = ProlongedSystem(1, 0)
         ps.supplied.update({
             "u1_00_0": parse_series(u1, rv, 8),
             "u2_00_0": parse_series("-u2_00_0 + x2*s + u1_00_0^2", rv, 8),
@@ -213,7 +213,7 @@ def test_x_terms_that_cancel_at_a_sample_leave_no_zero_term():
 def test_contact_and_closure_satisfied_by_solution():
     # solve a k=1, n=0 chain: variables u^{(p)} for p = 0,1 with contact
     # (s d/ds)u^{(0)} = u^{(1)} and a closure on u^{(1)}
-    ps = contact_prolong(0, 1)
+    ps = ProlongedSystem(0, 1)
     rv = rhs_vars(0, 1)
     assert ps.var_names() == ["u1__0", "u1__1"]
     ps.supplied["u1__1"] = parse_series("3*u1__1 + s", rv, 10)

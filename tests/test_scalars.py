@@ -116,7 +116,8 @@ def assert_matches(x, p):
                              abs(p[1].numerator), p[1].denominator)
     assert x == GaussRational(*p) and hash(x) == hash(GaussRational(*p))
     assert format_coefficient(x) == ref_format(p)
-    assert x.conjugate().im == -p[1] and x.is_real() == (p[1] == 0)
+    assert x.conjugate().im == -p[1]
+    assert (x.conjugate() == x) == (x.im == 0) == (p[1] == 0)
 
 
 wide_rationals = st.one_of(
