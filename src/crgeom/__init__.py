@@ -12,10 +12,7 @@ from .parsing import parse_series
 from .hypersurface import (EllVerdict, EssentialityVerdict, Hypersurface,
                            essentiality_check, nondegeneracy_ell)
 from .frame import Frame, Filtration, filtration, iterated_forms
-from .crmap import (ComposedTarget, HoloMap, MapFrameData, ResidualReport,
-                    RestrictionData, check_identities, compose_target,
-                    frame_data, map_vars, maps_into, restrict_map,
-                    restriction_data)
+from .crmap import HoloMap, MapCheck, map_vars
 from .briot_bouquet import (BBSystem, FormalLogSolution, bb_vars,
                             formal_solve, numeric_oracle)
 from .prolongation import (ProlongedSystem, assemble_and_solve, jet_slots,
@@ -32,9 +29,7 @@ __all__ = [
     "EllVerdict", "EssentialityVerdict", "Hypersurface",
     "essentiality_check", "nondegeneracy_ell",
     "Frame", "Filtration", "filtration", "iterated_forms",
-    "ComposedTarget", "HoloMap", "MapFrameData", "ResidualReport",
-    "RestrictionData", "check_identities", "compose_target", "frame_data",
-    "map_vars", "maps_into", "restrict_map", "restriction_data",
+    "HoloMap", "MapCheck", "map_vars",
     "BBSystem", "FormalLogSolution", "bb_vars", "formal_solve",
     "numeric_oracle",
     "ProlongedSystem", "assemble_and_solve", "jet_slots", "rhs_vars",

@@ -131,8 +131,11 @@ class Frame:
         """The tail data h0_Abar.  With a_Abar = m (L_Abar s)/s = m Q_A / s,
         [L_Abar, s^m T] = s^m (a_Abar + c[A][0]) T, so
         h0_Abar = -(a_Abar + c[A][0]), cut to the order the bracket with
-        s^m T leaves exact."""
+        s^m T leaves exact.  For m = 0, a_Abar = 0: Q_A need not be
+        divisible by s there."""
         m = self.hypersurface.m
+        if m == 0:
+            return [-ca[0].truncate(self.trunc - 1) for ca in self.c]
         a_bar = [q.divide_by_power("s", 1) * GaussRational(m) for q in self.Q]
         return [-(x + ca[0]).truncate(self.trunc - 1 - m)
                 for x, ca in zip(a_bar, self.c)]

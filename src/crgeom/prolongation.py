@@ -122,7 +122,8 @@ class SampleSolution:
 def assemble_and_solve(ps: ProlongedSystem, order: int
                        ) -> List[SampleSolution]:
     """Per frozen sample: freeze x, build the Briot-Bouquet system over
-    (t = s, y = jet variables), and solve formally to the given order."""
+    (t = s, y = jet variables), and solve formally to the given order.
+    Every sample is frozen and centering-checked before the first solve."""
     n, c = ps.n, 2 * ps.n + 1
     N = c * len(ps.slots)
     needed = ps.needed_rhs_names()
@@ -157,7 +158,7 @@ def assemble_and_solve(ps: ProlongedSystem, order: int
             rhs_chain[c * j + i] = Series.variable(
                 f"y{target + i + 1}", bbv, trunc)
 
-    results = []
+    systems = []
     for sample in ps.frozen_x or [tuple()]:
         rhs_list = list(rhs_chain)
         for nm, j in zip(needed, top):
@@ -167,7 +168,11 @@ def assemble_and_solve(ps: ProlongedSystem, order: int
                     f"centering failure at sample {tuple(map(str, sample))}: "
                     f"rhs for {nm} has constant term {frozen.constant_term()}")
             rhs_list[j] = frozen
-        sol = formal_solve(BBSystem(N, rhs_list, order))
+        systems.append((sample, BBSystem(N, rhs_list, order)))
+
+    results = []
+    for sample, system in systems:
+        sol = formal_solve(system)
         where = f"growth at sample {tuple(map(str, sample))}"
         growth = 0.0
         for (k, r), v in sol.coeffs.items():

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 from . import corpus
 from .briot_bouquet import (BBSystem, FormalLogSolution, bb_vars,
                             formal_solve, numeric_oracle)
-from .crmap import HoloMap, check_identities, map_vars
+from .crmap import HoloMap, MapCheck, map_vars
 from .errors import ParseError, ValidationError
 from .frame import Frame, filtration
 from .hypersurface import (Hypersurface, essentiality_check,
@@ -253,7 +253,11 @@ def hypersurface_report(h: Hypersurface) -> dict:
 
 
 def map_report(f: HoloMap, src: Hypersurface, tgt: Hypersurface) -> dict:
-    rr = check_identities(f, src, tgt)
+    mc = MapCheck(f, src, tgt)
+    # the identities read xi, which raises on a collapsing map or a
+    # singular xi before the report is assembled
+    identities = {name: [r.to_literal() for r in rs]
+                  for name, rs in mc.identities.items()}
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "check-map",
@@ -264,15 +268,12 @@ def map_report(f: HoloMap, src: Hypersurface, tgt: Hypersurface) -> dict:
             "target_phi": tgt.phi.to_literal(),
         },
         "residuals": {
-            "map_residual": rr.map_residual.to_literal(),
-            "maps_into": rr.map_residual.is_zero(),
-            "identities": {name: [r.to_literal() for r in rs]
-                           for name, rs in rr.identity_residuals.items()},
-            "all_zero": rr.all_zero(),
+            "map_residual": mc.map_residual.to_literal(),
+            "maps_into": mc.map_residual.is_zero(),
+            "identities": identities,
+            "all_zero": mc.all_zero,
         },
-        "xi": rr.xi.to_literal(),
-        # check_identities raises InvariantViolation("xi-singular ...")
-        # otherwise
+        "xi": mc.xi.to_literal(),
         "xi_smooth": True,
     }
 
@@ -372,14 +373,14 @@ def examples_report(trunc: Optional[int] = None) -> dict:
         tk = max(t, 2 * k + 4)
         mk = corpus.power_target(k, tk)
         fmap = corpus.power_map(k, tk)
-        rr = check_identities(fmap, corpus.model_surface(tk), mk)
-        check(f"power-map k={k} residuals", True, rr.all_zero())
-        check(f"power-map k={k} xi", str(k), rr.xi.to_literal())
+        mc = MapCheck(fmap, corpus.model_surface(tk), mk)
+        check(f"power-map k={k} residuals", True, mc.all_zero)
+        check(f"power-map k={k} xi", str(k), mc.xi.to_literal())
 
     ident = corpus.identity_map(1, t)
-    rr_id = check_identities(ident, m0, m0)
-    check("identity-map xi", "1", rr_id.xi.to_literal())
-    check("identity-map residuals", True, rr_id.all_zero())
+    mc_id = MapCheck(ident, m0, m0)
+    check("identity-map xi", "1", mc_id.xi.to_literal())
+    check("identity-map residuals", True, mc_id.all_zero)
 
     filt = filtration(Frame(corpus.filtration_example_surface(t)))
     check("filtration ranks", [0, 1, 2], filt.ranks)

@@ -11,8 +11,7 @@ from crgeom import corpus
 from crgeom.briot_bouquet import (bb_vars, BBSystem, formal_solve,
                                   numeric_oracle)
 from crgeom.cli import main
-from crgeom.crmap import (check_identities, compose_with_map, maps_into,
-                          restriction_data)
+from crgeom.crmap import MapCheck
 from crgeom.frame import Frame, iterated_forms
 from crgeom.hypersurface import essentiality_check, nondegeneracy_ell
 from crgeom.parsing import parse_series
@@ -54,10 +53,9 @@ def test_criterion_03_power_map_containment():
     ok = True
     for k in (2, 3, 4):
         t = 2 * k + 4
-        rd = restriction_data(corpus.power_map(k, t), corpus.model_surface(t))
-        phihat_f, = compose_with_map([corpus.power_target(k, t).phi], rd)
-        res = maps_into(rd, phihat_f)
-        ok = ok and res.is_zero()
+        mc = MapCheck(corpus.power_map(k, t), corpus.model_surface(t),
+                      corpus.power_target(k, t))
+        ok = ok and mc.map_residual.is_zero()
     _verdict("03 power-map containment", ok)
 
 
@@ -100,11 +98,10 @@ def test_criterion_05_iterated_recursion():
 def test_criterion_06_map_identities():
     t = 9
     m0 = corpus.model_surface(t)
-    rr_id = check_identities(corpus.identity_map(1, t), m0, m0)
-    rr_sq = check_identities(corpus.power_map(2, t), m0,
-                             corpus.power_target(2, t))
-    ok = (rr_id.all_zero() and rr_id.xi.to_literal() == "1"
-          and rr_sq.all_zero() and rr_sq.xi.to_literal() == "2")
+    mc_id = MapCheck(corpus.identity_map(1, t), m0, m0)
+    mc_sq = MapCheck(corpus.power_map(2, t), m0, corpus.power_target(2, t))
+    ok = (mc_id.all_zero and mc_id.xi.to_literal() == "1"
+          and mc_sq.all_zero and mc_sq.xi.to_literal() == "2")
     _verdict("06 map transformation identities", ok)
 
 

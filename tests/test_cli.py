@@ -402,6 +402,27 @@ def test_check_map_levi_flat_exit_2(tmp_path, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+SPHERE = 'n = 1\ntrunc = 6\nphi = "z1*c1"\n'
+
+
+@pytest.mark.parametrize("F1, genuine", [("z1", True),
+                                         ("(3/5 + 4/5*i)*z1", True),
+                                         ("2*z1", False)])
+def test_check_map_on_the_sphere(tmp_path, capsys, F1, genuine):
+    # Im w = |z|^2 has m = 0: its Levi tail functions are formed without
+    # dividing Q_A by s, which need not be divisible by it there
+    write(tmp_path, "sphere.hs", SPHERE)
+    mp = write(tmp_path, "f.map",
+               'n = 1\ntrunc = 6\nsource = sphere.hs\ntarget = sphere.hs\n'
+               f'F1 = "{F1}"\nF2 = "w"\n')
+    code, rep = run_json(capsys, ["check-map", mp])
+    assert code == 0
+    assert rep["residuals"]["maps_into"] is genuine
+    assert rep["residuals"]["all_zero"] is genuine
+    if genuine:
+        assert rep["xi"] == "1"
+
+
 def test_validation_error_exit_1(tmp_path, capsys):
     path = write(tmp_path, "bad.hs", 'n = 1\ntrunc = 8\nphi = "s*z1"\n')
     assert main(["report", path]) == 1
@@ -504,6 +525,30 @@ def test_prolong_x_dependent_without_samples_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert "'samples'" in err and "u1_00_0" in err
+
+
+def test_prolong_checks_every_sample_before_solving(tmp_path, capsys,
+                                                   monkeypatch):
+    # the second sample leaves u3_00_0 a constant term: the run fails
+    # before the first sample is solved
+    import crgeom.prolongation
+    formal_solve, solves = crgeom.prolongation.formal_solve, []
+
+    def counted(sys_):
+        solves.append(sys_)
+        return formal_solve(sys_)
+    monkeypatch.setattr(crgeom.prolongation, "formal_solve", counted)
+    path = write(tmp_path, "two.ps",
+                 'n = 1\nk = 0\norder = 4\nsamples = "1, 0; 1, 1"\n'
+                 'u1_00_0 = "(-1)*u1_00_0 + s"\n'
+                 'u2_00_0 = "(-2)*u2_00_0 + x1*s"\n'
+                 'u3_00_0 = "(-3)*u3_00_0 + x2"\n')
+    assert main(["prolong", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "centering failure at sample ('1', '1')" in captured.err
+    assert "u3_00_0 has constant term 1" in captured.err
+    assert solves == []
 
 
 JETS_K0 = ('n = 1\nk = 0\norder = 4\nsamples = "{}"\n'

@@ -1,19 +1,18 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 import crgeom.crmap
 from crgeom import corpus
 from crgeom.cli import main
-from crgeom.crmap import (HoloMap, check_identities, compose_target,
-                          compose_with_map, frame_data, map_vars, maps_into,
-                          restrict_map, restriction_data)
+from crgeom.crmap import HoloMap, MapCheck, map_vars
 from crgeom.errors import InvariantViolation, ValidationError
 from crgeom.frame import Frame
 from crgeom.hypersurface import Hypersurface
 from crgeom.parsing import parse_series
-from crgeom.report import HALF_OVER_I
+from crgeom.report import HALF_OVER_I, hypersurface_report
 from crgeom.scalars import GaussRational
 from crgeom.series import Series, hypersurface_vars, implicit_solve
 
@@ -22,35 +21,23 @@ T = 9
 M2_PHI = "s*z1*c1 + s*z2*c2^2 + s*z2^2*c2 + s^2*z1*c2 + s^2*z2*c1"
 
 
-def map_frame_data(f, source, target):
-    fr, rd = Frame(source), restriction_data(f, source)
-    return frame_data(fr, rd, compose_target(fr, Frame(target), rd))
-
-
-def containment(f, source, target):
-    rd = restriction_data(f, source)
-    return maps_into(rd, compose_with_map([target.phi], rd)[0])
-
-
 def assert_tangent(f, source, target):
     """f_* L_B has no That-component: theta_hat o f paired with it, whose
     That-part is L_B(s_hat) and whose Lhat_C-part is gamma^C_B (its
     Lhat_Cbar-part vanishes by holomorphy), is zero for every B."""
-    fr, fr_hat, rd = Frame(source), Frame(target), restriction_data(f, source)
-    ct = compose_target(fr, fr_hat, rd)
-    fd = frame_data(fr, rd, ct)
-    theta_f = ct.theta
+    mc = MapCheck(f, source, target)
+    theta_f = mc.theta_hat_f
     for B in range(source.n):
-        paired = theta_f["s"] * fr.L(B, rd.s_hat)
+        paired = theta_f["s"] * mc.frame.L(B, mc.s_hat)
         for C in range(target.n):
-            paired = paired + theta_f[f"z{C + 1}"] * fd.gamma[C][B]
+            paired = paired + theta_f[f"z{C + 1}"] * mc.gamma[C][B]
         assert paired.is_zero()
 
 
 def test_restrict_substitutes_w():
     m0 = corpus.model_surface(T)
     f = corpus.power_map(1, T)
-    F = restrict_map(f, m0)
+    F = MapCheck(f, m0, m0).F
     # F2|M = s + i*phi
     s = Series.variable("s", m0.vars(), T)
     assert F[1] == s + m0.phi * GaussRational(0, 1)
@@ -73,21 +60,21 @@ def test_power_maps_into_targets():
         trunc = 2 * k + 4
         m0 = corpus.model_surface(trunc)
         mk = corpus.power_target(k, trunc)
-        res = containment(corpus.power_map(k, trunc), m0, mk)
-        assert res.is_zero()
+        mc = MapCheck(corpus.power_map(k, trunc), m0, mk)
+        assert mc.map_residual.is_zero()
 
 
 def test_wrong_target_gives_nonzero_residual():
     m0 = corpus.model_surface(T)
     m3 = corpus.power_target(3, T)
-    res = containment(corpus.power_map(2, T), m0, m3)
-    assert not res.is_zero()
+    mc = MapCheck(corpus.power_map(2, T), m0, m3)
+    assert not mc.map_residual.is_zero()
 
 
 def test_frame_data_power_map():
     m0 = corpus.model_surface(T)
     m2 = corpus.power_target(2, T)
-    fd = map_frame_data(corpus.power_map(2, T), m0, m2)
+    fd = MapCheck(corpus.power_map(2, T), m0, m2)
     assert fd.xi == Series.const(2, fd.xi.vars, fd.xi.trunc)
     assert fd.gamma[0][0].constant_term() == GaussRational(1)
     assert all(e.is_zero() for e in fd.eta)
@@ -97,9 +84,9 @@ def test_frame_data_power_map():
 
 def test_identity_map_xi_one():
     m0 = corpus.model_surface(T)
-    rr = check_identities(corpus.identity_map(1, T), m0, m0)
-    assert rr.all_zero()
-    assert rr.xi.to_literal() == "1"
+    mc = MapCheck(corpus.identity_map(1, T), m0, m0)
+    assert mc.all_zero
+    assert mc.xi.to_literal() == "1"
 
 
 def test_identities_vanish_for_corpus_maps():
@@ -107,17 +94,17 @@ def test_identities_vanish_for_corpus_maps():
         trunc = 2 * k + 4
         m0 = corpus.model_surface(trunc)
         mk = corpus.power_target(k, trunc)
-        rr = check_identities(corpus.power_map(k, trunc), m0, mk)
-        assert rr.map_residual.is_zero()
-        assert rr.all_zero()
-        assert rr.xi.to_literal() == str(k)
+        mc = MapCheck(corpus.power_map(k, trunc), m0, mk)
+        assert mc.map_residual.is_zero()
+        assert mc.all_zero
+        assert mc.xi.to_literal() == str(k)
 
 
 def test_identity_map_on_higher_dimensional_surface():
     h = corpus.filtration_example_surface(T)
-    rr = check_identities(corpus.identity_map(2, T), h, h)
-    assert rr.all_zero()
-    assert rr.xi.to_literal() == "1"
+    mc = MapCheck(corpus.identity_map(2, T), h, h)
+    assert mc.all_zero
+    assert mc.xi.to_literal() == "1"
 
 
 def test_functoriality_square_map_between_targets():
@@ -127,15 +114,13 @@ def test_functoriality_square_map_between_targets():
     m2 = corpus.power_target(2, trunc)
     m4 = corpus.power_target(4, trunc)
     f2 = corpus.power_map(2, trunc)
-    res = containment(f2, m2, m4)
-    assert res.is_zero()
-    rr_step = check_identities(f2, m2, m4)
-    assert rr_step.all_zero()
+    fd_second = MapCheck(f2, m2, m4)
+    assert fd_second.map_residual.is_zero()
+    assert fd_second.all_zero
 
     # compose: (z, (w^2)^2) = (z, w^4)
-    fd_first = map_frame_data(f2, m0, m2)
-    fd_second = map_frame_data(f2, m2, m4)
-    fd_total = map_frame_data(corpus.power_map(4, trunc), m0, m4)
+    fd_first = MapCheck(f2, m0, m2)
+    fd_total = MapCheck(corpus.power_map(4, trunc), m0, m4)
     # xi is multiplicative along the composition: 2 * (xi_2 o f) = 4
     xi2_of = fd_second.xi     # equals 2 exactly here
     prod = fd_first.xi * xi2_of.truncate(fd_first.xi.trunc)
@@ -147,14 +132,32 @@ def test_levi_flat_source_is_xi_singular():
     flat = corpus.levi_flat_surface(T)
     m0 = corpus.model_surface(T)
     with pytest.raises(InvariantViolation, match="xi-singular"):
-        map_frame_data(corpus.identity_map(1, T), flat, m0)
+        MapCheck(corpus.identity_map(1, T), flat, m0)
 
 
 def test_levi_flat_target_is_xi_singular():
     flat = corpus.levi_flat_surface(T)
     m0 = corpus.model_surface(T)
     with pytest.raises(InvariantViolation, match="xi-singular"):
-        map_frame_data(corpus.identity_map(1, T), m0, flat)
+        MapCheck(corpus.identity_map(1, T), m0, flat)
+
+
+def test_errors_come_in_a_fixed_order():
+    # a dimension mismatch, then a Levi-flat surface, when the check is
+    # built; then a collapse into E' = {w = 0}, which leaves s_hat zero
+    # and so xi singular as well, when xi is read
+    flat = corpus.levi_flat_surface(T)
+    m0 = corpus.model_surface(T)
+    mv = map_vars(1)
+    collapse = HoloMap(1, [Series.variable("z1", mv, T), Series.zero(mv, T)])
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        MapCheck(corpus.identity_map(2, T), flat, flat)
+    with pytest.raises(InvariantViolation, match="source is Levi flat"):
+        MapCheck(collapse, flat, m0)
+    mc = MapCheck(collapse, m0, m0)
+    for piece in ("identities", "xi"):
+        with pytest.raises(ValidationError, match="E' = {w = 0}"):
+            getattr(mc, piece)
 
 
 def test_origin_value_of_levi_identity():
@@ -163,7 +166,7 @@ def test_origin_value_of_levi_identity():
     # model -> power target
     m0 = corpus.model_surface(T)
     m2 = corpus.power_target(2, T)
-    fd = map_frame_data(corpus.power_map(2, T), m0, m2)
+    fd = MapCheck(corpus.power_map(2, T), m0, m2)
     h0 = Frame(m0).h0
     h0hat = Frame(m2).h0
     xi0 = fd.xi.constant_term()
@@ -180,9 +183,9 @@ def test_non_map_has_nonzero_residuals():
     mv = map_vars(1)
     f = HoloMap(1, [Series.variable("z1", mv, T) * 2,
                     Series.variable("w", mv, T)])
-    rr = check_identities(f, m0, m0)
-    assert not rr.map_residual.is_zero()
-    assert not rr.all_zero()
+    mc = MapCheck(f, m0, m0)
+    assert not mc.map_residual.is_zero()
+    assert not mc.all_zero
 
 
 def w_dependent_example(trunc):
@@ -205,13 +208,57 @@ def w_dependent_example(trunc):
 
 def test_identities_vanish_for_w_dependent_map():
     f, src, tgt = w_dependent_example(T)
-    fd = map_frame_data(f, src, tgt)
-    assert not fd.eta[0].is_zero()
+    mc = MapCheck(f, src, tgt)
+    assert not mc.eta[0].is_zero()
     assert_tangent(f, src, tgt)
-    rr = check_identities(f, src, tgt)
-    assert rr.map_residual.is_zero()
-    assert rr.all_zero()
-    assert rr.xi.constant_term() == GaussRational(1)
+    assert mc.map_residual.is_zero()
+    assert mc.all_zero
+    assert mc.xi.constant_term() == GaussRational(1)
+
+
+def rescaled_example(phi_literal, n, trunc):
+    """F = (z u(w), w) with u = 1 + (1/2 + i/3) w, which keeps normal
+    form: it maps Im w = phi into Im w = phi' with t = phi' solving
+    t = phi(z / u(s + i t), c / conj(u)(s - i t), s), one implicit_solve.
+    The target shares only Series arithmetic with MapCheck."""
+    a = GaussRational(Fraction(1, 2), Fraction(1, 3))
+    hv = hypersurface_vars(n)
+    phi = parse_series(phi_literal, hv, trunc)
+    ivars = hv + ("t",)
+    s, t = (Series.variable(x, ivars, trunc) for x in ("s", "t"))
+    one = Series.const(1, ivars, trunc)
+    i_t = t * GaussRational(0, 1)
+    v = (one + (s + i_t) * a).reciprocal()
+    v_bar = (one + (s - i_t) * a.conjugate()).reciprocal()
+    image = {"s": s}
+    for j in range(1, n + 1):
+        image[f"z{j}"] = Series.variable(f"z{j}", ivars, trunc) * v
+        image[f"c{j}"] = Series.variable(f"c{j}", ivars, trunc) * v_bar
+    t_sol = implicit_solve(phi.subs(image), "t")
+    phi_hat = t_sol.subs({x: Series.variable(x, hv, trunc) for x in hv})
+    mv = map_vars(n)
+    w = Series.variable("w", mv, trunc)
+    u = Series.const(1, mv, trunc) + w * a
+    f = HoloMap(n, [Series.variable(f"z{j}", mv, trunc) * u
+                    for j in range(1, n + 1)] + [w])
+    return f, Hypersurface(n, phi), Hypersurface(n, phi_hat)
+
+
+@pytest.mark.parametrize("phi, n", [("s*z1*c1", 1),
+                                    ("s*z1*c1 + s*z2*c2^2 + s*z2^2*c2", 2)])
+def test_nonlinear_genuine_map(phi, n):
+    # a map with u(w) not constant gives gamma, eta and xi the terms that
+    # the linear maps and the power maps leave zero; every report
+    # invariant is a biholomorphic invariant, so source and target agree
+    f, src, tgt = rescaled_example(phi, n, 8)
+    assert src.phi != tgt.phi
+    mc = MapCheck(f, src, tgt)
+    assert mc.map_residual.is_zero()
+    assert mc.all_zero
+    assert any(sum(e) > 0 for e in mc.xi.terms)
+    assert not all(e.is_zero() for e in mc.eta)
+    assert hypersurface_report(src)["invariants"] == \
+        hypersurface_report(tgt)["invariants"]
 
 
 def test_theta_hat_f_matches_composed_quotient():
@@ -227,11 +274,10 @@ def test_theta_hat_f_matches_composed_quotient():
                             w + z1 * z1 - z1 * z2])
     h = corpus.filtration_example_surface(T)
     for f, src, tgt in [w_dependent_example(T), (quadratic, h, h)]:
-        fr_hat = Frame(tgt)
-        rd = restriction_data(f, src)
-        got = compose_target(Frame(src), fr_hat, rd).theta
-        for C, p in enumerate(fr_hat.P, start=1):
-            want = compose_with_map([-p], rd)[0]
+        mc = MapCheck(f, src, tgt)
+        got = mc.theta_hat_f
+        for C, p in enumerate(mc.frame_hat.P, start=1):
+            want = mc.compose([-p])[0]
             assert len(want.terms) > 1
             assert got[f"z{C}"] == want and got[f"z{C}"].trunc == want.trunc
             assert got[f"c{C}"] == want.conjugate()
@@ -251,17 +297,16 @@ def test_batched_composition_matches_one_by_one():
                             w + z1 * z1 * w - z1 * z2 * w])
     src = Hypersurface(
         2, parse_series(M2_PHI, hypersurface_vars(2), T))
-    rd = restriction_data(quadratic, src)
-    fr_hat = Frame(src)
-    ct = compose_target(Frame(src), fr_hat, rd)
+    mc = MapCheck(quadratic, src, src)
+    fr_hat = mc.frame_hat
 
     def alone(g):
-        return compose_with_map([g], rd)[0]
+        return mc.compose([g])[0]
 
-    pairs = [(ct.phi, alone(src.phi))]
-    pairs += [(ct.h0[a][b], alone(fr_hat.h0[a][b]))
+    pairs = [(mc.phi_hat_f, alone(src.phi))]
+    pairs += [(mc.h0_hat_f[a][b], alone(fr_hat.h0[a][b]))
               for a in range(2) for b in range(2)]
-    pairs += [(x, alone(y)) for x, y in zip(ct.h0_bar, fr_hat.h0_bar)]
+    pairs += [(x, alone(y)) for x, y in zip(mc.h0_bar_hat_f, fr_hat.h0_bar)]
     assert sorted({want.trunc for _, want in pairs}) == [6, 9]
     for got, want in pairs:
         assert not want.is_zero()
@@ -269,23 +314,26 @@ def test_batched_composition_matches_one_by_one():
 
 
 def test_check_identities_builds_each_piece_once(monkeypatch):
-    # one restriction and one batched composition of (n+1) + n(n+1)/2 +
-    # n + 1 series: phihat and its n + 1 first partials, the target's h0
-    # with a <= b, and its h0bar
-    calls = {"restrict_map": [], "compose_with_map": []}
-    for name in calls:
-        original = getattr(crgeom.crmap, name)
+    # two batched substitutions, however many pieces read them: the
+    # restriction of the n + 1 components, and one composition of
+    # (n+1) + n(n+1)/2 + n + 1 series: phihat and its n + 1 first
+    # partials, the target's h0 with a <= b, and its h0bar
+    batches = []
+    substitute = crgeom.crmap.substitute
 
-        def counted(*args, _original=original, _name=name):
-            calls[_name].append(len(args[0]) if _name == "compose_with_map"
-                                else 1)
-            return _original(*args)
-        monkeypatch.setattr(crgeom.crmap, name, counted)
+    def counted(series, mapping):
+        batches.append(len(series))
+        return substitute(series, mapping)
+    monkeypatch.setattr(crgeom.crmap, "substitute", counted)
     h = corpus.filtration_example_surface(T)
     n = h.n
-    assert check_identities(corpus.identity_map(n, T), h, h).all_zero()
-    assert calls["restrict_map"] == [1]
-    assert calls["compose_with_map"] == [(n + 1) + n * (n + 1) // 2 + n + 1]
+    f = corpus.identity_map(n, T)
+    mc = MapCheck(f, h, h)
+    assert mc.all_zero and mc.max_checked_order > 0
+    # a second read forms nothing again
+    assert mc.xi.to_literal() == "1" and mc.map_residual.is_zero()
+    assert batches == [len(f.components),
+                       (n + 1) + n * (n + 1) // 2 + n + 1]
 
 
 def test_check_map_truncations_are_pinned():
@@ -294,12 +342,11 @@ def test_check_map_truncations_are_pinned():
     # changing any printed term (values recorded from the term-by-term
     # kernels: products that visit every pair, subs by repeated addition)
     f, src, tgt = w_dependent_example(T)
-    fd = map_frame_data(f, src, tgt)
-    assert [[g.trunc for g in row] for row in fd.gamma] == [[8]]
-    assert [e.trunc for e in fd.eta] == [8]
-    rr = check_identities(f, src, tgt)
+    rr = MapCheck(f, src, tgt)
+    assert [[g.trunc for g in row] for row in rr.gamma] == [[8]]
+    assert [e.trunc for e in rr.eta] == [8]
     assert {k: [r.trunc for r in rs]
-            for k, rs in rr.identity_residuals.items()} == {
+            for k, rs in rr.identities.items()} == {
         "levi": [6], "levi-tail": [6], "gamma-cr": [6], "eta-cr": [6],
         "gamma-s": [6]}
     assert rr.xi.trunc == 7
