@@ -11,11 +11,19 @@ and its own coefficients stay printable.  Truncation orders are at most
 Which variable names are legal depends on context (z1..zn, c1..cn, s, t,
 w, y1..yN, x1..x2n) and is supplied by the caller as the variable tuple.
 
-A literal is built term by term: while a value is one term it is kept as
-a (coefficient, exponent tuple) pair, and products, powers, signs and
-division by a nonzero constant act on the pair.  Only parenthesized sums
-of several terms, division by a non-constant unit and powers of sums use
-``Series`` arithmetic.  The lexer tokenizes in one pass.
+One ``findall`` call lexes a literal into parallel lists of token kinds
+and texts, closed by an EOF sentinel; a token's line and column are
+worked out only for an error message.  A literal is then built term by
+term: while a value is one term it is kept as a monomial ``(a, b, d, e)``,
+the Gaussian integer ``a + b*i`` over ``d > 0`` (not necessarily in
+lowest terms) times ``x^e``, and products, signs, sums and division by a
+nonzero constant act on those ints with no gcd.  A variable is one dict
+lookup, and a factor 1 is skipped.  Each coefficient is reduced once, when
+it is stored in a ``Series``; the bit bound first compares the largest
+part of the unreduced triple, which is exact because a reduced number's
+numerators and denominator are at most ``max(|a|, |b|, d)``, and reduces
+only past it.  Only parenthesized sums of several terms, division by a
+non-constant unit and powers of sums use ``Series`` arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from operator import add as _add
 from typing import Tuple
 
 from .errors import ParseError, UnitRequiredError
-from .scalars import I, ONE, ZERO, GaussRational
+from .scalars import _reduced
 from .series import Series
 
 MAX_EXPONENT = 1000
@@ -42,45 +50,7 @@ MAX_DIM = 4
 MAX_COEFF_BITS = 14000
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
-_KINDS = (None, "INT", "NAME", "OP")
-
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        # finditer skips nothing: past whitespace any character starts a
-        # match (group 4 takes the unexpected ones), so only trailing
-        # whitespace goes unmatched
-        for m in _TOKEN_RE.finditer(text):
-            group = m.lastindex
-            if group == 4:
-                line, col = self._loc(m.start(4))
-                raise ParseError(f"unexpected character {m.group(4)!r}",
-                                 line, col)
-            self.tokens.append((_KINDS[group], m.group(group), m.start(group)))
-        self.idx = 0
-
-    def _loc(self, pos):
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    def peek(self):
-        if self.idx < len(self.tokens):
-            return self.tokens[self.idx]
-        return ("EOF", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.idx += 1
-        return tok
-
-    def error(self, msg, tok=None):
-        tok = tok or self.peek()
-        line, col = self._loc(tok[2])
-        raise ParseError(msg, line, col)
+    r"(\s*)(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
 
 
 def _coeff_bits(coeffs) -> int:
@@ -90,202 +60,270 @@ def _coeff_bits(coeffs) -> int:
 
 
 # A parsed value is a Series, or while it is one term a monomial
-# (coefficient, exponent tuple): zero, or nonzero of degree <= trunc.
+# (a, b, d, e): the number (a + b*i)/d, d > 0 and not necessarily in
+# lowest terms, times x^e; zero when a = b = 0, else of degree <= trunc.
 
 def _degree(v) -> int:
     """Largest total degree of a term of v (0 when v is zero)."""
     if type(v) is tuple:
-        return sum(v[1])
+        return sum(v[3])
     return max(map(sum, v.terms), default=0)
 
 
 def _bits(v) -> int:
+    """The bit bound's measure of v: its coefficients' largest height."""
     if type(v) is tuple:
-        return 0 if v[0].is_zero() else v[0].height().bit_length()
+        return _coeff_bits([_reduced(*v[:3])]) if v[0] or v[1] else 0
     return _coeff_bits(v.terms.values())
 
 
 def _neg(v):
-    return (-v[0], v[1]) if type(v) is tuple else -v
+    return (-v[0], -v[1], v[2], v[3]) if type(v) is tuple else -v
 
 
-def _terms(v):
+def _raw_terms(v):
+    """v's terms as (exponents, (a, b, d)) pairs."""
     if type(v) is tuple:
-        return () if v[0].is_zero() else ((v[1], v[0]),)
-    return v.terms.items()
+        return ((v[3], v[:3]),) if v[0] or v[1] else ()
+    return [(e, (c._a, c._b, c._d)) for e, c in v.terms.items()]
 
 
 class _Parser:
-    def __init__(self, lexer: _Lexer, vars: Tuple[str, ...], trunc: int):
-        self.lx = lexer
+    """Recursive descent over the tokens of one literal.
+
+    One ``findall`` lexes the text into parallel lists closed by an
+    ``EOF`` sentinel: ``kinds`` holds an operator's own character, or
+    ``INT`` or ``NAME``, and ``vals`` the token's text.  A token's
+    position is worked out only for an error message."""
+
+    def __init__(self, text: str, vars: Tuple[str, ...], trunc: int):
+        self.text = text
+        # the matches tile the text up to trailing whitespace: past
+        # whitespace any character starts one (group 5 takes the
+        # unexpected ones)
+        self.toks = toks = _TOKEN_RE.findall(text)
+        kinds = [op or ("INT" if num else "NAME" if name else "")
+                 for _, num, name, op, _ in toks]
+        if "" in kinds:
+            idx = kinds.index("")
+            self._error(f"unexpected character {toks[idx][4]!r}", idx)
+        self.kinds = kinds + ["EOF"]
+        self.vals = [num or name or op for _, num, name, op, _ in toks] + [""]
+        self.i = 0
         self.vars = vars
         self.trunc = trunc
-        self.cut = max(trunc, 0)        # the truncation a Series keeps
-        self.zero = (ZERO, (0,) * len(vars))
+        self.cut = cut = max(trunc, 0)      # the truncation a Series keeps
+        self.one = one = (0,) * len(vars)
+        self.zero = (0, 0, 1, one)
+        # the value of each name: a variable's monomial, and the unit i
+        self.names = {
+            v: (1, 0, 1, one[:k] + (1,) + one[k + 1:]) if cut else self.zero
+            for k, v in enumerate(vars)}
+        self.names["i"] = (0, 1, 1, one)
         # set when truncation may have dropped a term of the literal
         self.dropped = False
 
+    def _error(self, msg: str, idx: int):
+        """Raise a ParseError at token ``idx`` (the end for the sentinel)."""
+        toks, text = self.toks, self.text
+        pos = len(text) if idx >= len(toks) else \
+            sum(len("".join(t)) for t in toks[:idx]) + len(toks[idx][0])
+        line = text.count("\n", 0, pos) + 1
+        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+        raise ParseError(msg, line, col)
+
     def parse(self) -> Series:
         result = self.expr()
-        tok = self.lx.peek()
-        if tok[0] != "EOF":
-            self.lx.error(f"unexpected token {tok[1]!r}")
+        if self.kinds[self.i] != "EOF":
+            self._error(f"unexpected token {self.vals[self.i]!r}", self.i)
         return self._series(result)
-
-    def _mono(self, c: GaussRational, e: Tuple[int, ...]):
-        """The monomial c * x^e, or zero when c is 0 or e past trunc."""
-        return self.zero if c.is_zero() or sum(e) > self.cut else (c, e)
 
     def _series(self, v) -> Series:
         if type(v) is tuple:
-            return Series._trusted(self.vars, self.trunc, dict(_terms(v)))
+            a, b, d, e = v
+            return Series._trusted(self.vars, self.trunc,
+                                   {e: _reduced(a, b, d)} if a or b else {})
         return v
 
-    def expr(self):
-        kind, val, _ = self.lx.peek()
-        negate = False
-        if kind == "OP" and val in "+-":
-            self.lx.next()
-            negate = val == "-"
-        acc = self.term()
-        if negate:
-            acc = _neg(acc)
-        kind, val, _ = self.lx.peek()
-        if not (kind == "OP" and val in "+-"):
-            return acc
-        # a sum's terms accumulate in one dict, built into a series once
-        acc = dict(_terms(acc))
-        while kind == "OP" and val in "+-":
-            tok = self.lx.next()
-            rhs = _terms(self.term())
-            for e, c in rhs:
-                cur = acc.get(e)
-                s = c if val == "+" else -c
-                if cur is not None:
-                    s = cur + s
-                if s.is_zero():
-                    del acc[e]
-                else:
-                    acc[e] = s
-            # only the coefficients at rhs's exponents changed
-            self._check_bits(_coeff_bits(acc[e] for e, _ in rhs if e in acc),
-                             tok)
-            kind, val, _ = self.lx.peek()
-        if len(acc) > 1:
-            return Series._trusted(self.vars, self.trunc, acc)
-        # a sum of one term, such as (2/7+4/7*i), stays a monomial
-        return next(((c, e) for e, c in acc.items()), self.zero)
+    def _fit(self, a: int, b: int, d: int, idx: int):
+        """The triple, reduced when a part is past MAX_COEFF_BITS; a
+        ParseError at token ``idx`` when the reduced number is too.  The
+        reduced number's height is at most max(|a|, |b|, d), so a triple
+        within the bound needs no gcd."""
+        if max(a.bit_length(), b.bit_length(),
+               d.bit_length()) <= MAX_COEFF_BITS:
+            return a, b, d
+        c = _reduced(a, b, d)
+        self._check_bits(_coeff_bits([c]), idx)
+        return c._a, c._b, c._d
 
-    def term(self):
-        acc = self.factor()
-        while True:
-            kind, val, _ = self.lx.peek()
-            if not (kind == "OP" and val in "*/"):
-                return acc
-            tok = self.lx.next()
-            rhs = self.factor()
-            if val == "*":
-                self._note_degree(_degree(acc) + _degree(rhs))
-                if type(acc) is tuple and type(rhs) is tuple:
-                    e = tuple(map(_add, acc[1], rhs[1]))
-                    acc = self.zero if sum(e) > self.cut else \
-                        self._mono(acc[0] * rhs[0], e)
-                else:
-                    acc = self._series(acc) * self._series(rhs)
-            elif type(rhs) is tuple:
-                c, e = rhs
-                if c.is_zero() or any(e):
-                    self.lx.error("division by a non-unit series", tok)
-                acc = self._mono(acc[0] / c, acc[1]) if type(acc) is tuple \
-                    else acc * (ONE / c)
-            else:
-                try:
-                    inv = rhs.reciprocal()
-                except UnitRequiredError:
-                    self.lx.error("division by a non-unit series", tok)
-                if _degree(rhs) > 0 and _terms(acc):
-                    self.dropped = True     # 1/rhs has no last term
-                acc = self._series(acc) * inv
-            self._check_bits(_bits(acc), tok)
-
-    def factor(self):
-        kind, val, _ = self.lx.peek()
-        if kind == "OP" and val in "+-":
-            self.lx.next()
-            inner = self.factor()
-            return _neg(inner) if val == "-" else inner
-        base = self.atom()
-        kind, val, _ = self.lx.peek()
-        if kind == "OP" and val == "^":
-            op = self.lx.next()
-            tok = self.lx.next()
-            if tok[0] != "INT":
-                self.lx.error("exponent must be a nonnegative integer", tok)
-            exp = tok[1].lstrip("0") or "0"
-            if len(exp) > len(str(MAX_EXPONENT)) or int(exp) > MAX_EXPONENT:
-                self.lx.error(f"exponent {tok[1]} exceeds {MAX_EXPONENT}", tok)
-            k = int(exp)
-            # a power's coefficients have at most k times the bits of the
-            # base's when the base is a monomial; refuse before the work
-            self._check_bits(k * _bits(base), op)
-            self._note_degree(k * _degree(base))
-            if type(base) is tuple:
-                e = tuple(x * k for x in base[1])
-                base = self.zero if sum(e) > self.cut else \
-                    self._mono(base[0] ** k, e)
-            else:
-                base = base ** k
-            self._check_bits(_bits(base), op)
-        return base
+    def _check_bits(self, bits: int, idx: int) -> None:
+        if bits > MAX_COEFF_BITS:
+            self._error(f"coefficient exceeds {MAX_COEFF_BITS} bits", idx)
 
     def _note_degree(self, degree: int) -> None:
         """Record a result whose untruncated terms reach ``degree``."""
         if degree > self.trunc:
             self.dropped = True
 
-    def _check_bits(self, bits: int, tok) -> None:
-        if bits > MAX_COEFF_BITS:
-            self.lx.error(f"coefficient exceeds {MAX_COEFF_BITS} bits", tok)
+    def expr(self):
+        kinds = self.kinds
+        sign = kinds[self.i]
+        if sign == "+" or sign == "-":
+            self.i += 1
+        acc = self.term()
+        if sign == "-":
+            acc = _neg(acc)
+        kind = kinds[self.i]
+        if kind != "+" and kind != "-":
+            return acc
+        # a sum's terms accumulate in one dict of triples, reduced once
+        # each when the series is built
+        acc = dict(_raw_terms(acc))
+        while kind == "+" or kind == "-":
+            op = self.i
+            self.i += 1
+            rhs = _raw_terms(self.term())
+            for e, (a, b, d) in rhs:
+                if kind == "-":
+                    a, b = -a, -b
+                cur = acc.get(e)
+                if cur is not None:
+                    x, y, f = cur
+                    if f == d:
+                        a, b = a + x, b + y
+                    else:
+                        a, b, d = a * f + x * d, b * f + y * d, d * f
+                if a or b:
+                    acc[e] = self._fit(a, b, d, op)
+                elif cur is not None:
+                    del acc[e]
+            kind = kinds[self.i]
+        if len(acc) > 1:
+            return Series._trusted(self.vars, self.trunc, {
+                e: _reduced(a, b, d) for e, (a, b, d) in acc.items()})
+        # a sum of one term, such as (2/7+4/7*i), stays a monomial
+        return next(((a, b, d, e) for e, (a, b, d) in acc.items()), self.zero)
+
+    def term(self):
+        acc = self.factor()
+        kinds = self.kinds
+        while kinds[self.i] == "*" or kinds[self.i] == "/":
+            op = self.i
+            kind = kinds[op]
+            self.i += 1
+            rhs = self.factor()
+            if kind == "/" and type(rhs) is tuple:
+                c, f, g, e = rhs
+                if any(e) or not (c or f):
+                    self._error("division by a non-unit series", op)
+                # 1 / ((c + f i)/g) = g (c - f i) / (c^2 + f^2)
+                rhs = (g * c, -g * f, c * c + f * f, e)
+            elif kind == "/":
+                try:
+                    rhs = rhs.reciprocal()
+                except UnitRequiredError:
+                    self._error("division by a non-unit series", op)
+                if _degree(rhs) > 0 and _raw_terms(acc):
+                    self.dropped = True     # 1/rhs has no last term
+            if type(acc) is tuple and type(rhs) is tuple:
+                a, b, d, e = acc
+                c, f, g, e2 = rhs
+                e = tuple(map(_add, e, e2))
+                degree = sum(e)
+                if kind == "*" and degree > self.trunc:
+                    self.dropped = True
+                if degree > self.cut or not (a or b) or not (c or f):
+                    acc = self.zero
+                elif (c, f, g) == (1, 0, 1):
+                    acc = (a, b, d, e)
+                else:
+                    acc = (*self._fit(a * c - b * f, a * f + b * c, d * g,
+                                      op), e)
+                continue
+            if kind == "*":
+                self._note_degree(_degree(acc) + _degree(rhs))
+            acc = self._series(acc) * self._series(rhs)
+            self._check_bits(_bits(acc), op)
+        return acc
+
+    def factor(self):
+        kind = self.kinds[self.i]
+        if kind == "+" or kind == "-":
+            self.i += 1
+            inner = self.factor()
+            return _neg(inner) if kind == "-" else inner
+        base = self.atom()
+        op = self.i
+        if self.kinds[op] != "^":
+            return base
+        tok = op + 1
+        self.i += 2
+        if self.kinds[tok] != "INT":
+            self._error("exponent must be a nonnegative integer", tok)
+        text = self.vals[tok]
+        exp = text.lstrip("0") or "0"
+        if len(exp) > len(str(MAX_EXPONENT)) or int(exp) > MAX_EXPONENT:
+            self._error(f"exponent {text} exceeds {MAX_EXPONENT}", tok)
+        k = int(exp)
+        if type(base) is tuple and base[:3] == (1, 0, 1):
+            # 1^k is 1, whose bits pass the bound for every k
+            e = tuple(x * k for x in base[3])
+            self._note_degree(sum(e))
+            return (1, 0, 1, e) if sum(e) <= self.cut else self.zero
+        # a power's coefficients have at most k times the bits of the
+        # base's when the base is a monomial; refuse before the work
+        self._check_bits(k * _bits(base), op)
+        self._note_degree(k * _degree(base))
+        if type(base) is tuple:
+            e = tuple(x * k for x in base[3])
+            if sum(e) > self.cut:
+                return self.zero
+            c = _reduced(*base[:3]) ** k
+            base = self.zero if c.is_zero() else (c._a, c._b, c._d, e)
+        else:
+            base = base ** k
+        self._check_bits(_bits(base), op)
+        return base
 
     def atom(self):
-        tok = self.lx.next()
-        kind, val, _ = tok
+        idx = self.i
+        self.i += 1
+        kind, val = self.kinds[idx], self.vals[idx]
+        if kind == "NAME":
+            v = self.names.get(val)
+            if v is None:
+                self._error(f"unknown variable {val!r} "
+                            f"(expected one of {', '.join(self.vars)})", idx)
+            if val != "i":
+                self._note_degree(1)
+            return v
         if kind == "INT":
             digits = val.lstrip("0") or "0"
             # d digits carry more than 3.3 * (d - 1) bits; test that before
             # int() refuses a literal over its digit limit
-            self._check_bits((len(digits) - 1) * 33 // 10, tok)
+            self._check_bits((len(digits) - 1) * 33 // 10, idx)
             value = int(digits)
-            self._check_bits(value.bit_length(), tok)
-            return self._mono(GaussRational(value), self.zero[1])
-        if kind == "NAME":
-            if val == "i":
-                return (I, self.zero[1])
-            if val not in self.vars:
-                self.lx.error(f"unknown variable {val!r} "
-                              f"(expected one of {', '.join(self.vars)})", tok)
-            self._note_degree(1)
-            idx = self.vars.index(val)
-            return self._mono(ONE, (0,) * idx + (1,) +
-                              (0,) * (len(self.vars) - idx - 1))
-        if kind == "OP" and val == "(":
+            self._check_bits(value.bit_length(), idx)
+            return (value, 0, 1, self.one)
+        if kind == "(":
             inner = self.expr()
-            close = self.lx.next()
-            if close[:2] != ("OP", ")"):
-                self.lx.error("expected ')'", close)
+            if self.kinds[self.i] != ")":
+                self._error("expected ')'", self.i)
+            self.i += 1
             return inner
-        self.lx.error(f"unexpected token {val!r}" if val else "unexpected end of input",
-                      tok)
+        self._error(f"unexpected token {val!r}" if val else
+                    "unexpected end of input", idx)
 
 
 def parse_series(text: str, vars: Tuple[str, ...], trunc: int) -> Series:
     """Parse a series literal over the given variable tuple and truncation."""
-    return _Parser(_Lexer(text), tuple(vars), trunc).parse()
+    return _Parser(text, tuple(vars), trunc).parse()
 
 
 def drops_terms(text: str, vars: Tuple[str, ...], trunc: int) -> bool:
     """Whether parsing the literal at ``trunc`` may drop a term of degree
     above ``trunc``; False means the parsed series is the literal exactly."""
-    parser = _Parser(_Lexer(text), tuple(vars), trunc)
+    parser = _Parser(text, tuple(vars), trunc)
     parser.parse()
     return parser.dropped

@@ -14,6 +14,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from itertools import count, takewhile
 from typing import Dict, Optional, Tuple
 
 from . import corpus
@@ -98,6 +99,16 @@ def _require(pairs: Dict[str, str], key: str, path: str) -> str:
     return pairs[key]
 
 
+def _known_keys(pairs: Dict[str, str], where: Dict[str, Tuple[int, int]],
+                path: str, known) -> None:
+    """Refuse the first key that the loader does not read, so that a
+    misspelled key cannot fall back to a default unnoticed."""
+    for key in pairs:
+        if key not in known:
+            raise ValidationError(
+                f"{path}, line {where[key][0]}: unknown key {key!r}")
+
+
 def _bounded(pairs: Dict[str, str], key: str, path: str, lo: int, hi: int,
              default: Optional[int] = None) -> int:
     """An integer key in ``lo..hi``, like ``--trunc``, so that a short
@@ -118,6 +129,7 @@ def _bounded(pairs: Dict[str, str], key: str, path: str, lo: int, hi: int,
 def load_hypersurface(path: str, trunc_override: Optional[int] = None
                       ) -> Hypersurface:
     pairs, where = parse_keyvalue_file(path)
+    _known_keys(pairs, where, path, ("n", "trunc", "phi"))
     n = _bounded(pairs, "n", path, 0, MAX_DIM)
     trunc = (trunc_override if trunc_override is not None
              else _bounded(pairs, "trunc", path, 1, MAX_TRUNC, default=8))
@@ -135,6 +147,11 @@ def load_hypersurface(path: str, trunc_override: Optional[int] = None
 def load_map(path: str, trunc_override: Optional[int] = None
              ) -> Tuple[HoloMap, Hypersurface, Hypersurface]:
     pairs, where = parse_keyvalue_file(path)
+    # the components are F1, F2, ... up to the first missing index
+    comp_keys = list(takewhile(pairs.__contains__,
+                               (f"F{j}" for j in count(1))))
+    _known_keys(pairs, where, path,
+                {"n", "trunc", "source", "target", *comp_keys})
     n = _bounded(pairs, "n", path, 0, MAX_DIM)
     trunc = (trunc_override if trunc_override is not None
              else _bounded(pairs, "trunc", path, 1, MAX_TRUNC, default=8))
@@ -143,11 +160,8 @@ def load_map(path: str, trunc_override: Optional[int] = None
                             trunc)
     tgt = load_hypersurface(os.path.join(base, _require(pairs, "target", path)),
                             trunc)
-    comps = []
-    j = 1
-    while f"F{j}" in pairs:
-        comps.append(_series(pairs, where, f"F{j}", path, map_vars(n), trunc))
-        j += 1
+    comps = [_series(pairs, where, key, path, map_vars(n), trunc)
+             for key in comp_keys]
     if len(comps) != tgt.n + 1:
         raise ValidationError(
             f"{path}: expected {tgt.n + 1} components F1..F{tgt.n + 1}, "
@@ -159,12 +173,14 @@ def load_bb_system(path: str, order_override: Optional[int] = None
                    ) -> BBSystem:
     pairs, where = parse_keyvalue_file(path)
     N = _bounded(pairs, "N", path, 0, MAX_DIM)
+    f_keys = [f"f{j}" for j in range(1, N + 1)]
+    _known_keys(pairs, where, path, {"N", "order", "trunc", *f_keys})
     order = (order_override if order_override is not None
              else _bounded(pairs, "order", path, 1, MAX_TRUNC, default=10))
     trunc = _bounded(pairs, "trunc", path, 1, MAX_TRUNC,
                      default=max(order + 2, 12))
-    comps = [_series(pairs, where, f"f{j}", path, bb_vars(N), trunc)
-             for j in range(1, N + 1)]
+    comps = [_series(pairs, where, key, path, bb_vars(N), trunc)
+             for key in f_keys]
     return BBSystem(N, comps, order)
 
 
@@ -172,12 +188,15 @@ def load_prolonged_system(path: str) -> Tuple[ProlongedSystem, int]:
     pairs, where = parse_keyvalue_file(path)
     n = _bounded(pairs, "n", path, 0, MAX_DIM)
     k = _bounded(pairs, "k", path, 0, MAX_DIM)
+    ps = ProlongedSystem(n, k)
+    names = ps.needed_rhs_names()
+    _known_keys(pairs, where, path,
+                {"n", "k", "order", "trunc", "samples", *names})
     order = _bounded(pairs, "order", path, 1, MAX_TRUNC, default=8)
     trunc = _bounded(pairs, "trunc", path, 1, MAX_TRUNC,
                      default=max(order + 2, 10))
-    ps = ProlongedSystem(n, k)
     rv = rhs_vars(n, k)
-    for name in ps.needed_rhs_names():
+    for name in names:
         ps.supplied[name] = _series(pairs, where, name, path, rv, trunc)
     if "samples" in pairs and pairs["samples"].strip():
         for chunk in pairs["samples"].split(";"):

@@ -235,24 +235,35 @@ def _int_str(n: int) -> str:
     return _int_str(hi) + _int_str(lo).zfill(k)
 
 
-def _frac_str(f: Fraction) -> str:
-    """``p/q``, or ``p`` when q = 1."""
-    num = _int_str(f.numerator)
-    return num if f.denominator == 1 else f"{num}/{_int_str(f.denominator)}"
+def _ratio_str(n: int, d: int) -> str:
+    """``p/q`` for n/d = p/q in lowest terms (d > 0), or ``p`` when q = 1."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    num = _int_str(n)
+    return num if d == 1 else f"{num}/{_int_str(d)}"
+
+
+def _format_triple(a: int, b: int, d: int) -> str:
+    """The literal of (a + b*i)/d, d > 0: ``3/2``, ``i``, ``-2*i``,
+    ``(1/2+1/3*i)``.  Each part is reduced by its own gcd with d."""
+    if b == 0:
+        return _ratio_str(a, d)
+    if b == d:
+        imag = "i"
+    elif b == -d:
+        imag = "-i"
+    else:
+        imag = f"{_ratio_str(b, d)}*i"
+    if a == 0:
+        return imag
+    if imag[0] != "-":
+        imag = "+" + imag
+    return f"({_ratio_str(a, d)}{imag})"
 
 
 def format_coefficient(c: GaussRational) -> str:
     """Canonical literal form: ``3/2``, ``i``, ``-2*i``, ``(1/2+1/3*i)``."""
-    re, im = c.re, c.im
-    if im == 0:
-        return _frac_str(re)
-    if re == 0:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{_frac_str(im)}*i"
-    sign = "+" if im > 0 else "-"
-    imabs = abs(im)
-    impart = "i" if imabs == 1 else f"{_frac_str(imabs)}*i"
-    return f"({_frac_str(re)}{sign}{impart})"
+    return _format_triple(c._a, c._b, c._d)

@@ -20,9 +20,15 @@ other operand), with no accumulation.  ``substitute`` maps several
 series through one image set in one recursive walk over the trie of
 their exponent vectors, so the monomials below a node share the product
 of image powers on its path, formed once for all of them
-(``Series.subs`` is the one-series case); ``reciprocal`` solves
-``f * g = 1`` degree by degree (one division for a constant), and
-``conjugate`` reads a z <-> c index map computed once per variable tuple.
+(``Series.subs`` is the one-series case).  At a leaf that product is
+written once as Gaussian-integer numerators over the lcm of its
+denominators; each output accumulates ``[x, y, den]`` per exponent,
+rescaled only when a contribution's denominator differs, and each output
+coefficient is reduced once.  ``reciprocal`` solves ``f * g = 1`` degree
+by degree (one division for a constant), and ``conjugate`` reads a
+z <-> c index map computed once per variable tuple.  ``to_literal``
+prints each coefficient from its ``(a, b, d)`` triple, reducing each part
+by its gcd with d, with no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, islice
+from math import lcm
 from operator import add as _add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -40,7 +47,7 @@ from .errors import (
     NotAContractionError,
     UnitRequiredError,
 )
-from .scalars import ONE, GaussRational, format_coefficient
+from .scalars import ONE, GaussRational, _format_triple, _reduced
 
 Exponents = Tuple[int, ...]
 
@@ -52,6 +59,10 @@ _set = object.__setattr__
 
 def _total_degree(term) -> int:
     return sum(term[0])
+
+
+def _literal_order(term) -> Tuple[int, Exponents]:
+    return sum(term[0]), term[0]
 
 
 def _upto(terms: Mapping[Exponents, GaussRational], trunc: int
@@ -391,36 +402,27 @@ class Series:
     # -- formatting ---------------------------------------------------------------
 
     def _monomial_str(self, exps: Exponents) -> str:
-        parts = []
-        for name, e in zip(self.vars, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        """``z1^2*c1*s``; ``1`` for the constant monomial."""
+        return "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, e in zip(self.vars, exps) if e]) or "1"
 
     def to_literal(self) -> str:
-        """Canonical literal: terms ordered by (total degree, exponents)."""
+        """Canonical literal: terms ordered by (total degree, exponents).
+        Each term is printed from its coefficient's (a, b, d) triple; a
+        negative real part alone, or a negative imaginary part alone,
+        gives the term's sign."""
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         out = []
-        for exps, c in items:
-            mono = self._monomial_str(exps)
-            sign = "+"
-            if c.im == 0 and c.re < 0:
-                sign, c = "-", -c
-            elif c.re == 0 and c.im < 0:
-                sign, c = "-", -c
-            cs = format_coefficient(c)
-            if mono:
-                body = mono if cs == "1" else f"{cs}*{mono}"
-            else:
-                body = cs
-            if not out:
-                out.append(body if sign == "+" else f"-{body}")
-            else:
-                out.append(f" {sign} {body}")
+        for exps, c in sorted(self.terms.items(), key=_literal_order):
+            a, b, d = c._a, c._b, c._d
+            sign = " + "
+            if (a < 0 and b == 0) or (a == 0 and b < 0):
+                sign, a, b = " - ", -a, -b
+            cs, mono = _format_triple(a, b, d), self._monomial_str(exps)
+            out += (sign, cs if mono == "1" else mono if cs == "1"
+                    else f"{cs}*{mono}")
+        out[0] = "" if out[0] == " + " else "-"
         return "".join(out)
 
     def __repr__(self):
@@ -486,13 +488,33 @@ def substitute(series: Sequence[Series], mapping: Mapping[str, Series]
         # by every row here (None for 1)
         if i == len(vars):
             (_, _, ms), = rows
+            if prefix is None:
+                leaf, den = [(one, 0, 1, 0)], 1
+            else:
+                # the product as Gaussian-integer numerators over the lcm
+                # of its denominators
+                terms = prefix.terms
+                den = lcm(*{v._d for v in terms.values()})
+                leaf = [(e, sum(e), v._a * (den // v._d), v._b * (den // v._d))
+                        for e, v in terms.items()]
             for c, t, out in ms:
-                products = ([(one, c)] if prefix is None else
-                            [(e, v * c) for e, v in
-                             prefix.truncate(t).terms.items()])
-                for e, v in products:
+                ca, cb, d = c._a, c._b, den * c._d
+                for e, deg, x, y in leaf:
+                    if deg > t:
+                        continue
+                    x, y = x * ca - y * cb, x * cb + y * ca
                     cur = out.get(e)
-                    out[e] = v if cur is None else cur + v
+                    if cur is None:
+                        out[e] = [x, y, d]
+                    elif cur[2] == d:
+                        cur[0] += x
+                        cur[1] += y
+                    else:
+                        f = cur[2]
+                        m = lcm(f, d)
+                        cur[0] = cur[0] * (m // f) + x * (m // d)
+                        cur[1] = cur[1] * (m // f) + y * (m // d)
+                        cur[2] = m
             return
         for e, group in groupby(rows, key=lambda row: row[0][i]):
             group = list(group)
@@ -506,8 +528,10 @@ def substitute(series: Sequence[Series], mapping: Mapping[str, Series]
             walk(group, i + 1, p)
 
     walk(rows, 0, None)
-    return [Series._trusted(target_vars, t,
-                            {e: c for e, c in out.items() if not c.is_zero()})
+    # each output coefficient is reduced once
+    return [Series._trusted(target_vars, t, {e: _reduced(x, y, d)
+                                             for e, (x, y, d) in out.items()
+                                             if x or y})
             for t, out in zip(truncs, outs)]
 
 

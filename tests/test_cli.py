@@ -429,6 +429,43 @@ def test_validation_error_exit_1(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_constant_monomial_is_named_1(tmp_path, capsys):
+    # the constant monomial printed blank: "at monomial : phi(z,0,s) ..."
+    path = write(tmp_path, "const.hs", 'n = 1\ntrunc = 6\nphi = "1 + s*z1*c1"\n')
+    assert main(["report", path]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: normality violation at monomial 1: "
+        "phi(z,0,s) and phi(0,chi,s) must vanish\n")
+
+
+@pytest.mark.parametrize("command, text, key, line", [
+    # a misspelled trunc ran at the default trunc 8
+    ("report", 'n = 1\ntrnc = 3\nphi = "s*z1*c1"\n', "trnc", 2),
+    # a component past N was dropped
+    ("bb-solve", 'N = 1\nf1 = "1/2*y1 + t"\nf2 = "t"\n', "f2", 3),
+    ("prolong", 'n = 0\nk = 0\nu1__0 = "2*u1__0 + s"\nu2__0 = "s"\n',
+     "u2__0", 4),
+    # a component after a gap was never read
+    ("check-map", 'n = 1\nsource = m0.hs\ntarget = m0.hs\nF1 = "z1"\n'
+     'F2 = "w"\nF4 = "w"\n', "F4", 6),
+    ("check-map", 'F0 = "z1"\nn = 1\nsource = m0.hs\ntarget = m0.hs\n'
+     'F1 = "z1"\nF2 = "w"\n', "F0", 1),
+    # a key of the surface file a map reads is checked too
+    ("check-map", 'n = 1\nsource = typo.hs\ntarget = m0.hs\nF1 = "z1"\n'
+     'F2 = "w"\n', "Phi", 3),
+])
+def test_unknown_keys_exit_1(tmp_path, capsys, command, text, key, line):
+    write(tmp_path, "m0.hs", MODEL)
+    typo = write(tmp_path, "typo.hs", 'n = 1\ntrunc = 6\nPhi = "s*z1*c1"\n')
+    path = write(tmp_path, "input", text)
+    assert main([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = typo if key == "Phi" else path
+    assert captured.err == (
+        f"validation error: {named}, line {line}: unknown key {key!r}\n")
+
+
 def test_parse_error_exit_3(tmp_path, capsys):
     path = write(tmp_path, "garbage.hs", "this is not key = value = pairs\n")
     assert main(["report", path]) == 3

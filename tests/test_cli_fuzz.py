@@ -1,12 +1,17 @@
-"""Random bounded check-map inputs through the CLI.
+"""Random bounded inputs through the CLI.
 
-Hypothesis writes a source and a target hypersurface file and a map
-file, some surfaces real and in normal form, some not, and some maps
-genuine, collapsing or malformed, and runs ``main(["check-map", ...])``.
-Every case must exit 0, 1, 2 or 3 without raising; an exit 0 prints
-strict JSON, and an exit 2 carries one of the documented invariant
+Hypothesis writes input files and runs ``main``: for ``check-map`` a
+source and a target hypersurface file and a map file, some surfaces real
+and in normal form, some not, and some maps genuine, collapsing or
+malformed; for ``report`` and ``bb-solve`` one ``.hs`` or ``.bb`` file
+whose series are built from the parser test's literal atoms or from
+random monomials, with keys sometimes missing or misspelled.  Every case
+must exit 0, 1, 2 or 3 without raising, and an exit 0 prints strict
+JSON.  A ``check-map`` exit 2 carries one of the documented invariant
 violations: a Levi-flat source or target, or an xi that is not smooth
-(``xi-singular``).  The search is derandomized, so a run is repeatable.
+(``xi-singular``).  A ``report`` or ``bb-solve`` exit 3 names the key
+and the line and column of the error in the file.  The search is
+derandomized, so a run is repeatable.
 """
 
 import contextlib
@@ -19,6 +24,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crgeom.cli import main
+from test_series import LITERAL_ATOMS
 
 REAL = ["1", "2", "-1", "3/5", "-1/2"]
 # each coefficient and its conjugate
@@ -127,21 +133,130 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def run_cli(command, files):
+    """Write the files into a fresh directory and run ``command`` on the
+    first: (exit code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files:
+            with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, os.path.join(d, files[0][0])])
+    return code, out.getvalue(), err.getvalue()
+
+
 @given(check_map_case())
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_check_map_fuzz(case):
     src, tgt, mapping = case
-    with tempfile.TemporaryDirectory() as d:
-        for name, text in (("src.hs", src), ("tgt.hs", tgt), ("f.map", mapping)):
-            with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check-map", os.path.join(d, "f.map")])
-    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    code, out, err = run_cli("check-map", [("f.map", mapping), ("src.hs", src),
+                                           ("tgt.hs", tgt)])
+    assert code in (0, 1, 2, 3), (code, err)
     if code == 0:
-        rep = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        rep = json.loads(out, parse_constant=_reject_constant)
         assert rep["command"] == "check-map"
     if code == 2:
-        assert EXIT_2.fullmatch(err.getvalue()), err.getvalue()
+        assert EXIT_2.fullmatch(err), err
+
+
+# -- report and bb-solve -------------------------------------------------------
+
+PARSE_ERROR = re.compile(r"parse error: key '[^']+', line \d+, col \d+: .+\n")
+
+
+@st.composite
+def atom_literal(draw, names):
+    """Products of the parser test's literal atoms and of the names,
+    summed; one in four gets a stray character."""
+    atoms = st.sampled_from(LITERAL_ATOMS + names + ["1/2", "(1/2 + 1/3*i)"])
+    text = " + ".join("*".join(draw(st.lists(atoms, min_size=1, max_size=4)))
+                      for _ in range(draw(st.integers(1, 3))))
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from(
+            ["#", "@", ")", "(", "^", "x", "1.5", '"', "/0"])) + text[k:]
+    return text
+
+
+@st.composite
+def key_value_file(draw, entries):
+    """'key = value' lines, each key kept, dropped or misspelled."""
+    lines = []
+    for key, value in entries:
+        fate = draw(st.sampled_from(["keep"] * 16 + ["drop", "misspell"]))
+        if fate == "drop":
+            continue
+        if fate == "misspell":
+            key = draw(st.sampled_from([key.swapcase(), key + "2", key[1:]
+                                        or "x"]))
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def report_case(draw):
+    n = draw(st.sampled_from([1] * 4 + [2] * 2 + [0]))
+    names = [f"{x}{j}" for x in "zc" for j in range(1, n + 1)] + ["s"]
+    kind = draw(st.sampled_from(["normal"] * 4 + ["any", "atoms", "atoms"]))
+    if n == 0 or kind == "atoms":
+        phi = draw(atom_literal(names))
+    else:
+        phi = draw({"normal": normal_phi, "any": any_phi}[kind](n))
+    n_value = draw(st.sampled_from([str(n)] * 8 + ["5", "x"]))
+    trunc = draw(st.sampled_from([str(t) for t in range(1, 7)] + ["0"]))
+    return draw(key_value_file([("n", n_value), ("trunc", trunc),
+                                ("phi", f'"{phi}"')]))
+
+
+@st.composite
+def bb_term(draw, names):
+    coeff = draw(st.sampled_from(COEFFS + ["2^1000", "0"]))
+    return f"{coeff}*" + monomial(
+        [(v, draw(st.integers(0, 2))) for v in names])
+
+
+@st.composite
+def bb_case(draw):
+    N = draw(st.integers(1, 2))
+    names = ["t"] + [f"y{j}" for j in range(1, N + 1)]
+    comps = []
+    for j in range(1, N + 1):
+        if draw(st.integers(0, 4)) == 0:
+            comps.append(draw(atom_literal(names)))
+            continue
+        # a diagonal entry of 2 or 3 is a resonance at that order
+        diag = draw(st.sampled_from(["-1", "1/2", "1", "2", "3", "i"]))
+        terms = [f"{diag}*y{j}"] + draw(st.lists(bb_term(names), max_size=3))
+        comps.append(" + ".join(terms))
+    order = draw(st.integers(1, 6))
+    entries = [("N", str(N)), ("order", str(order))]
+    if draw(st.booleans()):
+        entries.append(("trunc", str(draw(st.integers(order - 1, 8)))))
+    entries += [(f"f{j}", f'"{c}"') for j, c in enumerate(comps, start=1)]
+    return draw(key_value_file(entries))
+
+
+def check_exit(command, name, text):
+    code, out, err = run_cli(command, [(name, text)])
+    assert code in (0, 1, 2, 3), (code, err)
+    if code == 0:
+        rep = json.loads(out, parse_constant=_reject_constant)
+        assert rep["command"] == command
+    if code == 3:
+        assert PARSE_ERROR.fullmatch(err), err
+
+
+@given(report_case())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_report_fuzz(text):
+    check_exit("report", "s.hs", text)
+
+
+@given(bb_case())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_bb_solve_fuzz(text):
+    check_exit("bb-solve", "y.bb", text)

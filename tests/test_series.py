@@ -9,7 +9,7 @@ from crgeom.errors import (DivisibilityError, NotAContractionError,
                            ParseError, UnitRequiredError)
 from crgeom.parsing import (MAX_COEFF_BITS, MAX_EXPONENT, drops_terms,
                             parse_series)
-from crgeom.scalars import GaussRational
+from crgeom.scalars import _STR_BITS, GaussRational, _int_str, format_coefficient
 from crgeom.series import (Series, hypersurface_vars, implicit_solve,
                            substitute)
 
@@ -100,6 +100,12 @@ def test_divide_by_power():
     assert phi.divide_by_power("s", 1) == (z * c + s * z).truncate(T - 1)
     with pytest.raises(DivisibilityError):
         (phi + z * c).divide_by_power("s", 1)
+
+
+def test_divisibility_error_names_the_constant_monomial_1():
+    with pytest.raises(DivisibilityError, match=r"^monomial 1 not divisible"
+                                                r" by s\^1$"):
+        (sv("s") + Series.const(2, V, T)).divide_by_power("s", 1)
 
 
 def test_divide_unit_form():
@@ -312,6 +318,16 @@ def test_subs_matches_sympy(f, g1, g2, g3):
           parse_series("3*z1 + z1*c1", V, 2)], 3, GaussRational(2),
          parse_series("z1 + c1^4", V, 6), parse_series("c1 + z1*s^2", V, 5),
          parse_series("s + i*z1*c1", V, 6))
+# one output coefficient receives contributions over the denominators 7,
+# 3 and 1029 (z1 and its square), and in the second they cancel to 0
+@example([parse_series("z1 + c1 + s + z1*c1 + s^2", V, 6)], 2,
+         GaussRational(Fraction(1, 7)), parse_series("1/7*z1", V, 6),
+         parse_series("2/3*z1", V, 6), parse_series("1/1029*z1", V, 6))
+@example([parse_series("z1 + c1 + s", V, 6),
+          parse_series("3*z1 - c1", V, 4)], 1, GaussRational(Fraction(2, 3)),
+         parse_series("1/7*z1*c1 + s", V, 6),
+         parse_series("2/3*z1*c1 + 3/7*s", V, 5),
+         parse_series("(-17/21)*z1*c1 + 1/1029*s^2", V, 6))
 @settings(max_examples=30, deadline=None)
 def test_substitute_matches_sympy(members, t_const, c, g1, g2, g3):
     # one batched substitution: members of different truncs, a
@@ -681,3 +697,88 @@ noisy_texts = st.one_of(literal_texts, literal_texts, literal_texts, st.tuples(
 @settings(max_examples=500, deadline=None)
 def test_parser_matches_series_oracle(text, trunc):
     assert parse_outcome(text, trunc, False) == parse_outcome(text, trunc, True)
+
+
+# -- differential oracle for the printer ----------------------------------------
+# This is the printer as it was before it read the (a, b, d) triple: four
+# Fractions per term, from GaussRational.re and .im.
+
+def _oracle_frac_str(f):
+    num = _int_str(f.numerator)
+    return num if f.denominator == 1 else f"{num}/{_int_str(f.denominator)}"
+
+
+def oracle_format_coefficient(c):
+    re, im = c.re, c.im
+    if im == 0:
+        return _oracle_frac_str(re)
+    if re == 0:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "-i"
+        return f"{_oracle_frac_str(im)}*i"
+    sign = "+" if im > 0 else "-"
+    imabs = abs(im)
+    impart = "i" if imabs == 1 else f"{_oracle_frac_str(imabs)}*i"
+    return f"({_oracle_frac_str(re)}{sign}{impart})"
+
+
+def oracle_to_literal(s):
+    if not s.terms:
+        return "0"
+    items = sorted(s.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    out = []
+    for exps, c in items:
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(s.vars, exps) if e)
+        sign = "+"
+        if c.im == 0 and c.re < 0:
+            sign, c = "-", -c
+        elif c.re == 0 and c.im < 0:
+            sign, c = "-", -c
+        cs = oracle_format_coefficient(c)
+        if mono:
+            body = mono if cs == "1" else f"{cs}*{mono}"
+        else:
+            body = cs
+        if not out:
+            out.append(body if sign == "+" else f"-{body}")
+        else:
+            out.append(f" {sign} {body}")
+    return "".join(out)
+
+
+# parts: zero, +-1 (so +-1 and +-i coefficients), small fractions, and
+# numerators and denominators past _STR_BITS, which print in pieces
+huge = st.integers(2 ** _STR_BITS, 2 ** (_STR_BITS + 200))
+parts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), rationals,
+    st.builds(Fraction, st.one_of(huge, huge.map(lambda x: -x)),
+              st.one_of(st.just(1), st.integers(2, 50), huge)))
+printed = st.one_of(
+    st.builds(GaussRational, parts, parts),
+    st.builds(GaussRational, st.just(0), parts),      # pure imaginary
+    st.builds(GaussRational, parts))                   # real
+printed_series = st.tuples(
+    st.dictionaries(exponents, printed, max_size=6), truncs).map(
+    lambda t: Series(V, t[1], t[0]))
+
+
+@given(printed_series)
+@example(Series(V, T, {(0, 0, 0): GaussRational(1), (1, 0, 0): GaussRational(-1),
+                       (0, 1, 0): GaussRational(0, 1),
+                       (0, 0, 1): GaussRational(0, -1),
+                       (1, 1, 0): GaussRational(Fraction(-3, 2), 1),
+                       (1, 0, 1): GaussRational(0, Fraction(-2, 3)),
+                       (0, 1, 1): GaussRational(Fraction(1, 2), -1)}))
+@example(Series(V, T, {(0, 0, 0): GaussRational(-(3 ** 2000), 7 ** 800),
+                       (2, 0, 0): GaussRational(Fraction(1, 3 ** 1300))}))
+@settings(max_examples=200, deadline=None)
+def test_printer_matches_oracle_and_parses_back(s):
+    for c in s.terms.values():
+        assert format_coefficient(c) == oracle_format_coefficient(c)
+    text = s.to_literal()
+    assert text == oracle_to_literal(s)
+    back = parse_series(text, s.vars, s.trunc)
+    assert back == s and back.trunc == s.trunc
