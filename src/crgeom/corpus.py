@@ -44,7 +44,7 @@ def power_target_factor(k: int, trunc: int):
         u_pow = u ** (k - j)
         num = num + u_pow * b_j
         den = den + u_pow * a_j
-    return num * den.reciprocal()
+    return num / den
 
 
 def power_target(k: int, trunc: int = DEFAULT_TRUNC) -> Hypersurface:

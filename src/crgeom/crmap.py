@@ -152,20 +152,22 @@ class MapCheck:
     @cached_property
     def theta_hat_f(self) -> Dict[str, Series]:
         """The coordinate components of theta_hat composed with f.  The
-        z_C component of theta_hat is -i phihat_{z_C} / (1 - i phihat_s),
-        and composing with f is a ring map, so the partials are composed
-        (they are far sparser than the quotients) and the quotients
-        formed after, with one shared reciprocal.  Fbar is conj(F) and
-        s_hat is real, so composing with f commutes with conjugation:
-        each c_C component is the conjugate of the z_C one.  The ds
-        component is 1, at the target frame's truncation."""
+        z_C component of theta_hat is -i phihat_{z_C} / (1 - i phihat_s)
+        = phihat_{z_C} / (phihat_s + i), and composing with f is a ring
+        map, so the partials are composed (they are far sparser than the
+        quotients) and each quotient is formed after, as one division of
+        phihat_{z_C} o f by the unit phihat_s o f + i, with no
+        reciprocal.  Fbar is conj(F) and s_hat is real, so composing
+        with f commutes with conjugation: each c_C component is the
+        conjugate of the z_C one.  The ds component is 1, at the target
+        frame's truncation."""
         phihat_s_f = self._target_f[1]
         # -i / (1 - i phihat_s) = 1 / (phihat_s + i)
-        inv = (phihat_s_f + Series.const(GaussRational(0, 1), phihat_s_f.vars,
-                                         phihat_s_f.trunc)).reciprocal()
+        unit = phihat_s_f + Series.const(GaussRational(0, 1), phihat_s_f.vars,
+                                         phihat_s_f.trunc)
         out = {"s": Series.const(1, phihat_s_f.vars, self.frame_hat.trunc)}
         for C in range(1, self.n + 1):
-            out[f"z{C}"] = self._target_f[C + 1] * inv
+            out[f"z{C}"] = self._target_f[C + 1] / unit
             out[f"c{C}"] = out[f"z{C}"].conjugate()
         return out
 

@@ -7,12 +7,13 @@ L_1bar..L_nbar with
     L_Abar = d/dc_A + Q_A d/ds,   Q_A = -i phi_{c_A} / (1 + i phi_s),
     L_A    = d/dz_A + P_A d/ds,   P_A = conj(Q_A).
 
-phi is real (a Hypersurface checks it when it is built), so one
-reciprocal gives both halves.  Each field is a coordinate field plus a
-multiple of T, so a Frame stores only Q_A, P_A and the structure
-constants below, and applies its fields to a series as derivations:
-L(A, f) = f_{z_A} + P_A f_s, Lbar(A, f) = f_{c_A} + Q_A f_s and
-S(f) = s^m f_s, with m the type of the frame's hypersurface (h0 and
+Q_A = phi_{c_A} / (i - phi_s) is one quotient by a unit (Series /), with
+no reciprocal formed, and phi is real (a Hypersurface checks it when it
+is built), so each quotient gives both halves.  Each field is a
+coordinate field plus a multiple of T, so a Frame stores only Q_A, P_A
+and the structure constants below, and applies its fields to a series as
+derivations: L(A, f) = f_{z_A} + P_A f_s, Lbar(A, f) = f_{c_A} + Q_A f_s
+and S(f) = s^m f_s, with m the type of the frame's hypersurface (h0 and
 h0_bar read it there too, and filtration its ell_max).  The coframe
 theta (theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is
 ds - sum P_A dz_A - sum Q_A dc_A, and every bracket [L_abar, e_j] is a
@@ -72,9 +73,9 @@ class Frame:
         trunc = phi.trunc - 1     # frame coefficients involve phi_s
         self.trunc = trunc
         # -i / (1 + i phi_s) = 1 / (i - phi_s)
-        inv = (Series.const(GaussRational(0, 1), self.vars, trunc)
-               - phi.diff("s")).reciprocal()
-        Q = self.Q = [phi.diff(f"c{A}") * inv for A in range(1, n + 1)]
+        unit = Series.const(GaussRational(0, 1), self.vars, trunc) \
+            - phi.diff("s")
+        Q = self.Q = [phi.diff(f"c{A}") / unit for A in range(1, n + 1)]
         P = self.P = [q.conjugate() for q in Q]
 
         # c[a][j] = T-coefficient of [L_abar, e_j], e_j in (T, L_1..L_n).

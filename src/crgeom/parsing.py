@@ -221,11 +221,14 @@ class _Parser:
                 rhs = (g * c, -g * f, c * c + f * f, e)
             elif kind == "/":
                 try:
-                    rhs = rhs.reciprocal()
+                    quotient = self._series(acc) / rhs
                 except UnitRequiredError:
                     self._error("division by a non-unit series", op)
                 if _degree(rhs) > 0 and _raw_terms(acc):
                     self.dropped = True     # 1/rhs has no last term
+                acc = quotient
+                self._check_bits(_bits(acc), op)
+                continue
             if type(acc) is tuple and type(rhs) is tuple:
                 a, b, d, e = acc
                 c, f, g, e2 = rhs

@@ -43,10 +43,24 @@ HALF_OVER_I = GaussRational(0, Fraction(-1, 2))   # 1/(2i) = -i/2
 # key = value input files
 # ---------------------------------------------------------------------------
 
+def _strip_comment(value: str) -> str:
+    """value up to its first ``#`` outside double quotes."""
+    if "#" in value:
+        quoted = False
+        for k, ch in enumerate(value):
+            if ch == '"':
+                quoted = not quoted
+            elif ch == "#" and not quoted:
+                return value[:k]
+    return value
+
+
 def parse_keyvalue_file(path: str
                         ) -> Tuple[Dict[str, str], Dict[str, Tuple[int, int]]]:
     """The key = value pairs of a file, and the (line, column) at which
-    each value starts (inside the quotes, for a quoted value)."""
+    each value starts (inside the quotes, for a quoted value).  A ``#``
+    starts a comment, on a line of its own or after a value, unless it
+    is inside a quoted value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -64,7 +78,7 @@ def parse_keyvalue_file(path: str
             raise ParseError("expected 'key = value'", lineno, 1)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
+        value = _strip_comment(value).strip()
         if not key.replace("_", "").isalnum():
             raise ParseError(f"bad key {key!r}", lineno, 1)
         if key in pairs:

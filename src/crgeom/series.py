@@ -10,25 +10,31 @@ divisibility checks downstream stay honest.
 
 Input is validated at the boundary: ``Series(...)`` and the public
 constructors check every exponent vector and drop zero coefficients and
-terms past the truncation.  Ring operations (``+``, ``-``, ``*``,
-``diff``, ``subs``, ``reciprocal``, ...) build results that are canonical
-by construction and skip those checks, as do ``const`` and ``variable``.
-A product visits only the term pairs that survive the truncation; when
+terms past the truncation.  Ring operations (``+``, ``-``, ``*``, ``/``,
+``diff``, ``subs``, ``reciprocal``, ...) build results that are
+canonical by construction and skip those checks, as do ``const`` and
+``variable``.  A product visits only the term pairs that survive the
+truncation and accumulates each output coefficient as Gaussian-integer
+numerators over a denominator, ``[x, y, den]`` per exponent, rescaled to
+an lcm only when a contribution's denominator differs; each output
+coefficient is reduced once, and one that cancels is not stored.  When
 one operand has a single term the product is a shift of the other's
 exponents and a scaling of its coefficients (the constant 1 returns the
-other operand), with no accumulation.  ``substitute`` maps several
-series through one image set in one recursive walk over the trie of
-their exponent vectors, so the monomials below a node share the product
-of image powers on its path, formed once for all of them
-(``Series.subs`` is the one-series case).  At a leaf that product is
-written once as Gaussian-integer numerators over the lcm of its
-denominators; each output accumulates ``[x, y, den]`` per exponent,
-rescaled only when a contribution's denominator differs, and each output
-coefficient is reduced once.  ``reciprocal`` solves ``f * g = 1`` degree
-by degree (one division for a constant), and ``conjugate`` reads a
-z <-> c index map computed once per variable tuple.  ``to_literal``
-prints each coefficient from its ``(a, b, d)`` triple, reducing each part
-by its gcd with d, with no ``Fraction``.
+other operand), with no accumulation.  A quotient ``a / u`` by a unit u
+solves ``u * g = a`` degree by degree on the same accumulator, dividing
+each output coefficient by u's constant term as it is reduced, so a
+reciprocal (the quotient of 1) is never formed only to be multiplied.
+``substitute`` maps several series through one image set in one
+recursive walk over the trie of their exponent vectors, so the monomials
+below a node share the product of image powers on its path, formed once
+for all of them (``Series.subs`` is the one-series case).  At a leaf
+that product is written once as Gaussian-integer numerators over the lcm
+of its denominators; each output accumulates ``[x, y, den]`` per
+exponent, rescaled only when a contribution's denominator differs, and
+each output coefficient is reduced once.  ``conjugate`` reads a z <-> c
+index map computed once per variable tuple.  ``to_literal`` prints each
+coefficient from its ``(a, b, d)`` triple, reducing each part by its gcd
+with d, with no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -86,6 +92,30 @@ def _conjugation_index(vars: Tuple[str, ...]) -> Tuple[int, ...]:
     if missing:
         raise ValueError(f"conjugate partner missing for {missing}")
     return tuple(vars.index(conjugate_variable(v)) for v in vars)
+
+
+def _add_products(acc: Dict[Exponents, list], ea: Exponents, xa: int,
+                  ya: int, da: int, rows) -> None:
+    """Add (xa + ya i)/da x^ea times each row (eb, xb, yb, db) to acc, which
+    holds each exponent's sum as Gaussian-integer numerators over a
+    denominator, [x, y, den], unreduced; a contribution over another
+    denominator rescales the sum to their lcm."""
+    get = acc.get
+    for eb, xb, yb, db in rows:
+        e = tuple(map(_add, ea, eb))
+        x, y, d = xa * xb - ya * yb, xa * yb + ya * xb, da * db
+        cur = get(e)
+        if cur is None:
+            acc[e] = [x, y, d]
+        elif cur[2] == d:
+            cur[0] += x
+            cur[1] += y
+        else:
+            f = cur[2]
+            m = lcm(f, d)
+            cur[0] = cur[0] * (m // f) + x * (m // d)
+            cur[1] = cur[1] * (m // f) + y * (m // d)
+            cur[2] = m
 
 
 class Series:
@@ -264,22 +294,62 @@ class Series:
                     Series._trusted(b.vars, trunc, terms)
             return Series._trusted(b.vars, trunc,
                                    {e: c * ca for e, c in terms.items()})
-        out: Dict[Exponents, GaussRational] = {}
         # the sparser operand outermost; the other's terms ordered by total
         # degree, so each inner loop ends at the last pair within trunc
-        items = sorted(b.terms.items(), key=_total_degree)
-        degrees = [sum(e) for e, _ in items]
-        get = out.get
+        rows = sorted([(e, c._a, c._b, c._d) for e, c in b.terms.items()],
+                      key=_total_degree)
+        degrees = [sum(row[0]) for row in rows]
+        acc: Dict[Exponents, list] = {}
         for ea, ca in a.terms.items():
-            for eb, cb in islice(items, bisect_right(degrees, trunc - sum(ea))):
-                e = tuple(map(_add, ea, eb))
-                c = ca * cb
-                cur = get(e)
-                out[e] = c if cur is None else cur + c
-        return Series._trusted(self.vars, trunc,
-                               {e: c for e, c in out.items() if not c.is_zero()})
+            _add_products(acc, ea, ca._a, ca._b, ca._d,
+                          islice(rows, bisect_right(degrees, trunc - sum(ea))))
+        # each output coefficient is reduced once
+        return Series._trusted(self.vars, trunc, {
+            e: _reduced(x, y, d) for e, (x, y, d) in acc.items() if x or y})
 
     __rmul__ = __mul__
+
+    def __truediv__(self, u: "Series") -> "Series":
+        """Exact quotient by a unit u (nonzero constant term), at the
+        smaller truncation: the g with u * g = self, solved degree by
+        degree, g_d = (self_d - sum_{k=1..d} u_k g_{d-k}) / u_0."""
+        if not isinstance(u, Series):
+            return NotImplemented
+        self._compat(u)
+        c0 = u.constant_term()
+        if c0.is_zero():
+            raise UnitRequiredError(
+                "division requires a unit (nonzero constant term)")
+        trunc = min(self.trunc, u.trunc)
+        # -u_k, by degree k >= 1, and self_d, by degree d
+        minus_u = [[] for _ in range(trunc + 1)]
+        for e, c in u.terms.items():
+            k = sum(e)
+            if 0 < k <= trunc:
+                minus_u[k].append((e, -c._a, -c._b, c._d))
+        by_degree = [[] for _ in range(trunc + 1)]
+        for e, c in self.terms.items():
+            d = sum(e)
+            if d <= trunc:
+                by_degree[d].append((e, c._a, c._b, c._d))
+        # (x + y i)/den / ((p + q i)/r) = (x + y i)(p - q i) r / (den norm)
+        p, q, r = c0._a, c0._b, c0._d
+        norm = p * p + q * q
+        g: List[list] = []              # g_d as rows (e, a, b, d)
+        out: Dict[Exponents, GaussRational] = {}
+        for d in range(trunc + 1):
+            acc = {e: [x, y, den] for e, x, y, den in by_degree[d]}
+            for k in range(1, d + 1):
+                for eu, xu, yu, du in minus_u[k]:
+                    _add_products(acc, eu, xu, yu, du, g[d - k])
+            g_d = []
+            for e, (x, y, den) in acc.items():
+                if x or y:
+                    c = out[e] = _reduced((x * p + y * q) * r,
+                                          (y * p - x * q) * r, den * norm)
+                    g_d.append((e, c._a, c._b, c._d))
+            g.append(g_d)
+        return Series._trusted(self.vars, trunc, out)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -327,38 +397,9 @@ class Series:
     # -- division --------------------------------------------------------------
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse at truncation; requires a unit (nonzero
-        constant term)."""
-        c0 = self.constant_term()
-        if c0.is_zero():
-            raise UnitRequiredError(
-                "reciprocal requires a nonzero constant term")
-        inv0 = ONE / c0
-        if len(self.terms) == 1:        # a constant
-            return Series._trusted(self.vars, self.trunc,
-                                   {(0,) * len(self.vars): inv0})
-        minus_inv0 = -inv0
-        # f g = 1 on homogeneous parts: g_0 = 1/c0 and
-        # g_d = -(1/c0) * sum_{k=1..d} f_k g_{d-k}
-        f = [[] for _ in range(self.trunc + 1)]
-        for e, c in self.terms.items():
-            f[sum(e)].append((e, c))
-        g = [{(0,) * len(self.vars): inv0}]
-        out = dict(g[0])
-        for d in range(1, self.trunc + 1):
-            acc: Dict[Exponents, GaussRational] = {}
-            get = acc.get
-            for k in range(1, d + 1):
-                for ef, cf in f[k]:
-                    for eg, cg in g[d - k].items():
-                        e = tuple(map(_add, ef, eg))
-                        c = cf * cg
-                        cur = get(e)
-                        acc[e] = c if cur is None else cur + c
-            g_d = {e: c * minus_inv0 for e, c in acc.items() if not c.is_zero()}
-            g.append(g_d)
-            out.update(g_d)
-        return Series._trusted(self.vars, self.trunc, out)
+        """Multiplicative inverse at truncation, the quotient of 1;
+        requires a unit (nonzero constant term)."""
+        return Series.const(ONE, self.vars, self.trunc) / self
 
     def divide_by_power(self, name: str, m: int) -> "Series":
         """Exact division by ``name**m``; every term must be divisible."""
@@ -389,8 +430,7 @@ class Series:
         bred = b.divide_by_power("s", k)
         if bred.constant_term().is_zero():
             raise UnitRequiredError("divisor is not of the form s^k * unit")
-        ared = self.divide_by_power("s", k)
-        return ared * bred.reciprocal()
+        return self.divide_by_power("s", k) / bred
 
     # -- substitution -----------------------------------------------------------
 

@@ -492,6 +492,31 @@ def test_parse_error_exit_3(tmp_path, capsys):
         assert f"line 3, col {col}: coefficient exceeds 14000 bits" in err
 
 
+def test_trailing_comments(tmp_path, capsys):
+    # a # outside the quotes starts a comment, after a quoted value and
+    # after a bare one; the file loads as the file without comments
+    plain = write(tmp_path, "plain.hs", MODEL)
+    assert main(["report", plain]) == 0
+    want = capsys.readouterr().out
+    for name, text in [
+            ("quoted.hs", 'n = 1\ntrunc = 8\nphi = "s*z1*c1"  # the model\n'),
+            ("bare.hs", 'n = 1  # dimension\ntrunc = 8 #\nphi = "s*z1*c1"\n')]:
+        assert main(["report", write(tmp_path, name, text)]) == 0, name
+        assert capsys.readouterr().out == want, name
+
+
+def test_hash_inside_quotes_is_not_a_comment(tmp_path, capsys):
+    # inside a quoted value # belongs to the series literal, and an
+    # unclosed quote still runs to the end of the line
+    path = write(tmp_path, "hash.hs", 'n = 1\ntrunc = 8\nphi = "s*z1*c1 # x"\n')
+    assert main(["report", path]) == 3
+    assert ("key 'phi', line 3, col 16: unexpected character '#'"
+            in capsys.readouterr().err)
+    path = write(tmp_path, "open.hs", 'n = 1\ntrunc = 8\nphi = "s*z1*c1  # x\n')
+    assert main(["report", path]) == 3
+    assert "line 3, col 19: unterminated string" in capsys.readouterr().err
+
+
 def test_bb_solve_with_oracle(tmp_path, capsys):
     path = write(tmp_path, "lin.bb",
                  'N = 1\norder = 10\ntrunc = 12\nf1 = "1/2*y1 + t"\n')

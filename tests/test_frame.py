@@ -138,9 +138,9 @@ def identical(a, b):
 
 
 def test_frame_matches_two_sided_construction():
-    # one reciprocal and the n(n+1)/2 brackets with a <= b give the same
-    # series, terms and truncation, as both reciprocals and all n^2
-    # brackets taken apart
+    # one quotient per Q_A, its conjugate for P_A, and the n(n+1)/2
+    # brackets with a <= b give the same series, terms and truncation, as
+    # both reciprocals times the partials and all n^2 brackets taken apart
     for n in (1, 2, 3):
         for seed in range(3):
             fr = Frame(random_surface(n=n, trunc=6, seed=seed))
@@ -149,6 +149,16 @@ def test_frame_matches_two_sided_construction():
                 assert identical(mine, want.comp("s", fr.trunc))
             assert all(identical(x, y) for row, want_row in zip(fr.c, c)
                        for x, y in zip(row, want_row))
+
+
+def test_frame_divides_without_a_reciprocal(monkeypatch):
+    # Q_A = phi_{c_A} / (i - phi_s) is one quotient each: no reciprocal
+    # is formed and multiplied
+    def refused(self):
+        raise AssertionError("Frame took a reciprocal")
+    monkeypatch.setattr(Series, "reciprocal", refused)
+    for h in frame_surfaces():
+        Frame(h)
 
 
 def test_derivations_match_coordinate_fields():

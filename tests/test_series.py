@@ -119,6 +119,111 @@ def test_divide_unit_form():
         a.divide_unit_form(s * z)       # s*z1 is not s^k * unit
 
 
+def reference_product(f, g):
+    """f * g term by term in GaussRational arithmetic: every pair of
+    terms within the truncation is multiplied and added as it comes."""
+    trunc = min(f.trunc, g.trunc)
+    out = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= trunc:
+                out[e] = out.get(e, GaussRational(0)) + ca * cb
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def reference_quotient(a, u):
+    """a / u term by term: g_d = (a_d - sum_{k >= 1} u_k g_{d-k}) / u_0."""
+    trunc = min(a.trunc, u.trunc)
+    u0 = u.constant_term()
+    g = {}
+    for d in range(trunc + 1):
+        acc = {e: c for e, c in a.terms.items() if sum(e) == d}
+        for eu, cu in u.terms.items():
+            for eg, cg in list(g.items()):
+                e = tuple(x + y for x, y in zip(eu, eg))
+                if any(eu) and sum(e) == d:
+                    acc[e] = acc.get(e, GaussRational(0)) - cu * cg
+        g.update((e, c / u0) for e, c in acc.items() if not c.is_zero())
+    return g
+
+
+def test_products_and_quotients_sum_over_differing_denominators():
+    # two term pairs land on z1*c1 over the denominators 10 and 21, so the
+    # sum is rescaled to their lcm: 1/10 + 1/21 = 31/210
+    z, c, s = sv("z1"), sv("c1"), sv("s")
+    half, third = GaussRational(Fraction(1, 2)), GaussRational(Fraction(1, 3))
+    f = z * half + c * third
+    g = c * GaussRational(Fraction(1, 5)) + z * GaussRational(Fraction(1, 7))
+    assert (f * g).terms == reference_product(f, g)
+    assert (f * g).coefficient((1, 1, 0)) == GaussRational(Fraction(31, 210))
+    # a unit over mixed denominators, and a numerator with a (1/2 + i/3)
+    u = Series.const(2, V, T) + z * third + c * GaussRational(Fraction(1, 5)) \
+        + s * GaussRational(Fraction(1, 7), Fraction(1, 2))
+    a = f * GaussRational(Fraction(1, 2), Fraction(1, 3)) + s * s * third
+    assert (a / u).terms == reference_quotient(a, u)
+    assert (a / u) * u == a
+
+
+def test_cancelled_terms_are_absent():
+    # the z1*c1 pairs cancel: 1/2 * 2/3 - 1/3 * 1 over the raw
+    # denominators 6 and 3, and 1*1 + i*i between real and imaginary parts
+    z, c = sv("z1"), sv("c1")
+    i = GaussRational(0, 1)
+    pairs = [(z * GaussRational(Fraction(1, 2)) + c * GaussRational(Fraction(1, 3)),
+              c * GaussRational(Fraction(2, 3)) - z),
+             (z + c * i, z * i + c)]
+    for f, g in pairs:
+        prod = f * g
+        assert prod.terms == reference_product(f, g)
+        assert (1, 1, 0) not in prod.terms and len(prod.terms) == 2
+    # (z - c)(1 + z + c) has no z1*c1 term, and dividing it back by the
+    # unit leaves z - c with no term of degree >= 2, zero or otherwise
+    u = Series.const(1, V, T) + z + c
+    a = (z - c) * u
+    assert (1, 1, 0) not in a.terms
+    q = a / u
+    assert q.terms == reference_quotient(a, u) == (z - c).terms
+
+
+@given(series, series)
+@settings(max_examples=100, deadline=None)
+def test_quotient_round_trip(a, b):
+    unit = b + Series.const(1, V, T) - Series.const(b.constant_term(), V, T)
+    q = a / unit
+    assert q.trunc == T
+    assert q * unit == a
+    assert q.terms == reference_quotient(a, unit)
+
+
+def test_products_and_quotients_reduce_once_per_coefficient(monkeypatch):
+    # the general product and the quotient accumulate Gaussian-integer
+    # numerators: one _reduced per output coefficient, and no
+    # GaussRational product or sum per term pair
+    import crgeom.series
+    counts = {"reduced": 0, "mul": 0, "add": 0}
+    reduced = crgeom.series._reduced
+    mul, add = GaussRational.__mul__, GaussRational.__add__
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    z, c, s = sv("z1"), sv("c1"), sv("s")
+    third = GaussRational(Fraction(1, 3), Fraction(1, 2))
+    f = z * third + c + s * s - z * c * s
+    g = Series.const(3, V, T) - z + c * third + s
+    monkeypatch.setattr(crgeom.series, "_reduced", counted("reduced", reduced))
+    monkeypatch.setattr(GaussRational, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(GaussRational, "__add__", counted("add", add))
+    for op in (lambda: f * g, lambda: f / g, lambda: g.reciprocal()):
+        counts.update(reduced=0, mul=0, add=0)
+        out = op()
+        assert len(out.terms) > 4
+        assert counts == {"reduced": len(out.terms), "mul": 0, "add": 0}
+
+
 def test_subs_composition():
     z = sv("z1")
     f = z * z + z
