@@ -10,11 +10,14 @@ against f = p*t + A*y + Q(t,y) gives, per power k and log degree r,
 where g_k depends only on lower-order coefficients.  The linear part
 (p, A) is read off f once, and the resonances k <= order once from A, as
 cached properties of the system.  k is resonant when kI - A is singular,
-decided by its rank alone; the characteristic polynomial of A and the
-Dulac eigenvalue count read from it are cached properties too, formed
-only when the report reads them.  Nonresonant k solve uniquely top-down
-in r; resonant k solve as one stacked triangular system with free kernel
-parameters set to zero and the kernel dimension recorded in family_dim.
+decided by its rank alone, and only then are the powers of kI - A ranked
+for the index of k, the size of its largest Jordan block; the
+characteristic polynomial of A and the Dulac eigenvalue count read from
+it are cached properties too, formed only when the report reads them.
+Nonresonant k solve uniquely top-down in r; resonant k solve as one
+stacked triangular system through log degree d + index, d the largest
+log degree of g_k, with free kernel parameters set to zero and the
+kernel dimension recorded in family_dim.
 Every solution is checked by substituting it back into t*y' - f(t, y)
 through t^K, without the recurrence that produced it.
 """
@@ -29,7 +32,8 @@ from typing import Dict, List, Tuple
 
 from . import linalg
 from .errors import InvariantViolation, ValidationError
-from .linalg import count_eigenvalues_nonpositive_real, rank, solve_linear
+from .linalg import (count_eigenvalues_nonpositive_real, mat_mul, rank,
+                     solve_linear)
 from .scalars import GaussRational, to_complex
 from .series import Series
 
@@ -85,16 +89,33 @@ class BBSystem:
         return [[g.coefficient(e) for e in y_exps] for g in self.f]
 
     @cached_property
-    def resonances(self) -> List[Tuple[int, int]]:
-        """Positive integers k <= order at which kI - A is singular (the
-        integer eigenvalues of A), each with its kernel dimension
-        N - rank(kI - A), found by that one rank test."""
-        out = []
+    def _resonant(self) -> Dict[int, Tuple[int, int]]:
+        """Each positive integer k <= order at which kI - A is singular (an
+        integer eigenvalue of A), with its kernel dimension N - rank(kI - A)
+        and its index: the least j with rank (kI - A)^j = rank (kI - A)^(j+1),
+        the size of its largest Jordan block.  kI - A is ranked once per k,
+        and its powers only at a resonance."""
+        out = {}
         for k in range(1, self.order + 1):
-            dim = self.N - rank(_shifted(self.A, k))
-            if dim:
-                out.append((k, dim))
+            B = _shifted(self.A, k)
+            r = rank(B)
+            if r == self.N:
+                continue
+            index, power, r_index = 1, mat_mul(B, B), r
+            while (r_next := rank(power)) < r_index:
+                index, r_index, power = index + 1, r_next, mat_mul(power, B)
+            out[k] = (self.N - r, index)
         return out
+
+    @cached_property
+    def resonances(self) -> List[Tuple[int, int]]:
+        """The resonances k <= order, each with its kernel dimension."""
+        return [(k, dim) for k, (dim, _) in self._resonant.items()]
+
+    @cached_property
+    def index(self) -> Dict[int, int]:
+        """The index of each resonance k as an eigenvalue of A."""
+        return {k: index for k, (_, index) in self._resonant.items()}
 
     @cached_property
     def char_poly(self) -> List[GaussRational]:
@@ -185,13 +206,13 @@ def _rhs_at_order(sys: BBSystem, sol: Dict[Tuple[int, int], List[GaussRational]]
 def formal_solve(sys: BBSystem) -> FormalLogSolution:
     """Exact solution coefficients c_{k,r} through order K = sys.order."""
     N, K = sys.N, sys.order
-    resonant = {k for k, _ in sys.resonances}
+    index = sys.index
     sol: Dict[Tuple[int, int], List[GaussRational]] = {}
     for k in range(1, K + 1):
         g = _rhs_at_order(sys, sol, k)
         d = max((r for comp in g for r in comp), default=0)
         B = _shifted(sys.A, k)
-        if k not in resonant:
+        if k not in index:
             # unique top-down solve in r
             upper = [_ZERO] * N
             level: Dict[int, List[GaussRational]] = {}
@@ -208,8 +229,10 @@ def formal_solve(sys: BBSystem) -> FormalLogSolution:
                 if any(not x.is_zero() for x in c):
                     sol[(k, r)] = c
         else:
-            # stacked triangular solve up to log degree R = d + N
-            R = d + N
+            # stacked triangular solve up to log degree R = d + index:
+            # c_{k,d+1+j} is a multiple of B^j c_{k,d+1}, which vanishes
+            # from j = index on, so no solution has a log degree past R
+            R = d + index[k]
             size = N * (R + 1)
             big = [[_ZERO] * size for _ in range(size)]
             rhs = [_ZERO] * size

@@ -29,15 +29,14 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
+    """a @ b, skipping the zero entries of a."""
+    m = len(b[0])
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = _ZERO
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            row.append(s)
+    for a_row in a:
+        row = [_ZERO] * m
+        for x, b_row in zip(a_row, b):
+            if not x.is_zero():
+                row = [s + x * y for s, y in zip(row, b_row)]
         out.append(row)
     return out
 

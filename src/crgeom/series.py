@@ -17,24 +17,22 @@ canonical by construction and skip those checks, as do ``const`` and
 truncation and accumulates each output coefficient as Gaussian-integer
 numerators over a denominator, ``[x, y, den]`` per exponent, rescaled to
 an lcm only when a contribution's denominator differs; each output
-coefficient is reduced once, and one that cancels is not stored.  When
-one operand has a single term the product is a shift of the other's
-exponents and a scaling of its coefficients (the constant 1 returns the
-other operand), with no accumulation.  A quotient ``a / u`` by a unit u
-solves ``u * g = a`` degree by degree on the same accumulator, dividing
-each output coefficient by u's constant term as it is reduced, so a
-reciprocal (the quotient of 1) is never formed only to be multiplied.
-``substitute`` maps several series through one image set in one
-recursive walk over the trie of their exponent vectors, so the monomials
-below a node share the product of image powers on its path, formed once
-for all of them (``Series.subs`` is the one-series case).  At a leaf
-that product is written once as Gaussian-integer numerators over the lcm
-of its denominators; each output accumulates ``[x, y, den]`` per
-exponent, rescaled only when a contribution's denominator differs, and
-each output coefficient is reduced once.  ``conjugate`` reads a z <-> c
-index map computed once per variable tuple.  ``to_literal`` prints each
-coefficient from its ``(a, b, d)`` triple, reducing each part by its gcd
-with d, with no ``Fraction``.
+coefficient is reduced once, and one that cancels is not stored.  A
+one-term operand, the constant 1 included, takes the same path.  A
+quotient ``a / u`` by a unit u solves ``u * g = a`` degree by degree on
+the same accumulator, dividing each output coefficient by u's constant
+term as it is reduced, so a reciprocal (the quotient of 1) is never
+formed only to be multiplied.  ``substitute`` maps several series
+through one image set in one recursive walk over the trie of their
+exponent vectors, so the monomials below a node share the product of
+image powers on its path, formed once for all of them (``Series.subs``
+is the one-series case).  At a leaf, each member with that monomial
+adds its coefficient times the product's terms of degree <= its trunc
+to its output on the same accumulator, and each output coefficient is
+reduced once.  ``conjugate`` reads a z <-> c index map computed once per
+variable tuple.  ``to_literal`` prints each coefficient from its
+``(a, b, d)`` triple, reducing each part by its gcd with d, with no
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -101,8 +99,9 @@ def _add_products(acc: Dict[Exponents, list], ea: Exponents, xa: int,
     denominator, [x, y, den], unreduced; a contribution over another
     denominator rescales the sum to their lcm."""
     get = acc.get
+    shift = any(ea)
     for eb, xb, yb, db in rows:
-        e = tuple(map(_add, ea, eb))
+        e = tuple(map(_add, ea, eb)) if shift else eb
         x, y, d = xa * xb - ya * yb, xa * yb + ya * xb, da * db
         cur = get(e)
         if cur is None:
@@ -279,21 +278,6 @@ class Series:
         self._compat(other)
         trunc = min(self.trunc, other.trunc)
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        if len(a.terms) == 1:
-            # one term shifts and scales the other operand: distinct
-            # exponents stay distinct and no product of nonzeros is zero
-            (ea, ca), = a.terms.items()
-            if any(ea):
-                limit = trunc - sum(ea)
-                return Series._trusted(b.vars, trunc, {
-                    tuple(map(_add, ea, e)): c * ca
-                    for e, c in b.terms.items() if sum(e) <= limit})
-            terms = b.terms if b.trunc == trunc else _upto(b.terms, trunc)
-            if ca == ONE:
-                return b if terms is b.terms else \
-                    Series._trusted(b.vars, trunc, terms)
-            return Series._trusted(b.vars, trunc,
-                                   {e: c * ca for e, c in terms.items()})
         # the sparser operand outermost; the other's terms ordered by total
         # degree, so each inner loop ends at the last pair within trunc
         rows = sorted([(e, c._a, c._b, c._d) for e, c in b.terms.items()],
@@ -354,15 +338,17 @@ class Series:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Series.const(1, self.vars, self.trunc)
-        base = self
-        while k:
+        if k == 0:
+            return Series.const(1, self.vars, self.trunc)
+        # start from the base, so that no product by 1 is formed
+        result, base = None, self
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -528,33 +514,11 @@ def substitute(series: Sequence[Series], mapping: Mapping[str, Series]
         # by every row here (None for 1)
         if i == len(vars):
             (_, _, ms), = rows
-            if prefix is None:
-                leaf, den = [(one, 0, 1, 0)], 1
-            else:
-                # the product as Gaussian-integer numerators over the lcm
-                # of its denominators
-                terms = prefix.terms
-                den = lcm(*{v._d for v in terms.values()})
-                leaf = [(e, sum(e), v._a * (den // v._d), v._b * (den // v._d))
-                        for e, v in terms.items()]
+            terms = {one: ONE} if prefix is None else prefix.terms
             for c, t, out in ms:
-                ca, cb, d = c._a, c._b, den * c._d
-                for e, deg, x, y in leaf:
-                    if deg > t:
-                        continue
-                    x, y = x * ca - y * cb, x * cb + y * ca
-                    cur = out.get(e)
-                    if cur is None:
-                        out[e] = [x, y, d]
-                    elif cur[2] == d:
-                        cur[0] += x
-                        cur[1] += y
-                    else:
-                        f = cur[2]
-                        m = lcm(f, d)
-                        cur[0] = cur[0] * (m // f) + x * (m // d)
-                        cur[1] = cur[1] * (m // f) + y * (m // d)
-                        cur[2] = m
+                _add_products(out, one, c._a, c._b, c._d,
+                              [(e, v._a, v._b, v._d) for e, v in terms.items()
+                               if sum(e) <= t])
             return
         for e, group in groupby(rows, key=lambda row: row[0][i]):
             group = list(group)

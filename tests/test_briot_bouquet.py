@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import crgeom.briot_bouquet as bb
 from crgeom.briot_bouquet import (BBSystem, bb_vars, formal_solve,
@@ -66,6 +67,52 @@ def test_resonances():
     # only k <= order is probed
     assert mk(1, ["3*y1"], order=2).resonances == []
     assert mk(1, ["3*y1"], order=3).resonances == [(3, 1)]
+
+
+def test_resonance_index_is_the_largest_jordan_block():
+    # the index of k: the least j with rank (kI - A)^j = rank (kI - A)^(j+1)
+    assert mk(2, ["y1", "y2"]).index == {1: 1}
+    assert mk(2, ["y1 + y2 + t", "y2 + t^2"], order=6).index == {1: 2}
+    jordan3 = mk(3, ["2*y1 + y2 + t*y3", "2*y2 + y3 + t^2 + y1*y2",
+                     "2*y3 + t"], order=8)
+    assert jordan3.resonances == [(2, 1)] and jordan3.index == {2: 3}
+    assert mk(1, ["1/2*y1"]).index == {}
+
+
+@st.composite
+def jordan_system(draw):
+    """A triangular system whose resonant eigenvalue k0 in {1, 2} has
+    Jordan blocks of size 1 to 3, with forcing and nonlinear terms."""
+    N = draw(st.integers(1, 3))
+    k0 = draw(st.integers(1, 2))
+    diag = [str(k0)] + [draw(st.sampled_from([str(k0), "-1", "1/2"]))
+                        for _ in range(N - 1)]
+    names = [f"y{j}" for j in range(1, N + 1)]
+    comps = []
+    for j in range(N):
+        terms = [f"{diag[j]}*{names[j]}"]
+        # a superdiagonal 1 joins equal eigenvalues into one block
+        if j + 1 < N and draw(st.booleans()):
+            terms.append(names[j + 1])
+        terms += draw(st.lists(st.sampled_from(
+            ["t", "t^2", "3*t", "t*" + names[-1], f"{names[0]}^2",
+             f"{names[0]}*{names[-1]}"]), max_size=2))
+        comps.append(" + ".join(terms))
+    return N, comps, draw(st.integers(k0, 5))
+
+
+@given(jordan_system())
+# a block of size 2 at k = 1 whose forcing needs log degree 2, below N = 3
+@example((3, ["y1 + y2", "y2 + t", "-1*y3 + t*y1"], 4))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_log_depth_past_the_index_changes_nothing(case):
+    # the stacked solve at a resonance stops at log degree d + index; the
+    # solution through d + N, the old bound, is the same
+    N, comps, order = case
+    short, full = mk(N, comps, order=order), mk(N, comps, order=order)
+    for k in full.index:
+        full.index[k] = N
+    assert coeffs_str(formal_solve(short)) == coeffs_str(formal_solve(full))
 
 
 def test_nonresonant_solution():

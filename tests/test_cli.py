@@ -118,7 +118,8 @@ def test_each_type_is_computed_once(tmp_path, capsys, monkeypatch):
 def test_each_linear_part_is_read_once(tmp_path, capsys, monkeypatch):
     # p, A and the resonances are cached properties of the BBSystem:
     # bb-solve reads the N(N + 1) coefficients of the linear part off f
-    # once for the solver and the report, and ranks kI - A once per k
+    # once for the solver and the report, and ranks kI - A once per k,
+    # and (I - A)^2 once more for the index of the resonance k = 1
     import crgeom.briot_bouquet as bb
     from crgeom.series import Series
     import crgeom.linalg as linalg
@@ -143,7 +144,7 @@ def test_each_linear_part_is_read_once(tmp_path, capsys, monkeypatch):
                  'f1 = "y1 + t + y1*y2"\nf2 = "-1/2*y2 + t*y1"\n')
     assert main(["bb-solve", path]) == 0
     assert len(coefficients) == 2 * 3
-    assert ranks == [2] * 7
+    assert ranks == [2] * 8
     # the characteristic polynomial is a cached property too, read for
     # the printed char_poly and for the Dulac count
     assert char_polys == [2]

@@ -3,14 +3,17 @@
 Hypothesis writes input files and runs ``main``: for ``check-map`` a
 source and a target hypersurface file and a map file, some surfaces real
 and in normal form, some not, and some maps genuine, collapsing or
-malformed; for ``report`` and ``bb-solve`` one ``.hs`` or ``.bb`` file
-whose series are built from the parser test's literal atoms or from
-random monomials, with keys sometimes missing or misspelled.  Every case
-must exit 0, 1, 2 or 3 without raising, and an exit 0 prints strict
-JSON.  A ``check-map`` exit 2 carries one of the documented invariant
-violations: a Levi-flat source or target, or an xi that is not smooth
-(``xi-singular``).  A ``report`` or ``bb-solve`` exit 3 names the key
-and the line and column of the error in the file.  The search is
+malformed; for ``report``, ``bb-solve`` and ``prolong`` one ``.hs``,
+``.bb`` or ``.ps`` file whose series are built from the parser test's
+literal atoms or from random monomials, with keys sometimes missing or
+misspelled.  Every case must exit 0, 1, 2 or 3 without raising, and an
+exit 0 prints strict JSON.  A ``check-map`` exit 2 carries one of the
+documented invariant violations: a Levi-flat source or target, or an xi
+that is not smooth (``xi-singular``); ``prolong`` has none, since a
+formal log solution always exists.  A ``report``, ``bb-solve`` or
+``prolong`` exit 3 names the key and the line and column of the error in
+the file.  A ``prolong`` case passes ``linalg.rref`` no matrix wider
+than a fixed multiple of its jet-variable count.  The search is
 derandomized, so a run is repeatable.
 """
 
@@ -23,7 +26,9 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import crgeom.linalg
 from crgeom.cli import main
+from crgeom.prolongation import ProlongedSystem, base_vars
 from test_series import LITERAL_ATOMS
 
 REAL = ["1", "2", "-1", "3/5", "-1/2"]
@@ -246,6 +251,7 @@ def check_exit(command, name, text):
         assert rep["command"] == command
     if code == 3:
         assert PARSE_ERROR.fullmatch(err), err
+    return code
 
 
 @given(report_case())
@@ -260,3 +266,78 @@ def test_report_fuzz(text):
           suppress_health_check=[HealthCheck.too_slow])
 def test_bb_solve_fuzz(text):
     check_exit("bb-solve", "y.bb", text)
+
+
+# -- prolong ------------------------------------------------------------------
+
+# the stacked solve at a resonance of a system of N jet variables has
+# N (R + 1) columns, and its augmented matrix one more, for log degrees
+# up to R = d + index; R stayed <= 3 over 600 derandomized draws.
+# Stacking up to R = d + N instead passes N (N + 1) + 1 columns or more,
+# past this bound once N >= 6: the n = 1, k = 1 and k = 2 systems, with
+# N = 12 and 30.
+RREF_COLUMNS_PER_JET_VARIABLE = 6
+
+
+@st.composite
+def prolong_case(draw):
+    """A .ps file: each top-layer name u gets "(diag)*u + rest", the diag
+    drawn from -2..3, so that some levels resonate and some eigenvalues
+    repeat; rest is a forcing, possibly coupling u to another top-layer
+    name, or, in one file in six, for one name, literal atoms."""
+    n, k = draw(st.sampled_from([0, 1, 1])), draw(st.integers(0, 2))
+    ps = ProlongedSystem(n, k)
+    names = ps.needed_rhs_names()
+    x = list(base_vars(n))
+    forcing = ["s", "3*s", "s^2", "-1/2*s + s^2", "s*" + names[0],
+               "s + " + names[-1], "2*s + " + names[0]] + \
+        [f"s*{v}" for v in x]
+    rhs = {name: f"({draw(st.integers(-2, 3))})*{name} + "
+           + draw(st.sampled_from(forcing)) for name in names}
+    if draw(st.integers(0, 5)) == 0:
+        rhs[draw(st.sampled_from(names))] = draw(atom_literal(
+            x + ["s"] + names[:2]))
+    order = draw(st.integers(1, 4))
+    entries = [("n", str(n)), ("k", str(k)), ("order", str(order))]
+    if draw(st.booleans()):
+        entries.append(("trunc", str(draw(st.integers(order - 1, 6)))))
+    entries += [(name, f'"{text}"') for name, text in rhs.items()]
+    if n and draw(st.integers(0, 7)) or draw(st.integers(0, 5)) == 0:
+        # mostly exact rationals, sometimes not, sometimes too few or too
+        # many entries
+        point = st.sampled_from(["1/2", "-1/3", "0", "2", "3/4"] * 4
+                                + ["1.5", "x", "1/0", "2^3", ""])
+        count = st.sampled_from([2 * n] * 8 + [2 * n + 1, max(2 * n - 1, 0)])
+        samples = "; ".join(",".join(draw(point) for _ in range(draw(count)))
+                            for _ in range(draw(st.integers(1, 2))))
+        entries.append(("samples", f'"{samples}"'))
+    N = len(ps.var_names())
+    if draw(st.integers(0, 7)) == 0:
+        return draw(key_value_file(entries)), N
+    return "".join(f"{key} = {value}\n" for key, value in entries), N
+
+
+@contextlib.contextmanager
+def rref_columns():
+    """The most columns of a matrix passed to linalg.rref, as [max]."""
+    rref, widest = crgeom.linalg.rref, [0]
+
+    def counted(rows):
+        widest[0] = max(widest[0], len(rows[0]) if rows else 0)
+        return rref(rows)
+    crgeom.linalg.rref = counted
+    try:
+        yield widest
+    finally:
+        crgeom.linalg.rref = rref
+
+
+@given(prolong_case())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_prolong_fuzz(case):
+    text, N = case
+    with rref_columns() as widest:
+        code = check_exit("prolong", "u.ps", text)
+    assert code != 2
+    assert widest[0] <= RREF_COLUMNS_PER_JET_VARIABLE * N + 1

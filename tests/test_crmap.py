@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import crgeom.crmap
 from crgeom import corpus
@@ -15,6 +16,7 @@ from crgeom.parsing import parse_series
 from crgeom.report import HALF_OVER_I, hypersurface_report
 from crgeom.scalars import GaussRational
 from crgeom.series import Series, hypersurface_vars, implicit_solve
+from test_cli_fuzz import normal_phi
 
 T = 9
 # the source of the n = 2 scale specimen M2 (ROADMAP)
@@ -216,12 +218,12 @@ def test_identities_vanish_for_w_dependent_map():
     assert mc.xi.constant_term() == GaussRational(1)
 
 
-def rescaled_example(phi_literal, n, trunc):
-    """F = (z u(w), w) with u = 1 + (1/2 + i/3) w, which keeps normal
-    form: it maps Im w = phi into Im w = phi' with t = phi' solving
+def rescaled_example(phi_literal, n, trunc,
+                     a=GaussRational(Fraction(1, 2), Fraction(1, 3))):
+    """F = (z u(w), w) with u = 1 + a w, which keeps normal form: it maps
+    Im w = phi into Im w = phi' with t = phi' solving
     t = phi(z / u(s + i t), c / conj(u)(s - i t), s), one implicit_solve.
     The target shares only Series arithmetic with MapCheck."""
-    a = GaussRational(Fraction(1, 2), Fraction(1, 3))
     hv = hypersurface_vars(n)
     phi = parse_series(phi_literal, hv, trunc)
     ivars = hv + ("t",)
@@ -259,6 +261,39 @@ def test_nonlinear_genuine_map(phi, n):
     assert not all(e.is_zero() for e in mc.eta)
     assert hypersurface_report(src)["invariants"] == \
         hypersurface_report(tgt)["invariants"]
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def rescaling_case(draw):
+    """A real phi in normal form (monomials z^alpha c^beta s^e with
+    |alpha|, |beta| in {1, 2} and e <= 2, each with its conjugate) and a
+    nonzero a."""
+    n = draw(st.integers(1, 2))
+    a = GaussRational(draw(small), draw(small))
+    assume(not a.is_zero())
+    return draw(normal_phi(n)), n, a
+
+
+@given(rescaling_case())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_verdicts_are_invariant_under_nonlinear_genuine_maps(case):
+    # F = (z (1 + a w), w) maps Im w = phi into the phi' that it determines:
+    # the identities hold and every report invariant agrees
+    phi, n, a = case
+    f, src, tgt = rescaled_example(phi, n, 6, a)
+    assume(not src.levi_flat)           # terms that cancel
+    assert MapCheck(f, src, tgt).all_zero
+    want, got = (hypersurface_report(h)["invariants"] for h in (src, tgt))
+    if src.m == 0:
+        # at m = 0 (M minimal at 0, outside the paper's nonminimal
+        # setting) phi_m = phi(z, c, 0) is no invariant: (z (1 + i w), w)
+        # maps Im w = z1*c1 into Im w = z1*c1 + 2*z1^2*c1^2 + ...
+        del want["phi_m"], got["phi_m"]
+    assert want == got
 
 
 def test_theta_hat_f_matches_composed_quotient():

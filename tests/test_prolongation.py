@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -249,3 +250,29 @@ def test_prolong_stdout_is_pinned(tmp_path, capsys, text, digest):
     assert main(["prolong", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_resonant_level_stacks_log_degrees_up_to_its_index(tmp_path, capsys,
+                                                           monkeypatch):
+    # n = 1, k = 2: 30 jet variables; the first top-layer name has
+    # eigenvalue 2 and the other 17 have -1.  The resonance k = 2 has
+    # index 1, so its stacked solve has 30 (d + 1 + 1) = 60 unknowns at
+    # d = 0; stacking log degrees up to d + N solved 930
+    import crgeom.briot_bouquet as bb
+    names = ProlongedSystem(1, 2).needed_rhs_names()
+    text = 'n = 1\nk = 2\norder = 4\nsamples = "1/2,1/3"\n' + "".join(
+        f'{name} = "{2 if j == 0 else "(-1)"}*{name} + s"\n'
+        for j, name in enumerate(names))
+    unknowns = []
+    solve_linear = bb.solve_linear
+
+    def counted(a, b):
+        unknowns.append(len(a[0]))
+        return solve_linear(a, b)
+    monkeypatch.setattr(bb, "solve_linear", counted)
+    path = tmp_path / "resonant.ps"
+    path.write_text(text)
+    assert main(["prolong", str(path)]) == 0
+    assert max(unknowns) == 60
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["samples"][0]["family_dim"] == 1

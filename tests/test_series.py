@@ -197,9 +197,10 @@ def test_quotient_round_trip(a, b):
 
 
 def test_products_and_quotients_reduce_once_per_coefficient(monkeypatch):
-    # the general product and the quotient accumulate Gaussian-integer
-    # numerators: one _reduced per output coefficient, and no
-    # GaussRational product or sum per term pair
+    # every product, one-term operands and the constant 1 included, and
+    # the quotient accumulate Gaussian-integer numerators: one _reduced
+    # per output coefficient, and no GaussRational product or sum per
+    # term pair
     import crgeom.series
     counts = {"reduced": 0, "mul": 0, "add": 0}
     reduced = crgeom.series._reduced
@@ -214,10 +215,14 @@ def test_products_and_quotients_reduce_once_per_coefficient(monkeypatch):
     third = GaussRational(Fraction(1, 3), Fraction(1, 2))
     f = z * third + c + s * s - z * c * s
     g = Series.const(3, V, T) - z + c * third + s
+    fg = f * g
+    monomial = Series(V, T, {(1, 0, 1): GaussRational(Fraction(2, 5), -1)})
+    one = Series.const(1, V, T)
     monkeypatch.setattr(crgeom.series, "_reduced", counted("reduced", reduced))
     monkeypatch.setattr(GaussRational, "__mul__", counted("mul", mul))
     monkeypatch.setattr(GaussRational, "__add__", counted("add", add))
-    for op in (lambda: f * g, lambda: f / g, lambda: g.reciprocal()):
+    for op in (lambda: f * g, lambda: f / g, lambda: g.reciprocal(),
+               lambda: monomial * fg, lambda: one * fg):
         counts.update(reduced=0, mul=0, add=0)
         out = op()
         assert len(out.terms) > 4
@@ -428,6 +433,14 @@ def test_subs_matches_sympy(f, g1, g2, g3):
 @example([parse_series("z1 + c1 + s + z1*c1 + s^2", V, 6)], 2,
          GaussRational(Fraction(1, 7)), parse_series("1/7*z1", V, 6),
          parse_series("2/3*z1", V, 6), parse_series("1/1029*z1", V, 6))
+# a leaf product, z1^2 -> g1^2, with terms of degrees 2 to 4 over the
+# denominators 3, 4, 5, 9, 15 and 25, which the trunc-3 member cuts
+# after degree 3
+@example([parse_series("z1^2 + 1/2*z1*c1", V, 6),
+          parse_series("2*z1^2 + s", V, 3)], 0, GaussRational(1),
+         parse_series("1/2*z1 + 1/3*c1^2 + 1/5*s^2", V, 6),
+         parse_series("c1 + 1/7*z1*s", V, 6),
+         parse_series("s + 1/3*z1^2", V, 6))
 @example([parse_series("z1 + c1 + s", V, 6),
           parse_series("3*z1 - c1", V, 4)], 1, GaussRational(Fraction(2, 3)),
          parse_series("1/7*z1*c1 + s", V, 6),
@@ -519,7 +532,7 @@ def test_public_constructor_still_validates():
     assert half.terms == {(0, 0, 0): GaussRational(Fraction(1, 2))}
 
 
-# -- one-term products: the shift path of Series.__mul__ ----------------------
+# -- one-term products: a constant or a monomial times a series ---------------
 
 nonzero_gauss = gauss.filter(lambda c: not c.is_zero())
 
