@@ -14,10 +14,10 @@ decided by its rank alone, and only then are the powers of kI - A ranked
 for the index of k, the size of its largest Jordan block; the
 characteristic polynomial of A and the Dulac eigenvalue count read from
 it are cached properties too, formed only when the report reads them.
-Nonresonant k solve uniquely top-down in r; resonant k solve as one
-stacked triangular system through log degree d + index, d the largest
-log degree of g_k, with free kernel parameters set to zero and the
-kernel dimension recorded in family_dim.
+Every level k solves as one stacked system in the c_{k,r}, r <= d + index,
+d the largest log degree of g_k and index 0 when kI - A is invertible,
+with free kernel parameters set to zero and the kernel dimension
+recorded in family_dim.
 Every solution is checked by substituting it back into t*y' - f(t, y)
 through t^K, without the recurrence that produced it.
 """
@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 
 from . import linalg
 from .errors import InvariantViolation, ValidationError
-from .linalg import (count_eigenvalues_nonpositive_real, mat_mul, rank,
+from .linalg import (Row, count_eigenvalues_nonpositive_real, mat_mul, rank,
                      solve_linear)
 from .scalars import GaussRational, to_complex
 from .series import Series
@@ -89,6 +89,23 @@ class BBSystem:
         return [[g.coefficient(e) for e in y_exps] for g in self.f]
 
     @cached_property
+    def _A_rows(self) -> List[Row]:
+        """The sparse rows of A."""
+        return [{j: x for j, x in enumerate(row) if not x.is_zero()}
+                for row in self.A]
+
+    def level_rows(self, k: int, offset: int = 0) -> List[Row]:
+        """The sparse rows of kI - A, with columns shifted by offset."""
+        out = []
+        for i, a_row in enumerate(self._A_rows):
+            row = {offset + j: -x for j, x in a_row.items()}
+            diag = row.pop(offset + i, _ZERO) + k
+            if not diag.is_zero():
+                row[offset + i] = diag
+            out.append(row)
+        return out
+
+    @cached_property
     def _resonant(self) -> Dict[int, Tuple[int, int]]:
         """Each positive integer k <= order at which kI - A is singular (an
         integer eigenvalue of A), with its kernel dimension N - rank(kI - A)
@@ -96,15 +113,16 @@ class BBSystem:
         the size of its largest Jordan block.  kI - A is ranked once per k,
         and its powers only at a resonance."""
         out = {}
+        N = self.N
         for k in range(1, self.order + 1):
-            B = _shifted(self.A, k)
-            r = rank(B)
-            if r == self.N:
+            B = self.level_rows(k)
+            r = rank(B, N)
+            if r == N:
                 continue
             index, power, r_index = 1, mat_mul(B, B), r
-            while (r_next := rank(power)) < r_index:
+            while (r_next := rank(power, N)) < r_index:
                 index, r_index, power = index + 1, r_next, mat_mul(power, B)
-            out[k] = (self.N - r, index)
+            out[k] = (N - r, index)
         return out
 
     @cached_property
@@ -121,7 +139,7 @@ class BBSystem:
     def char_poly(self) -> List[GaussRational]:
         """The characteristic polynomial of A; the solver never forms it."""
         # through the module: this property's name is the function's
-        return linalg.char_poly(self.A)
+        return linalg.char_poly(self._A_rows)
 
     @cached_property
     def nonpositive_real(self) -> int:
@@ -143,12 +161,6 @@ class FormalLogSolution:
     def has_log_terms(self) -> bool:
         return any(r > 0 and any(not c.is_zero() for c in v)
                    for (k, r), v in self.coeffs.items())
-
-
-def _shifted(A, k: int):
-    N = len(A)
-    return [[GaussRational(k if i == j else 0) - A[i][j] for j in range(N)]
-            for i in range(N)]
 
 
 # polynomial-in-(t, log) arithmetic: dict {(t_deg, log_deg): GaussRational}
@@ -211,47 +223,26 @@ def formal_solve(sys: BBSystem) -> FormalLogSolution:
     for k in range(1, K + 1):
         g = _rhs_at_order(sys, sol, k)
         d = max((r for comp in g for r in comp), default=0)
-        B = _shifted(sys.A, k)
-        if k not in index:
-            # unique top-down solve in r
-            upper = [_ZERO] * N
-            level: Dict[int, List[GaussRational]] = {}
-            for r in range(d, -1, -1):
-                rhs = [g[j].get(r, _ZERO) - GaussRational(r + 1) * upper[j]
-                       for j in range(N)]
-                c = solve_linear(B, rhs)
-                if c is None:
-                    raise InvariantViolation(
-                        f"nonresonant level k={k} failed to solve")
-                level[r] = c
-                upper = c
-            for r, c in level.items():
-                if any(not x.is_zero() for x in c):
-                    sol[(k, r)] = c
-        else:
-            # stacked triangular solve up to log degree R = d + index:
-            # c_{k,d+1+j} is a multiple of B^j c_{k,d+1}, which vanishes
-            # from j = index on, so no solution has a log degree past R
-            R = d + index[k]
-            size = N * (R + 1)
-            big = [[_ZERO] * size for _ in range(size)]
-            rhs = [_ZERO] * size
-            for r in range(R + 1):
-                for i in range(N):
-                    row = r * N + i
-                    for j in range(N):
-                        big[row][r * N + j] = B[i][j]
-                    if r + 1 <= R:
-                        big[row][(r + 1) * N + i] = GaussRational(r + 1)
-                    rhs[row] = g[i].get(r, _ZERO)
-            x = solve_linear(big, rhs)
-            if x is None:
-                raise InvariantViolation(
-                    f"resonant level k={k} inconsistent at log depth {R}")
-            for r in range(R + 1):
-                c = x[r * N:(r + 1) * N]
-                if any(not v.is_zero() for v in c):
-                    sol[(k, r)] = c
+        # the stacked system in c_{k,0}, ..., c_{k,R}: c_{k,d+1+j} is a
+        # multiple of (kI - A)^j c_{k,d+1}, which vanishes from j = index
+        # on, so no solution has a log degree past R
+        R = d + index.get(k, 0)
+        rows = []
+        for r in range(R + 1):
+            for i, row in enumerate(sys.level_rows(k, r * N)):
+                if r < R:
+                    row[(r + 1) * N + i] = GaussRational(r + 1)
+                if r in g[i]:
+                    row[N * (R + 1)] = g[i][r]
+                rows.append(row)
+        x = solve_linear(rows, N * (R + 1))
+        if x is None:
+            raise InvariantViolation(
+                f"level k={k} inconsistent at log depth {R}")
+        for r in range(R + 1):
+            c = x[r * N:(r + 1) * N]
+            if any(not v.is_zero() for v in c):
+                sol[(k, r)] = c
     _check_residual(sys, sol, K)
     return FormalLogSolution(coeffs=sol, resonances=sys.resonances)
 

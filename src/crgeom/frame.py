@@ -55,7 +55,7 @@ from typing import Iterator, List, Tuple
 
 from .errors import TruncationError
 from .hypersurface import Hypersurface
-from .linalg import rank
+from .linalg import Row, rank
 from .scalars import GaussRational
 from .series import Series
 
@@ -197,10 +197,11 @@ def filtration(frame: Frame) -> Filtration:
     n, ell_max = frame.n, frame.hypersurface.ell_max
     values = iterated_h0_at_origin(frame, ell_max)
     ranks = [0]                       # r_0 = n - dim F_0 = 0
-    rows: List[List[GaussRational]] = []
+    rows: List[Row] = []
     for k in range(1, ell_max + 1):
-        rows.extend(vals for _, vals in itertools.islice(values, n ** k))
-        ranks.append(rank(rows))
+        rows.extend({d: v for d, v in enumerate(vals) if not v.is_zero()}
+                    for _, vals in itertools.islice(values, n ** k))
+        ranks.append(rank(rows, n))
         if ranks[k] == n:
             return Filtration(ranks=ranks, ell=k, nondegenerate=True)
         if k > 1 and ranks[k] == ranks[k - 1]:

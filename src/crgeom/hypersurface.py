@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .errors import ValidationError
-from .linalg import rank, rref
+from .linalg import rank
 from .scalars import GaussRational
 from .series import Series, exponent_vectors, hypersurface_vars
 
@@ -186,23 +186,20 @@ def essentiality_check(h: Hypersurface) -> EssentialityVerdict:
             for delta in monos:
                 if sum(delta) == d:      # monos is ordered by degree
                     break
-                row = [GaussRational(0)] * len(index)
-                nonzero = False
+                row = {}
                 for exps, c in a.terms.items():
                     ze = tuple(exps[j] + delta[j] for j in range(n))
-                    if sum(ze) > d:
-                        continue
-                    row[index[ze]] = row[index[ze]] + c
-                    nonzero = True
-                if nonzero:
+                    if sum(ze) <= d:
+                        row[index[ze]] = c
+                if row:
                     rows.append(row)
         if not rows:
             continue
-        red, pivots = rref(rows)
-        # e_c lies in the row span iff c is a pivot whose reduced row is e_c
-        units = {c for c, row in zip(pivots, red)
-                 if sum(not x.is_zero() for x in row) == 1}
-        if all(index[mono] in units for mono in monos if sum(mono) == d):
+        # the degree-d unit vectors lie in the row span iff adding them
+        # leaves the rank unchanged
+        units = [{index[mono]: GaussRational(1)} for mono in monos
+                 if sum(mono) == d]
+        if rank(rows + units, len(index)) == rank(rows, len(index)):
             return EssentialityVerdict("certified-essential", d, "")
     return EssentialityVerdict("inconclusive", D,
                                f"no certificate found up to degree {D}")
@@ -222,13 +219,15 @@ def nondegeneracy_ell(h: Hypersurface) -> EllVerdict:
                 continue                 # probed at a lower order
             # row B-component: d^alpha/d chi^alpha  d psi/d z_B at 0
             # = alpha! * coefficient of z_B * chi^alpha  (scaling irrelevant)
-            row = []
+            row = {}
             for B in range(n):
                 exps = tuple(1 if j == B else 0 for j in range(n)) + \
                     tuple(alpha) + (0,)
-                row.append(psi0.coefficient(exps))
-            if any(not c.is_zero() for c in row):
+                c = psi0.coefficient(exps)
+                if not c.is_zero():
+                    row[B] = c
+            if row:
                 rows.append(row)
-        if rows and rank(rows) == n:
+        if rank(rows, n) == n:
             return EllVerdict(degenerate=False, ell=ell)
     return EllVerdict(degenerate=True, ell=ell_max)

@@ -1,18 +1,22 @@
 """Exact linear algebra and polynomial utilities.
 
-Matrices are lists of lists of GaussRational; polynomials are coefficient
-lists in increasing degree order (over GaussRational or Fraction).  All
-routines are fraction-exact; nothing here touches floating point.
+A matrix is a list of sparse rows, each a dict {column: entry} holding
+only its nonzero Gaussian-rational entries; polynomials are coefficient
+lists in increasing degree order (over GaussRational or Fraction).
+``echelon`` is the one elimination kernel: forward elimination only, so
+each pivot row starts at its pivot column with a 1 there.  ``rank``
+counts its pivots and ``solve_linear`` back-substitutes through them.
+All routines are fraction-exact; nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .scalars import GaussRational
 
-Matrix = List[List[GaussRational]]
+Row = Dict[int, GaussRational]  # column -> nonzero entry
 GPoly = List[GaussRational]   # Gaussian-rational coefficients, low degree first
 RPoly = List[Fraction]        # real rational coefficients, low degree first
 
@@ -21,92 +25,91 @@ _ONE = GaussRational(1)
 
 
 # ---------------------------------------------------------------------------
-# matrices over the Gaussian rationals
+# sparse matrices over the Gaussian rationals
 # ---------------------------------------------------------------------------
 
-def mat_identity(n: int) -> Matrix:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b, skipping the zero entries of a."""
-    m = len(b[0])
-    out = []
-    for a_row in a:
-        row = [_ZERO] * m
-        for x, b_row in zip(a_row, b):
-            if not x.is_zero():
-                row = [s + x * y for s, y in zip(row, b_row)]
-        out.append(row)
-    return out
-
-
-def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form with lowest-index pivoting; returns
-    (rref matrix, pivot column list)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                pr = i
+def echelon(rows: Iterable[Row], width: int) -> List[Optional[Row]]:
+    """Forward elimination of rows with columns below width.  Each row in
+    turn is reduced by the pivot rows found so far, lowest column first,
+    until its lowest column is not a pivot; a nonzero remainder, scaled to
+    1 there, becomes that column's pivot row.  Returns, per column, its
+    pivot row or None.  The pivot columns are the leading columns of the
+    nonzero vectors of the row span, as in any echelon basis."""
+    pivots: List[Optional[Row]] = [None] * width
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            pivot = pivots[c]
+            if pivot is None:
+                inv = _ONE / row[c]
+                pivots[c] = {j: x * inv for j, x in row.items()}
                 break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+            # the pivot row starts at c: columns below c stay clear
+            f = -row.pop(c)
+            for j, x in pivot.items():
+                if j != c:
+                    y = row[j] + f * x if j in row else f * x
+                    if y.is_zero():
+                        del row[j]
+                    else:
+                        row[j] = y
+    return pivots
 
 
-def rank(rows: Matrix) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+def rank(rows: Iterable[Row], width: int) -> int:
+    return sum(p is not None for p in echelon(rows, width))
 
 
-def solve_linear(a: Matrix, b: Sequence[GaussRational]
+def solve_linear(rows: Iterable[Row], width: int
                  ) -> Optional[List[GaussRational]]:
-    """One particular solution of a @ x = b, or None if inconsistent.
-    Free variables are set to zero."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(nrows)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
+    """One particular solution x of a @ x = b, or None if inconsistent:
+    each row holds a row of a in columns below width and its entry of b
+    in column width.  Free variables are set to zero, and the pivot
+    variables are solved from the highest column down."""
+    pivots = echelon(rows, width + 1)
+    if pivots[width] is not None:
         return None
-    x = [_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    x = [_ZERO] * width
+    for c in range(width - 1, -1, -1):
+        pivot = pivots[c]
+        if pivot is None:
+            continue
+        s = pivot.get(width, _ZERO)
+        for j, v in pivot.items():
+            if c < j < width and not x[j].is_zero():
+                s = s - v * x[j]
+        x[c] = s
     return x
 
 
-def char_poly(a: Matrix) -> GPoly:
+def mat_mul(a: List[Row], b: List[Row]) -> List[Row]:
+    """a @ b over the nonzero entries of both."""
+    out = []
+    for a_row in a:
+        row: Row = {}
+        for k, x in a_row.items():
+            for j, y in b[k].items():
+                row[j] = row.get(j, _ZERO) + x * y
+        out.append({j: v for j, v in row.items() if not v.is_zero()})
+    return out
+
+
+def char_poly(a: List[Row]) -> GPoly:
     """Characteristic polynomial det(x*I - A), monic, low degree first.
     Faddeev-LeVerrier; exact over the Gaussian rationals."""
     n = len(a)
     coeffs = [_ZERO] * n + [_ONE]   # x^n coefficient
-    m = mat_identity(n)
-    c = _ONE
+    m: List[Row] = [{i: _ONE} for i in range(n)]
     for k in range(1, n + 1):
         m = mat_mul(a, m)
-        tr = sum((m[i][i] for i in range(n)), _ZERO)
+        tr = sum((m[i].get(i, _ZERO) for i in range(n)), _ZERO)
         c = (-tr) / GaussRational(k)
         coeffs[n - k] = c
         for i in range(n):
-            m[i][i] = m[i][i] + c
+            v = m[i].pop(i, _ZERO) + c
+            if not v.is_zero():
+                m[i][i] = v
     return coeffs
 
 

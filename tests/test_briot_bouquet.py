@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import crgeom.briot_bouquet as bb
 from crgeom.briot_bouquet import (BBSystem, bb_vars, formal_solve,
@@ -12,6 +12,7 @@ from crgeom.linalg import count_eigenvalues_nonpositive_real, mat_mul
 from crgeom.parsing import parse_series
 from crgeom.scalars import GaussRational
 from crgeom.series import Series
+from test_linalg import dense_solve, sparse
 
 
 def mk(N, exprs, order=10, trunc=12):
@@ -113,6 +114,82 @@ def test_log_depth_past_the_index_changes_nothing(case):
     for k in full.index:
         full.index[k] = N
     assert coeffs_str(formal_solve(short)) == coeffs_str(formal_solve(full))
+
+
+def level_loop(sys_):
+    """The level loop that formal_solve replaced, kept as its oracle, on
+    dense rows: a nonresonant level solves top-down in r, one log degree
+    at a time, and a resonant level as one stacked system through
+    R = d + index."""
+    N, zero = sys_.N, GaussRational(0)
+    sol = {}
+    for k in range(1, sys_.order + 1):
+        g = bb._rhs_at_order(sys_, sol, k)
+        d = max((r for comp in g for r in comp), default=0)
+        B = [[GaussRational(k if i == j else 0) - sys_.A[i][j]
+              for j in range(N)] for i in range(N)]
+        level = {}
+        if k not in sys_.index:
+            upper = [zero] * N
+            for r in range(d, -1, -1):
+                upper = dense_solve(B, [g[j].get(r, zero)
+                                        - GaussRational(r + 1) * upper[j]
+                                        for j in range(N)])
+                level[r] = upper
+        else:
+            R = d + sys_.index[k]
+            size = N * (R + 1)
+            big = [[zero] * size for _ in range(size)]
+            for r in range(R + 1):
+                for i in range(N):
+                    for j in range(N):
+                        big[r * N + i][r * N + j] = B[i][j]
+                    if r < R:
+                        big[r * N + i][(r + 1) * N + i] = GaussRational(r + 1)
+            x = dense_solve(big, [g[i].get(r, zero) for r in range(R + 1)
+                                  for i in range(N)])
+            level = {r: x[r * N:(r + 1) * N] for r in range(R + 1)}
+        for r, c in level.items():
+            if any(not v.is_zero() for v in c):
+                sol[(k, r)] = c
+    return sol
+
+
+@st.composite
+def nonresonant_system(draw):
+    """A system whose A has no eigenvalue among 1..order, with forcing
+    and nonlinear terms."""
+    N = draw(st.integers(1, 3))
+    names = [f"y{j}" for j in range(1, N + 1)]
+    entry = st.sampled_from(["0", "0", "1", "-1", "1/2", "-3/2", "i",
+                             "(1 + i)"])
+    comps = []
+    for j in range(N):
+        terms = [f"{draw(entry)}*{y}" for y in names]
+        terms += draw(st.lists(st.sampled_from(
+            ["t", "t^2", "-2*t", "t*" + names[-1], f"{names[0]}^2",
+             f"{names[0]}*{names[-1]}", "1/3*t^3"]), max_size=3))
+        comps.append(" + ".join(terms))
+    return N, comps, draw(st.integers(1, 5))
+
+
+@given(nonresonant_system())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_nonresonant_levels_match_the_top_down_solve(case):
+    N, comps, order = case
+    sys_ = mk(N, comps, order=order)
+    assume(not sys_.index)
+    assert formal_solve(sys_).coeffs == level_loop(sys_)
+
+
+@given(jordan_system())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_levels_past_a_log_term_match_the_old_level_loop(case):
+    # a resonance leaves log terms in g at every later, nonresonant
+    # level, whose top-down solve then starts at r = d > 0
+    N, comps, order = case
+    sys_ = mk(N, comps, order=order)
+    assert formal_solve(sys_).coeffs == level_loop(sys_)
 
 
 def test_nonresonant_solution():
@@ -238,18 +315,15 @@ def test_dulac_count_matches_chosen_roots():
 def test_dulac_similarity_invariance():
     # A -> P^-1 A P preserves the characteristic polynomial, hence p
     base = mk(2, ["y1 + y2", "-3*y2"])
-    p_mat = [[GaussRational(1), GaussRational(2)],
-             [GaussRational(1), GaussRational(3)]]
-    p_inv = [[GaussRational(3), GaussRational(-2)],
-             [GaussRational(-1), GaussRational(1)]]
-    sim = mat_mul(p_inv, mat_mul(base.A, p_mat))
+    g = GaussRational
+    p_mat = [{0: g(1), 1: g(2)}, {0: g(1), 1: g(3)}]
+    p_inv = [{0: g(3), 1: g(-2)}, {0: g(-1), 1: g(1)}]
+    sim = mat_mul(p_inv, mat_mul(sparse(base.A), p_mat))
     exprs = []
     for i in range(2):
         parts = []
-        for j in range(2):
-            c = sim[i][j]
-            if not c.is_zero():
-                parts.append(f"({c.re})*y{j+1}" if c.im == 0 else "?")
+        for j, c in sorted(sim[i].items()):
+            parts.append(f"({c.re})*y{j+1}" if c.im == 0 else "?")
         exprs.append(" + ".join(parts) if parts else "t*0")
     sys2 = mk(2, exprs)
     assert dulac_p(sys2) == dulac_p(base)

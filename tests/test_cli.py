@@ -131,9 +131,9 @@ def test_each_linear_part_is_read_once(tmp_path, capsys, monkeypatch):
         coefficients.append(exps)
         return coefficient(self, exps)
 
-    def counted_rank(rows):
+    def counted_rank(rows, width):
         ranks.append(len(rows))
-        return rank(rows)
+        return rank(rows, width)
     def counted_char_poly(A):
         char_polys.append(len(A))
         return char_poly(A)

@@ -12,8 +12,9 @@ documented invariant violations: a Levi-flat source or target, or an xi
 that is not smooth (``xi-singular``); ``prolong`` has none, since a
 formal log solution always exists.  A ``report``, ``bb-solve`` or
 ``prolong`` exit 3 names the key and the line and column of the error in
-the file.  A ``prolong`` case passes ``linalg.rref`` no matrix wider
-than a fixed multiple of its jet-variable count.  The search is
+the file.  A ``prolong`` case passes ``linalg.echelon`` no matrix
+wider than a fixed multiple of its jet-variable count, counted by the
+width each call declares, augmented column included.  The search is
 derandomized, so a run is repeatable.
 """
 
@@ -270,9 +271,10 @@ def test_bb_solve_fuzz(text):
 
 # -- prolong ------------------------------------------------------------------
 
-# the stacked solve at a resonance of a system of N jet variables has
+# the stacked solve of a level of a system of N jet variables has
 # N (R + 1) columns, and its augmented matrix one more, for log degrees
-# up to R = d + index; R stayed <= 3 over 600 derandomized draws.
+# up to R = d + index (index 0 off a resonance); at the resonances of
+# 600 derandomized draws R stayed <= 3.
 # Stacking up to R = d + N instead passes N (N + 1) + 1 columns or more,
 # past this bound once N >= 6: the n = 1, k = 1 and k = 2 systems, with
 # N = 12 and 30.
@@ -318,18 +320,18 @@ def prolong_case(draw):
 
 
 @contextlib.contextmanager
-def rref_columns():
-    """The most columns of a matrix passed to linalg.rref, as [max]."""
-    rref, widest = crgeom.linalg.rref, [0]
+def echelon_columns():
+    """The largest width declared to linalg.echelon, as [max]."""
+    echelon, widest = crgeom.linalg.echelon, [0]
 
-    def counted(rows):
-        widest[0] = max(widest[0], len(rows[0]) if rows else 0)
-        return rref(rows)
-    crgeom.linalg.rref = counted
+    def counted(rows, width):
+        widest[0] = max(widest[0], width)
+        return echelon(rows, width)
+    crgeom.linalg.echelon = counted
     try:
         yield widest
     finally:
-        crgeom.linalg.rref = rref
+        crgeom.linalg.echelon = echelon
 
 
 @given(prolong_case())
@@ -337,7 +339,7 @@ def rref_columns():
           suppress_health_check=[HealthCheck.too_slow])
 def test_prolong_fuzz(case):
     text, N = case
-    with rref_columns() as widest:
+    with echelon_columns() as widest:
         code = check_exit("prolong", "u.ps", text)
     assert code != 2
     assert widest[0] <= RREF_COLUMNS_PER_JET_VARIABLE * N + 1

@@ -15,6 +15,7 @@ from crgeom.linalg import rank
 from crgeom.report import HALF_OVER_I
 from crgeom.scalars import GaussRational
 from crgeom.series import Series, hypersurface_vars
+from test_linalg import sparse
 
 T = 8
 
@@ -443,12 +444,12 @@ def test_kernel_lemma():
     h = corpus.filtration_example_surface(T)
     fr = Frame(h)
     values = dict(iterated_h0_at_origin(fr, 2))
-    rows_1 = [v for w, v in values.items() if len(w) == 1]
-    rows_12 = list(values.values())
+    rows_12 = sparse(values.values())
+    rows_1 = [row for w, row in zip(values, rows_12) if len(w) == 1]
     # rank 1 with every row zero in slot 2: the kernel is span(e2)
-    assert rank(rows_1) == 1
-    assert all(row[1].is_zero() for row in rows_1)
-    assert rank(rows_12) == 2
+    assert rank(rows_1, 2) == 1
+    assert all(1 not in row for row in rows_1)
+    assert rank(rows_12, 2) == 2
 
 
 def test_type_two_detection():

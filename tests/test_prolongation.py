@@ -266,9 +266,9 @@ def test_resonant_level_stacks_log_degrees_up_to_its_index(tmp_path, capsys,
     unknowns = []
     solve_linear = bb.solve_linear
 
-    def counted(a, b):
-        unknowns.append(len(a[0]))
-        return solve_linear(a, b)
+    def counted(rows, width):
+        unknowns.append(width)
+        return solve_linear(rows, width)
     monkeypatch.setattr(bb, "solve_linear", counted)
     path = tmp_path / "resonant.ps"
     path.write_text(text)
