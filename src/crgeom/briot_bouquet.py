@@ -8,18 +8,20 @@ against f = p*t + A*y + Q(t,y) gives, per power k and log degree r,
     (k I - A) c_{k,r} + (r+1) c_{k,r+1} = g_{k,r},
 
 where g_k depends only on lower-order coefficients.  The linear part
-(p, A) is read off f once, and the resonances k <= order once from A, as
-cached properties of the system.  k is resonant when kI - A is singular,
-decided by its rank alone, and only then are the powers of kI - A ranked
-for the index of k, the size of its largest Jordan block; the
-characteristic polynomial of A and the Dulac eigenvalue count read from
-it are cached properties too, formed only when the report reads them.
+(p, A) is read off f once, A as sparse rows from the degree-1 terms of
+f in y, and the resonances k <= order once from A, as cached properties
+of the system.  k is resonant when kI - A is singular, decided by its
+rank alone, and only then are the powers of kI - A ranked for the index
+of k, the size of its largest Jordan block; the characteristic
+polynomial of A and the Dulac eigenvalue count read from it are cached
+properties too, formed only when the report reads them.
 Every level k solves as one stacked system in the c_{k,r}, r <= d + index,
 d the largest log degree of g_k and index 0 when kI - A is invertible,
 with free kernel parameters set to zero and the kernel dimension
 recorded in family_dim.
 Every solution is checked by substituting it back into t*y' - f(t, y)
-through t^K, without the recurrence that produced it.
+through t^K, without the recurrence that produced it.  Both expand each
+monomial of f over its nonzero y-exponents only.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Dict, List, Tuple
 
 from . import linalg
@@ -59,10 +62,10 @@ class BBSystem:
         object.__setattr__(self, "f", comps)
         if len(comps) != N:
             raise ValidationError(f"expected {N} right-hand sides, got {len(comps)}")
+        vars = bb_vars(N)
         for j, g in enumerate(comps):
-            if g.vars != bb_vars(N):
-                raise ValidationError(
-                    f"f{j+1} must be a series in {bb_vars(N)}")
+            if g.vars != vars:
+                raise ValidationError(f"f{j+1} must be a series in {vars}")
             if not g.constant_term().is_zero():
                 raise ValidationError(
                     f"invalid system: f{j+1}(0,0) = {g.constant_term()} != 0")
@@ -81,23 +84,16 @@ class BBSystem:
         return [g.coefficient(t_exp) for g in self.f]
 
     @cached_property
-    def A(self) -> List[List[GaussRational]]:
-        """A[j][b], the coefficient of y_{b+1} in f_{j+1}."""
-        N = self.N
-        y_exps = [tuple(1 if i == b + 1 else 0 for i in range(N + 1))
-                  for b in range(N)]
-        return [[g.coefficient(e) for e in y_exps] for g in self.f]
-
-    @cached_property
-    def _A_rows(self) -> List[Row]:
-        """The sparse rows of A."""
-        return [{j: x for j, x in enumerate(row) if not x.is_zero()}
-                for row in self.A]
+    def A(self) -> List[Row]:
+        """The sparse rows of A: A[j][b] is the coefficient of y_{b+1} in
+        f_{j+1}, read off the degree-1 terms of f_{j+1} in y."""
+        return [{e.index(1) - 1: c for e, c in g.terms.items()
+                 if not e[0] and sum(e) == 1} for g in self.f]
 
     def level_rows(self, k: int, offset: int = 0) -> List[Row]:
         """The sparse rows of kI - A, with columns shifted by offset."""
         out = []
-        for i, a_row in enumerate(self._A_rows):
+        for i, a_row in enumerate(self.A):
             row = {offset + j: -x for j, x in a_row.items()}
             diag = row.pop(offset + i, _ZERO) + k
             if not diag.is_zero():
@@ -139,7 +135,7 @@ class BBSystem:
     def char_poly(self) -> List[GaussRational]:
         """The characteristic polynomial of A; the solver never forms it."""
         # through the module: this property's name is the function's
-        return linalg.char_poly(self._A_rows)
+        return linalg.char_poly(self.A)
 
     @cached_property
     def nonpositive_real(self) -> int:
@@ -198,17 +194,9 @@ def _rhs_at_order(sys: BBSystem, sol: Dict[Tuple[int, int], List[GaussRational]]
             if a > k:
                 continue
             prod = {(a, 0): c}
-            ok = True
-            for comp in range(N):
+            for comp in compress(range(N), exps[1:]):
                 for _ in range(exps[comp + 1]):
                     prod = _poly_mul(prod, y_polys[comp], k)
-                    if not prod:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
             for (kk, r), cc in prod.items():
                 if kk == k:
                     _add_term(out[j], r, cc)
@@ -267,11 +255,11 @@ def _check_residual(sys: BBSystem, sol, K: int) -> None:
             if exps[0] > K:
                 continue
             prod = {(exps[0], 0): c}
-            for b, e in enumerate(exps[1:]):
+            for b in compress(range(N), exps[1:]):
+                e = exps[b + 1]
                 while len(powers[b]) <= e:
                     powers[b].append(_poly_mul(powers[b][-1], y_polys[b], K))
-                if e:
-                    prod = _poly_mul(prod, powers[b][e], K)
+                prod = _poly_mul(prod, powers[b][e], K)
             for key, cc in prod.items():
                 _add_term(residual, key, -cc)
         if residual:

@@ -29,8 +29,9 @@ non-constant unit and powers of sums use ``Series`` arithmetic.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import add as _add
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .errors import ParseError, UnitRequiredError
 from .scalars import _reduced
@@ -88,6 +89,18 @@ def _raw_terms(v):
     return [(e, (c._a, c._b, c._d)) for e, c in v.terms.items()]
 
 
+@lru_cache(maxsize=64)
+def _names(vars: Tuple[str, ...], degree_1: bool) -> Dict[str, tuple]:
+    """The value of each name, built once per variable tuple: a
+    variable's monomial (zero when the truncation keeps no degree 1),
+    and the unit i."""
+    one = (0,) * len(vars)
+    names = {v: (1, 0, 1, one[:k] + (1,) + one[k + 1:]) if degree_1
+             else (0, 0, 1, one) for k, v in enumerate(vars)}
+    names["i"] = (0, 1, 1, one)
+    return names
+
+
 class _Parser:
     """Recursive descent over the tokens of one literal.
 
@@ -113,13 +126,9 @@ class _Parser:
         self.vars = vars
         self.trunc = trunc
         self.cut = cut = max(trunc, 0)      # the truncation a Series keeps
+        self.names = _names(vars, cut > 0)
         self.one = one = (0,) * len(vars)
         self.zero = (0, 0, 1, one)
-        # the value of each name: a variable's monomial, and the unit i
-        self.names = {
-            v: (1, 0, 1, one[:k] + (1,) + one[k + 1:]) if cut else self.zero
-            for k, v in enumerate(vars)}
-        self.names["i"] = (0, 1, 1, one)
         # set when truncation may have dropped a term of the literal
         self.dropped = False
 

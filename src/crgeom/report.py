@@ -37,6 +37,7 @@ SCHEMA_VERSION = 1
 # desingularized leading term is the mixed Hessian of the lowest-order
 # part of phi_m; inside the package it stays <theta, [L_Abar, L_B]>.
 HALF_OVER_I = GaussRational(0, Fraction(-1, 2))   # 1/(2i) = -i/2
+_ZERO = GaussRational(0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,9 @@ def bb_report(sys: BBSystem, oracle_t0: Optional[float] = None) -> dict:
                   "f": [g.to_literal() for g in sys.f]},
         "linear_part": {
             "p": [format_coefficient(x) for x in sys.p],
-            "A": [[format_coefficient(x) for x in row] for row in sys.A],
+            # the only dense view of A, whose rows are sparse inside
+            "A": [[format_coefficient(row.get(j, _ZERO))
+                   for j in range(sys.N)] for row in sys.A],
             "char_poly": [format_coefficient(c) for c in sys.char_poly],
         },
         "resonances": lists["resonances"],

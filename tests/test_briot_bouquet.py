@@ -12,7 +12,7 @@ from crgeom.linalg import count_eigenvalues_nonpositive_real, mat_mul
 from crgeom.parsing import parse_series
 from crgeom.scalars import GaussRational
 from crgeom.series import Series
-from test_linalg import dense_solve, sparse
+from test_linalg import dense_solve, entries, sparse
 
 
 def mk(N, exprs, order=10, trunc=12):
@@ -47,18 +47,59 @@ def test_constructor_checks_the_system():
         mk(1, ["y1 + t"], order=10, trunc=8)
 
 
+def rows_str(rows):
+    return [{j: str(x) for j, x in row.items()} for row in rows]
+
+
 def test_linear_part_readoff():
     sys1 = mk(1, ["3/2*y1 + t"])
     assert [str(x) for x in sys1.p] == ["1"]
-    assert [[str(x) for x in r] for r in sys1.A] == [["3/2"]]
+    assert rows_str(sys1.A) == [{0: "3/2"}]
 
     sys2 = mk(2, ["y2 + t^2", "y1"])
     assert [str(x) for x in sys2.p] == ["0", "0"]
-    assert [[str(x) for x in r] for r in sys2.A] == [["0", "1"], ["1", "0"]]
+    assert rows_str(sys2.A) == [{1: "1"}, {0: "1"}]
     assert [str(c) for c in sys2.char_poly] == ["-1", "0", "1"]  # k^2 - 1
     # read off f once, and kept
     assert sys2.A is sys2.A and sys2.p is sys2.p
     assert sys2.char_poly is sys2.char_poly
+
+    # t*y_j and the degree-2 terms in y are not linear
+    sys3 = mk(2, ["t*y1 + y2^2 + 3*y1 + y1*y2", "y1^2 + t*y2 + t"])
+    assert rows_str(sys3.A) == [{0: "3"}, {}]
+
+
+def dense_linear_part(sys_):
+    """The dense read of A that BBSystem.A replaced, kept as its oracle:
+    A[j][b] is the coefficient of y_{b+1} in f_{j+1}, by N^2 lookups."""
+    N = sys_.N
+    y_exps = [tuple(1 if i == b + 1 else 0 for i in range(N + 1))
+              for b in range(N)]
+    return [[g.coefficient(e) for e in y_exps] for g in sys_.f]
+
+
+@st.composite
+def linear_part_system(draw):
+    """A system whose components mix t, y_j, t*y_j and y_j^2 terms with
+    Gaussian-rational coefficients, mostly zero, so that some rows are
+    zero."""
+    N = draw(st.integers(1, 4))
+    t = (1,) + (0,) * N
+    ys = [tuple(int(i == b) for i in range(N + 1)) for b in range(1, N + 1)]
+    monomials = [t] + ys + [(1,) + y[1:] for y in ys] + [
+        tuple(2 * e for e in y) for y in ys]
+    comps = [Series(bb_vars(N), 4, {e: draw(entries) for e in draw(
+        st.lists(st.sampled_from(monomials), max_size=2 * N + 2))})
+        for _ in range(N)]
+    return BBSystem(N, comps, 2)
+
+
+@given(linear_part_system())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_linear_part_matches_the_dense_read(sys_):
+    # the dense read takes the y_j terms alone, so no t*y_j or y_j^2
+    # term may enter A
+    assert sys_.A == sparse(dense_linear_part(sys_))
 
 
 def test_resonances():
@@ -126,7 +167,7 @@ def level_loop(sys_):
     for k in range(1, sys_.order + 1):
         g = bb._rhs_at_order(sys_, sol, k)
         d = max((r for comp in g for r in comp), default=0)
-        B = [[GaussRational(k if i == j else 0) - sys_.A[i][j]
+        B = [[GaussRational(k if i == j else 0) - sys_.A[i].get(j, zero)
               for j in range(N)] for i in range(N)]
         level = {}
         if k not in sys_.index:
@@ -318,7 +359,7 @@ def test_dulac_similarity_invariance():
     g = GaussRational
     p_mat = [{0: g(1), 1: g(2)}, {0: g(1), 1: g(3)}]
     p_inv = [{0: g(3), 1: g(-2)}, {0: g(-1), 1: g(1)}]
-    sim = mat_mul(p_inv, mat_mul(sparse(base.A), p_mat))
+    sim = mat_mul(p_inv, mat_mul(base.A, p_mat))
     exprs = []
     for i in range(2):
         parts = []

@@ -117,19 +117,25 @@ def test_each_type_is_computed_once(tmp_path, capsys, monkeypatch):
 
 def test_each_linear_part_is_read_once(tmp_path, capsys, monkeypatch):
     # p, A and the resonances are cached properties of the BBSystem:
-    # bb-solve reads the N(N + 1) coefficients of the linear part off f
-    # once for the solver and the report, and ranks kI - A once per k,
-    # and (I - A)^2 once more for the index of the resonance k = 1
+    # bb-solve reads the N coefficients of p and the rows of A off f once
+    # for the solver and the report, and ranks kI - A once per k, and
+    # (I - A)^2 once more for the index of the resonance k = 1
     import crgeom.briot_bouquet as bb
     from crgeom.series import Series
     import crgeom.linalg as linalg
-    coefficients, ranks, char_polys = [], [], []
+    coefficients, a_reads, ranks, char_polys = [], [], [], []
     coefficient, rank = Series.coefficient, bb.rank
     char_poly = linalg.char_poly
+    a_property = bb.BBSystem.__dict__["A"]
+    read_a = a_property.func
 
     def counted_coefficient(self, exps):
         coefficients.append(exps)
         return coefficient(self, exps)
+
+    def counted_read_a(sys_):
+        a_reads.append(sys_.N)
+        return read_a(sys_)
 
     def counted_rank(rows, width):
         ranks.append(len(rows))
@@ -138,12 +144,14 @@ def test_each_linear_part_is_read_once(tmp_path, capsys, monkeypatch):
         char_polys.append(len(A))
         return char_poly(A)
     monkeypatch.setattr(Series, "coefficient", counted_coefficient)
+    monkeypatch.setattr(a_property, "func", counted_read_a)
     monkeypatch.setattr(bb, "rank", counted_rank)
     monkeypatch.setattr(linalg, "char_poly", counted_char_poly)
     path = write(tmp_path, "two.bb", 'N = 2\norder = 7\n'
                  'f1 = "y1 + t + y1*y2"\nf2 = "-1/2*y2 + t*y1"\n')
     assert main(["bb-solve", path]) == 0
-    assert len(coefficients) == 2 * 3
+    assert len(coefficients) == 2
+    assert a_reads == [2]
     assert ranks == [2] * 8
     # the characteristic polynomial is a cached property too, read for
     # the printed char_poly and for the Dulac count

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from crgeom.errors import (DivisibilityError, NotAContractionError,
                            ParseError, UnitRequiredError)
-from crgeom.parsing import (MAX_COEFF_BITS, MAX_EXPONENT, drops_terms,
-                            parse_series)
+from crgeom.parsing import (MAX_COEFF_BITS, MAX_EXPONENT, _names,
+                            drops_terms, parse_series)
 from crgeom.scalars import _STR_BITS, GaussRational, _int_str, format_coefficient
 from crgeom.series import (Series, hypersurface_vars, implicit_solve,
                            substitute)
@@ -263,6 +263,27 @@ def test_parser_reports_terms_dropped_by_truncation():
     for text in ["0", "0*z1*c1", "s*z1*c1 - z1*c1*s", "(z1 + 1)^3",
                  "z1/(1+1)", "(1/2+1/3*i)*z1 + 3/2*c1*s"]:
         assert not drops_terms(text, V, 3), text
+
+
+def test_parser_builds_the_names_table_once_per_variable_tuple():
+    # each variable's unit exponent tuple is built once per tuple and
+    # truncation kind, not once per literal
+    vars_ = tuple(f"y{j}" for j in range(1, 41))
+    _names.cache_clear()
+    def y(j):
+        return Series.variable(f"y{j}", vars_, 2)
+
+    for j in range(1, 41):
+        assert parse_series(f"y{j} + i*y{41 - j}", vars_, 2) == \
+            y(j) + y(41 - j) * GaussRational(0, 1)
+    assert _names.cache_info().misses == 1
+    # at trunc 0 every variable is zero, and i and constants are kept
+    assert parse_series("y1 + 2*y2*y3", vars_, 0).is_zero()
+    assert parse_series("3 + i + y40", vars_, 0) == \
+        Series.const(GaussRational(3, 1), vars_, 0)
+    assert _names.cache_info().misses == 2
+    zero = (0, 0, 1, (0,) * 40)
+    assert all(_names(vars_, False)[v] == zero for v in vars_)
 
 
 def test_implicit_solve_catalan():
