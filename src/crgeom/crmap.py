@@ -13,11 +13,12 @@ Im w = phi means substituting w -> s + i*phi; then
 MapCheck(f, source, target) validates its input once and holds the
 frames of source and target.  Every piece is formed on first use and
 kept: the restriction F (one batched substitution), the target data
-composed with f (a second one, of phihat, its first partials and the
-target frame's Levi functions h0hat_{ab} (a <= b) and h0barhat_a, so
-each product of image powers is formed once per map), theta_hat o f,
-gamma, eta, xi, the containment residual and the identities.  The types
-m and m_hat are those of the source and target Hypersurface.
+composed with f (target_f: a second one, of phihat, its first partials
+and the Levi functions h0hat_{ab} (a <= b) and h0barhat_a, unpacked by
+name, so each product of image powers is formed once per map),
+theta_hat o f, gamma, eta, xi, the containment residual and the
+identities.  The types m and m_hat are those of the source and target
+Hypersurface.
 
 Errors come in a fixed order.  Building a MapCheck raises
 ValidationError on a dimension mismatch, then
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .errors import (DivisibilityError, InvariantViolation, UnitRequiredError,
                      ValidationError)
@@ -72,10 +73,6 @@ class HoloMap:
             if f.vars != map_vars(n):
                 raise ValidationError(
                     f"map component {j + 1} must be a series in {map_vars(n)}")
-
-
-def _upper(n: int) -> List[Tuple[int, int]]:
-    return [(a, b) for a in range(n) for b in range(a, n)]
 
 
 class MapCheck:
@@ -134,20 +131,29 @@ class MapCheck:
         return substitute(gs, mapping)
 
     @cached_property
-    def _target_f(self) -> List[Series]:
-        """phihat, its first partials in s and z_1..z_n, h0hat_{ab} with
-        a <= b and h0barhat_a, composed with f in one compose call:
-        (n+1) + n(n+1)/2 + n + 1 series."""
+    def target_f(self) -> Dict[str, Any]:
+        """The target data composed with f in one compose call, by name:
+        "phi" is phihat o f, "phi_s" and "phi_z" (a list over z_1..z_n)
+        its first partials, "h0" the n x n h0hat_CD o f and "h0_bar" the
+        h0barhat_C o f.  Only h0hat_{ab} with a <= b is composed: the
+        entries with a > b are the conjugates, h0hat_{bbar a} =
+        -conj(h0hat_{abar b}) (see frame.Frame), and composing with f
+        commutes with conjugation."""
         fr_hat, n = self.frame_hat, self.n
         phihat = fr_hat.hypersurface.phi
-        return self.compose(
+        upper = [(a, b) for a in range(n) for b in range(a, n)]
+        composed = iter(self.compose(
             [phihat, phihat.diff("s")]
             + [phihat.diff(f"z{C}") for C in range(1, n + 1)]
-            + [fr_hat.h0[a][b] for a, b in _upper(n)] + fr_hat.h0_bar)
-
-    @cached_property
-    def phi_hat_f(self) -> Series:
-        return self._target_f[0]
+            + [fr_hat.h0[a][b] for a, b in upper] + fr_hat.h0_bar))
+        out = {"phi": next(composed), "phi_s": next(composed),
+               "phi_z": [next(composed) for _ in range(n)]}
+        h0 = [[None] * n for _ in range(n)]
+        for a, b in upper:
+            h0[a][b] = next(composed)
+            h0[b][a] = -h0[a][b].conjugate() if b > a else h0[a][b]
+        out["h0"], out["h0_bar"] = h0, list(composed)
+        return out
 
     @cached_property
     def theta_hat_f(self) -> Dict[str, Series]:
@@ -161,35 +167,15 @@ class MapCheck:
         with f commutes with conjugation: each c_C component is the
         conjugate of the z_C one.  The ds component is 1, at the target
         frame's truncation."""
-        phihat_s_f = self._target_f[1]
+        phihat_s_f, phihat_z_f = self.target_f["phi_s"], self.target_f["phi_z"]
         # -i / (1 - i phihat_s) = 1 / (phihat_s + i)
         unit = phihat_s_f + Series.const(GaussRational(0, 1), phihat_s_f.vars,
                                          phihat_s_f.trunc)
         out = {"s": Series.const(1, phihat_s_f.vars, self.frame_hat.trunc)}
         for C in range(1, self.n + 1):
-            out[f"z{C}"] = self._target_f[C + 1] / unit
+            out[f"z{C}"] = phihat_z_f[C - 1] / unit
             out[f"c{C}"] = out[f"z{C}"].conjugate()
         return out
-
-    @cached_property
-    def h0_hat_f(self) -> List[List[Series]]:
-        """h0hat_CD o f.  The entries with C > D are the conjugates:
-        h0hat_{bbar a} = -conj(h0hat_{abar b}) (see frame.Frame), and
-        composing with f commutes with conjugation."""
-        n = self.n
-        composed = iter(self._target_f[n + 2:])
-        h0 = [[None] * n for _ in range(n)]
-        for a, b in _upper(n):
-            x = next(composed)
-            h0[a][b] = x
-            h0[b][a] = -x.conjugate() if b > a else x
-        return h0
-
-    @cached_property
-    def h0_bar_hat_f(self) -> List[Series]:
-        """h0barhat_C o f."""
-        n = self.n
-        return self._target_f[n + 2 + n * (n + 1) // 2:]
 
     @cached_property
     def gamma(self) -> List[List[Series]]:
@@ -249,7 +235,8 @@ class MapCheck:
         series exactly at truncation iff f maps the source into the
         target."""
         minus_half_i = GaussRational(0, Fraction(-1, 2))
-        return (self.F[-1] - self.Fbar[-1]) * minus_half_i - self.phi_hat_f
+        return (self.F[-1] - self.Fbar[-1]) * minus_half_i - \
+            self.target_f["phi"]
 
     @cached_property
     def identities(self) -> Dict[str, List[Series]]:
@@ -274,7 +261,7 @@ class MapCheck:
         n, fr = self.n, self.frame
         xi, gamma, eta = self.xi, self.gamma, self.eta
         h0, h0bar = fr.h0, fr.h0_bar
-        h0_hat, h0bar_hat = self.h0_hat_f, self.h0_bar_hat_f
+        h0_hat, h0bar_hat = self.target_f["h0"], self.target_f["h0_bar"]
         gamma_bar = [[gamma[C][A].conjugate() for A in range(n)]
                      for C in range(n)]
         M = [[reduce(add, [gamma_bar[C][A] * h0_hat[C][D] for C in range(n)])

@@ -10,27 +10,29 @@ once, and every function reads them from it:
   * m    -- least s-power carrying a nonzero (z,c)-part (None = Levi flat)
   * r    -- lowest total degree of phi_m
   * psi  -- phi / s^m
+  * chi_coefficients -- psi(z,chi,0) grouped by chi-power alpha, the
+    functions a_alpha(z)
   * ell_max -- min(ELL_CAP, trunc - m - 1), the longest word that ell and
     the filtration probe
 
-From psi we compute:
+From the a_alpha we compute:
 
-  * essentiality of the coefficient ideal of psi(z,chi,0), certified by a
-    truncated Nakayama argument up to degree ESSENTIALITY_DEGREE
-  * the nondegeneracy order ell from chi-derivatives of d(psi)/dz at 0,
-    up to order ell_max
+  * essentiality of the ideal they generate, certified by a truncated
+    Nakayama argument up to degree ESSENTIALITY_DEGREE
+  * the nondegeneracy order ell from their z_B coefficients, which are
+    the chi-derivatives of d(psi)/dz at 0, up to order ell_max
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import ValidationError
 from .linalg import rank
 from .scalars import GaussRational
-from .series import Series, exponent_vectors, hypersurface_vars
+from .series import Exponents, Series, exponent_vectors, hypersurface_vars
 
 ESSENTIALITY_DEGREE = 4              # largest certificate degree tried
 ELL_CAP = 4                          # longest word ell and filtration probe
@@ -69,6 +71,20 @@ class Hypersurface:
     def psi(self) -> Optional[Series]:
         m = self.m
         return None if m is None else self.phi.divide_by_power("s", m)
+
+    @cached_property
+    def chi_coefficients(self) -> Optional[
+            Dict[Exponents, Dict[Exponents, GaussRational]]]:
+        """psi(z,chi,0) grouped by chi-power: {alpha: a_alpha} in sorted
+        alpha order, each a_alpha(z) as {z-exponents: coefficient}.
+        Normality makes every alpha nonzero."""
+        if self.levi_flat:
+            return None
+        n, by_alpha = self.n, {}
+        for exps, c in self.psi.terms.items():
+            if exps[-1] == 0:
+                by_alpha.setdefault(exps[n:2 * n], {})[exps[:n]] = c
+        return dict(sorted(by_alpha.items()))
 
     @property
     def ell_max(self) -> Optional[int]:
@@ -129,21 +145,6 @@ def validate(h: Hypersurface) -> None:
             "conjugate(phi) != phi")
 
 
-def _coefficient_functions(psi: Series, n: int) -> List[Series]:
-    """The functions a_alpha(z): coefficients of chi^alpha in psi(z,chi,0),
-    for alpha != 0, as series in z only."""
-    psi0 = psi.set_var_zero("s")
-    by_alpha = {}
-    for exps, c in psi0.terms.items():
-        alpha = exps[n:2 * n]
-        if sum(alpha) == 0:
-            continue
-        zpart = exps[:n] + (0,) * (n + 1)
-        by_alpha.setdefault(alpha, {})[zpart] = c
-    return [Series(psi.vars, psi.trunc, terms) for _, terms in
-            sorted(by_alpha.items())]
-
-
 def essentiality_check(h: Hypersurface) -> EssentialityVerdict:
     """Decide m-essentiality up to degree D = ESSENTIALITY_DEGREE.
 
@@ -157,14 +158,14 @@ def essentiality_check(h: Hypersurface) -> EssentialityVerdict:
     if h.levi_flat:
         raise ValidationError("essentiality undefined for Levi-flat input")
     n, D = h.n, ESSENTIALITY_DEGREE
-    a_funcs = _coefficient_functions(h.psi, n)
+    a_funcs = list(h.chi_coefficients.values())
     if not a_funcs:
         return EssentialityVerdict("inconclusive", D,
                                    "no coefficient functions at truncation")
     # structural obstruction: a z-variable absent from every a_alpha
     seen = [False] * n
     for a in a_funcs:
-        for exps in a.terms:
+        for exps in a:
             for j in range(n):
                 if exps[j] > 0:
                     seen[j] = True
@@ -187,7 +188,7 @@ def essentiality_check(h: Hypersurface) -> EssentialityVerdict:
                 if sum(delta) == d:      # monos is ordered by degree
                     break
                 row = {}
-                for exps, c in a.terms.items():
+                for exps, c in a.items():
                     ze = tuple(exps[j] + delta[j] for j in range(n))
                     if sum(ze) <= d:
                         row[index[ze]] = c
@@ -211,23 +212,15 @@ def nondegeneracy_ell(h: Hypersurface) -> EllVerdict:
     if h.levi_flat:
         raise ValidationError("nondegeneracy undefined for Levi-flat input")
     n, ell_max = h.n, h.ell_max
-    psi0 = h.psi.set_var_zero("s")
     rows = []
     for ell in range(0, ell_max + 1):
-        for alpha in exponent_vectors(n, ell):
-            if sum(alpha) < ell:
-                continue                 # probed at a lower order
-            # row B-component: d^alpha/d chi^alpha  d psi/d z_B at 0
-            # = alpha! * coefficient of z_B * chi^alpha  (scaling irrelevant)
-            row = {}
-            for B in range(n):
-                exps = tuple(1 if j == B else 0 for j in range(n)) + \
-                    tuple(alpha) + (0,)
-                c = psi0.coefficient(exps)
-                if not c.is_zero():
-                    row[B] = c
-            if row:
-                rows.append(row)
+        # row for |alpha| = ell, B-component: d^alpha/d chi^alpha
+        # d psi/d z_B at 0 = alpha! * [z_B] a_alpha (scaling irrelevant)
+        for alpha, a in h.chi_coefficients.items():
+            if sum(alpha) == ell:
+                row = {ze.index(1): c for ze, c in a.items() if sum(ze) == 1}
+                if row:
+                    rows.append(row)
         if rank(rows, n) == n:
             return EllVerdict(degenerate=False, ell=ell)
     return EllVerdict(degenerate=True, ell=ell_max)

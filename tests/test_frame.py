@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from crgeom import corpus
 from crgeom.errors import InvariantViolation, TruncationError, ValidationError
@@ -12,9 +12,11 @@ from crgeom.frame import (Frame, filtration, iterated_forms,
                           iterated_h0_at_origin)
 from crgeom.hypersurface import Hypersurface
 from crgeom.linalg import rank
+from crgeom.parsing import parse_series
 from crgeom.report import HALF_OVER_I
 from crgeom.scalars import GaussRational
 from crgeom.series import Series, hypersurface_vars
+from test_cli_fuzz import normal_phi
 from test_linalg import sparse
 
 T = 8
@@ -436,6 +438,48 @@ def test_filtration_matches_nondegeneracy_order():
         assert filt.nondegenerate == (not verdict.degenerate)
         if filt.nondegenerate:
             assert filt.ell == verdict.ell
+
+
+# the kernel dimension repeats at k = 2 before it drops at k = 3
+STALL_PHI = "s*z1*c1 + s*z2*c2^3 + s*z2^3*c2"
+
+
+def chi_row_ranks(h):
+    """The cumulative ranks of the chi-rows, the z_B coefficients of the
+    a_alpha with |alpha| <= k, for k = 0..h.ell_max, read from
+    h.chi_coefficients; the sequence stops once the rank is n."""
+    n, rows, ranks = h.n, [], []
+    for k in range(h.ell_max + 1):
+        for alpha, a in h.chi_coefficients.items():
+            row = {ze.index(1): c for ze, c in a.items() if sum(ze) == 1}
+            if sum(alpha) == k and row:
+                rows.append(row)
+        ranks.append(rank(rows, n))
+        if ranks[-1] == n:
+            break
+    return ranks
+
+
+def test_stall_surface_rank_sequences():
+    h = Hypersurface(2, parse_series(STALL_PHI, hypersurface_vars(2), 8))
+    assert filtration(Frame(h)).ranks == [0, 1]
+    assert chi_row_ranks(h) == [0, 1, 1, 2]
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), normal_phi(n), st.integers(7, 9))))
+@example((2, STALL_PHI, 8))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_filtration_ranks_are_a_prefix_of_the_chi_row_ranks(case):
+    # the word-by-word filtration reads the chi-rows' cumulative ranks,
+    # up to the length at which it stops
+    n, phi, trunc = case
+    h = Hypersurface(n, parse_series(phi, hypersurface_vars(n), trunc))
+    if h.levi_flat:
+        return                  # the terms cancelled
+    ranks = filtration(Frame(h)).ranks
+    assert chi_row_ranks(h)[:len(ranks)] == ranks
 
 
 def test_kernel_lemma():

@@ -1,13 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crgeom import corpus
 from crgeom.errors import ValidationError
-from crgeom.hypersurface import (Hypersurface, essentiality_check,
+from crgeom.hypersurface import (EllVerdict, Hypersurface, essentiality_check,
                                  nondegeneracy_ell, validate)
+from crgeom.linalg import rank
+from crgeom.parsing import parse_series
 from crgeom.scalars import GaussRational
-from crgeom.series import Series, hypersurface_vars
+from crgeom.series import Series, exponent_vectors, hypersurface_vars
+from test_cli_fuzz import normal_phi
+from test_linalg import coefficient_functions
 
 T = 8
 V1 = hypersurface_vars(1)
@@ -118,6 +123,61 @@ def test_nondegeneracy_order_two():
     v = nondegeneracy_ell(h)
     assert not v.degenerate
     assert v.ell == 2
+
+
+def coefficient_read_ell(h):
+    """nondegeneracy_ell read the older way, kept as its oracle: psi at
+    s = 0, and one coefficient lookup of z_B chi^alpha per (alpha, B)."""
+    n, ell_max = h.n, h.ell_max
+    psi0 = h.psi.set_var_zero("s")
+    rows = []
+    for ell in range(0, ell_max + 1):
+        for alpha in exponent_vectors(n, ell):
+            if sum(alpha) < ell:
+                continue                 # probed at a lower order
+            row = {}
+            for B in range(n):
+                exps = tuple(1 if j == B else 0 for j in range(n)) + \
+                    tuple(alpha) + (0,)
+                c = psi0.coefficient(exps)
+                if not c.is_zero():
+                    row[B] = c
+            if row:
+                rows.append(row)
+        if rank(rows, n) == n:
+            return EllVerdict(degenerate=False, ell=ell)
+    return EllVerdict(degenerate=True, ell=ell_max)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), normal_phi(n), st.integers(3, 9))))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_chi_coefficients_match_the_coefficient_reads(case):
+    # the one table of a_alpha gives the a_alpha read through Series, and
+    # the ell that one coefficient lookup per (alpha, B) gives
+    n, phi, trunc = case
+    h = Hypersurface(n, parse_series(phi, hypersurface_vars(n), trunc))
+    if h.levi_flat:
+        return                  # the terms cancelled or were truncated away
+    table = h.chi_coefficients
+    assert list(table) == sorted(table)
+    assert [{ze + (0,) * (n + 1): c for ze, c in a.items()}
+            for a in table.values()] == \
+        [a.terms for a in coefficient_functions(h.psi, n)]
+    assert nondegeneracy_ell(h) == coefficient_read_ell(h)
+
+
+def test_nondegeneracy_with_no_z():
+    # with n = 0 normality leaves only phi = 0, which is Levi flat, so
+    # this surface is built past validation, with m set by hand: no row
+    # is needed to span C^0
+    h = object.__new__(Hypersurface)
+    object.__setattr__(h, "n", 0)
+    object.__setattr__(h, "phi", Series.zero(hypersurface_vars(0), T))
+    h.__dict__["m"] = 1
+    assert h.chi_coefficients == {}
+    assert nondegeneracy_ell(h) == coefficient_read_ell(h) == \
+        EllVerdict(degenerate=False, ell=0)
 
 
 def test_model_verdicts():

@@ -12,11 +12,11 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from crgeom.hypersurface import (ESSENTIALITY_DEGREE, Hypersurface,
-                                 _coefficient_functions, essentiality_check)
+                                 essentiality_check)
 from crgeom.linalg import echelon, rank, solve_linear
 from crgeom.parsing import parse_series
 from crgeom.scalars import GaussRational
-from crgeom.series import exponent_vectors, hypersurface_vars
+from crgeom.series import Series, exponent_vectors, hypersurface_vars
 from test_cli_fuzz import normal_phi
 
 _ZERO = GaussRational(0)
@@ -154,13 +154,29 @@ def test_solve_linear_matches_the_dense_solve(case):
     assert solve_linear(rows, ncols) == dense_solve(a, b)
 
 
+def coefficient_functions(psi, n):
+    """The functions a_alpha(z): coefficients of chi^alpha in psi(z,chi,0),
+    for alpha != 0, as series in z only, in sorted alpha order; read
+    through Series, independently of Hypersurface.chi_coefficients."""
+    psi0 = psi.set_var_zero("s")
+    by_alpha = {}
+    for exps, c in psi0.terms.items():
+        alpha = exps[n:2 * n]
+        if sum(alpha) == 0:
+            continue
+        zpart = exps[:n] + (0,) * (n + 1)
+        by_alpha.setdefault(alpha, {})[zpart] = c
+    return [Series(psi.vars, psi.trunc, terms) for _, terms in
+            sorted(by_alpha.items())]
+
+
 def unit_row_degree(h):
     """The least d at which every degree-d z-monomial is a unit row of
     the dense rref of the span rows, as essentiality_check read it
     before: e_c lies in the row span iff c is a pivot whose reduced row
     is e_c.  None if no d <= ESSENTIALITY_DEGREE qualifies."""
     n = h.n
-    a_funcs = _coefficient_functions(h.psi, n)
+    a_funcs = coefficient_functions(h.psi, n)
     for d in range(1, min(ESSENTIALITY_DEGREE, h.trunc) + 1):
         monos = sorted(exponent_vectors(n, d), key=sum)
         index = {mono: k for k, mono in enumerate(monos)}
