@@ -50,9 +50,9 @@ print("  m =", e12.m, " r =", e12.r)
 h2 = corpus.filtration_example_surface(TRUNC)
 print()
 print("two-variable surface  phi =", h2.phi.to_literal())
-filt = filtration(Frame(h2))
-print("  kernel ranks:", filt.ranks, " ell =", filt.ell,
-      " nondegenerate =", filt.nondegenerate)
+ranks = filtration(Frame(h2))
+print("  kernel ranks:", ranks, " ell =", len(ranks) - 1,
+      " nondegenerate =", ranks[-1] == h2.n)
 
 print()
 print("full report: m =", m0.m, " r =", m0.r,

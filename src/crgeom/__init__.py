@@ -4,14 +4,14 @@ verification, singular (Briot-Bouquet type) ODE solving, and jet
 prolongation."""
 
 from .errors import (CrgeomError, DivisibilityError, InvariantViolation,
-                     NotAContractionError, ParseError, TruncationError,
-                     UnitRequiredError, ValidationError)
+                     NotAContractionError, ParseError, UnitRequiredError,
+                     ValidationError)
 from .scalars import GaussRational
 from .series import Series, hypersurface_vars, implicit_solve
 from .parsing import parse_series
 from .hypersurface import (EllVerdict, EssentialityVerdict, Hypersurface,
                            essentiality_check, nondegeneracy_ell)
-from .frame import Frame, Filtration, filtration, iterated_forms
+from .frame import Frame, filtration
 from .crmap import HoloMap, MapCheck, map_vars
 from .briot_bouquet import (BBSystem, FormalLogSolution, bb_vars,
                             formal_solve, numeric_oracle)
@@ -22,13 +22,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CrgeomError", "DivisibilityError", "InvariantViolation",
-    "NotAContractionError", "ParseError", "TruncationError",
-    "UnitRequiredError", "ValidationError",
+    "NotAContractionError", "ParseError", "UnitRequiredError",
+    "ValidationError",
     "GaussRational", "Series", "hypersurface_vars", "implicit_solve",
     "parse_series",
     "EllVerdict", "EssentialityVerdict", "Hypersurface",
     "essentiality_check", "nondegeneracy_ell",
-    "Frame", "Filtration", "filtration", "iterated_forms",
+    "Frame", "filtration",
     "HoloMap", "MapCheck", "map_vars",
     "BBSystem", "FormalLogSolution", "bb_vars", "formal_solve",
     "numeric_oracle",

@@ -1,7 +1,6 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: ValidationError (and
-TruncationError, an input too short for the request) -> 1,
+The CLI maps these onto process exit codes: ValidationError -> 1,
 InvariantViolation (and subclasses) -> 2, ParseError -> 3.
 """
 
@@ -22,11 +21,6 @@ class ParseError(CrgeomError):
 
 class ValidationError(CrgeomError):
     """Input object violates a structural precondition (e.g. non-normal phi)."""
-
-
-class TruncationError(ValidationError):
-    """Requested computation exceeds what the truncation order supports:
-    the input is too short, which violates no theory."""
 
 
 class InvariantViolation(CrgeomError):

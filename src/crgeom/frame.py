@@ -14,8 +14,9 @@ coordinate field plus a multiple of T, so a Frame stores only Q_A, P_A
 and the structure constants below, and applies its fields to a series as
 derivations: L(A, f) = f_{z_A} + P_A f_s, Lbar(A, f) = f_{c_A} + Q_A f_s
 and S(f) = s^m f_s, with m the type of the frame's hypersurface (h0 and
-h0_bar read it there too, and filtration its ell_max).  The coframe
-theta (theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is
+h0_bar read it there too, and filtration its ell_max; all four raise
+ValidationError on a Levi-flat surface, where L and Lbar stay defined).
+The coframe theta (theta(T) = 1, theta(L_A) = theta(L_Abar) = 0) is
 ds - sum P_A dz_A - sum Q_A dc_A, and every bracket [L_abar, e_j] is a
 multiple of T.  A frame computes those multiples once: c[a][j] is the
 T-coefficient of [L_abar, e_j] for e_j in (T, L_1..L_n),
@@ -36,24 +37,21 @@ them, in one normalization:
     quotient by s^m;
   * the tail functions Frame.h0_bar, h0_Abar from
     [L_Abar, s^m T] = -s^m h0_Abar T;
-  * the iterated forms of theta along words in the L_Abar, grown one
-    letter at a time by
+  * `filtration`, which grows the Lie derivatives of theta along words
+    in the L_Abar one letter at a time by
         (L_{L_abar} omega)_j = L_abar(omega_j) - omega_0 c[a][j];
     their L_D-components h_{A1bar..Akbar D} satisfy
     h_{word Cbar D} = L_Cbar h_{word D} + h_{word T} h_{Cbar D}, and the
     length-1 member is h_{Abar D} = -h_{AbarD}.  Their values at the
-    origin give the kernel filtration, which `filtration` returns as its
-    rank sequence.
+    origin give the kernel filtration, whose rank sequence it returns.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Tuple
+from typing import List
 
-from .errors import TruncationError
+from .errors import ValidationError
 from .hypersurface import Hypersurface
 from .linalg import Row, rank
 from .scalars import GaussRational
@@ -113,17 +111,25 @@ class Frame:
     def S(self, f: Series) -> Series:
         """S f = s^m T f = s^m f_s, m the type of the hypersurface."""
         return (Series.variable("s", self.vars, self.trunc)
-                ** self.hypersurface.m * f.diff("s"))
+                ** self._m * f.diff("s"))
 
     # The Levi data need the hypersurface not to be Levi flat.  Each is
     # formed on first use and kept.
+
+    @property
+    def _m(self) -> int:
+        """The type m of the hypersurface, which S, the Levi data and the
+        filtration read; ValidationError on a Levi-flat one."""
+        if self.hypersurface.levi_flat:
+            raise ValidationError("Levi data undefined for Levi-flat input")
+        return self.hypersurface.m
 
     @cached_property
     def h0(self) -> List[List[Series]]:
         """h0_{AbarB} = c[A][B+1] / s^m, the Levi matrix divided by s^m.
         Raises DivisibilityError (naming the offending monomial) when it
         is not divisible by s^m, which signals a non-normal input."""
-        n, m = self.n, self.hypersurface.m
+        n, m = self.n, self._m
         return [[self.c[a][b + 1].divide_by_power("s", m) for b in range(n)]
                 for a in range(n)]
 
@@ -134,7 +140,7 @@ class Frame:
         h0_Abar = -(a_Abar + c[A][0]), cut to the order the bracket with
         s^m T leaves exact.  For m = 0, a_Abar = 0: Q_A need not be
         divisible by s there."""
-        m = self.hypersurface.m
+        m = self._m
         if m == 0:
             return [-ca[0].truncate(self.trunc - 1) for ca in self.c]
         a_bar = [q.divide_by_power("s", 1) * GaussRational(m) for q in self.Q]
@@ -142,69 +148,34 @@ class Frame:
                 for x, ca in zip(a_bar, self.c)]
 
 
-def iterated_forms(frame: Frame, max_len: int
-                   ) -> Iterator[Tuple[Tuple[int, ...], List[Series]]]:
-    """(word, omega) for every word (A_1..A_k), 1-based, of length
-    1..max_len in length-then-lexicographic order, where
-    omega = L_{A_k bar} ... L_{A_1 bar} theta as its (T, L_1..L_n)
-    components; the L_bar-components are zero (see Frame.c).  Each word
-    grows from its prefix, and only the previous level is kept."""
-    n = frame.n
-    theta = [Series.const(1, frame.vars, frame.trunc)] + \
-        [Series.zero(frame.vars, frame.trunc) for _ in range(n)]
-    level = [((), theta)]
-    for length in range(1, max_len + 1):
-        if frame.trunc - length < 0:
-            raise TruncationError(f"word of length {length} exhausts truncation")
-        grown = []
-        for word, omega in level:
-            for a, ca in enumerate(frame.c):
-                new = [frame.Lbar(a, omega[j]) - omega[0] * ca[j]
-                       for j in range(n + 1)]
-                grown.append((word + (a + 1,), new))
-                yield grown[-1]
-        level = grown
-
-
-@dataclass
-class Filtration:
-    ranks: List[int]                 # r_k = n - dim F_k(0), k = 0..ell
-    ell: int
-    nondegenerate: bool
-
-
-def iterated_h0_at_origin(frame: Frame, max_len: int
-                          ) -> Iterator[Tuple[Tuple[int, ...], List[GaussRational]]]:
-    """(word, (h^0_{word D}(0))_D) for every word of length 1..max_len,
-    in the order of iterated_forms."""
-    m = frame.hypersurface.m
-    # a word of length k leaves its form exact through order trunc - k,
-    # which must reach s^m
-    if max_len >= 1 and frame.trunc - max_len < m:
-        raise TruncationError("truncation exhausted for words of length "
-                              f"{max(1, frame.trunc - m + 1)}")
-    for word, omega in iterated_forms(frame, max_len):
-        yield word, [omega[d].divide_by_power("s", m).constant_term()
-                     for d in range(1, frame.n + 1)]
-
-
-def filtration(frame: Frame) -> Filtration:
-    """The ranks r_k = n - dim F_k(0) of the nested kernels F_k(0) and
-    the stabilization order ell, for k up to the ell_max of the frame's
-    hypersurface.  F_k(0) is the common kernel of the value rows of the
-    words of length <= k, so r_k is their rank.  Words are built only up
-    to the length at which the ranks settle."""
-    n, ell_max = frame.n, frame.hypersurface.ell_max
-    values = iterated_h0_at_origin(frame, ell_max)
+def filtration(frame: Frame) -> List[int]:
+    """The ranks r_k = n - dim F_k(0) of the nested kernels F_k(0), for
+    k = 0..ell; ell = len(ranks) - 1, and the filtration is nondegenerate
+    iff ranks[-1] == n.  F_k(0) is the common kernel of the value rows
+    h^0_{word D}(0), D = 1..n, of the words of length <= k, so r_k is
+    their rank.  Each length of words, in lexicographic order, grows from
+    the previous one (only that level is kept), up to the length at which
+    the ranks settle or the ell_max of the frame's hypersurface; a word of
+    length k <= ell_max leaves its form exact through trunc - k >= m."""
+    m, n = frame._m, frame.n
+    ell_max = frame.hypersurface.ell_max
+    # omega = L_{A_k bar} ... L_{A_1 bar} theta as its (T, L_1..L_n)
+    # components; the L_bar-components are zero (see Frame.c)
+    level = [[Series.const(1, frame.vars, frame.trunc)]
+             + [Series.zero(frame.vars, frame.trunc) for _ in range(n)]]
     ranks = [0]                       # r_0 = n - dim F_0 = 0
     rows: List[Row] = []
     for k in range(1, ell_max + 1):
-        rows.extend({d: v for d, v in enumerate(vals) if not v.is_zero()}
-                    for _, vals in itertools.islice(values, n ** k))
+        level = [[frame.Lbar(a, omega[j]) - omega[0] * ca[j]
+                  for j in range(n + 1)]
+                 for omega in level for a, ca in enumerate(frame.c)]
+        for omega in level:
+            vals = [omega[d].divide_by_power("s", m).constant_term()
+                    for d in range(1, n + 1)]
+            rows.append({d: v for d, v in enumerate(vals) if not v.is_zero()})
         ranks.append(rank(rows, n))
         if ranks[k] == n:
-            return Filtration(ranks=ranks, ell=k, nondegenerate=True)
+            return ranks
         if k > 1 and ranks[k] == ranks[k - 1]:
-            # stabilized strictly above zero
-            return Filtration(ranks=ranks[:k], ell=k - 1, nondegenerate=False)
-    return Filtration(ranks=ranks, ell=ell_max, nondegenerate=False)
+            return ranks[:k]          # stabilized strictly above zero
+    return ranks

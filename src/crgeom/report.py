@@ -269,10 +269,10 @@ def hypersurface_report(h: Hypersurface) -> dict:
     type2 = any(not fr.h0[a][b].constant_term().is_zero()
                 for a in range(h.n) for b in range(h.n))
     inv["type_2"] = type2
-    filt = filtration(fr)
-    inv["filtration_ranks"] = filt.ranks
-    inv["filtration_ell"] = filt.ell
-    inv["filtration_nondegenerate"] = filt.nondegenerate
+    ranks = filtration(fr)
+    inv["filtration_ranks"] = ranks
+    inv["filtration_ell"] = len(ranks) - 1
+    inv["filtration_nondegenerate"] = ranks[-1] == h.n
     hs = [[fr.c[a][b + 1] * HALF_OVER_I for b in range(h.n)]
           for a in range(h.n)]
     h0s = [[fr.h0[a][b] * HALF_OVER_I for b in range(h.n)]
@@ -418,9 +418,9 @@ def examples_report(trunc: Optional[int] = None) -> dict:
     check("identity-map xi", "1", mc_id.xi.to_literal())
     check("identity-map residuals", True, mc_id.all_zero)
 
-    filt = filtration(Frame(corpus.filtration_example_surface(t)))
-    check("filtration ranks", [0, 1, 2], filt.ranks)
-    check("filtration ell", 2, filt.ell)
+    ranks = filtration(Frame(corpus.filtration_example_surface(t)))
+    check("filtration ranks", [0, 1, 2], ranks)
+    check("filtration ell", 2, len(ranks) - 1)
 
     return {
         "schema_version": SCHEMA_VERSION,

@@ -12,13 +12,14 @@ from crgeom.briot_bouquet import (bb_vars, BBSystem, formal_solve,
                                   numeric_oracle)
 from crgeom.cli import main
 from crgeom.crmap import MapCheck
-from crgeom.frame import Frame, iterated_forms
+from crgeom.frame import Frame
 from crgeom.hypersurface import essentiality_check, nondegeneracy_ell
 from crgeom.parsing import parse_series
 from crgeom.prolongation import (ProlongedSystem, assemble_and_solve,
                                  rhs_vars, var_name)
 from crgeom.report import HALF_OVER_I
 from crgeom.scalars import GaussRational
+from test_frame import iterated_forms
 
 
 def _verdict(label, ok):

@@ -46,6 +46,13 @@ def test_report_at_minimal_trunc_clamps_ell(tmp_path, capsys):
     inv = rep["invariants"]
     assert inv["ell"] == {"status": "nondegenerate", "ell": 1}
     assert inv["filtration_ranks"] == [0, 1]
+    # n = 2 at trunc m + 2 = 3: the filtration's words of length 1 stay
+    # exact through s^m
+    path = write(tmp_path, "n2t3.hs",
+                 'n = 2\ntrunc = 3\nphi = "s*z1*c1 + s*z2*c2"\n')
+    code, rep = run_json(capsys, ["report", path])
+    assert code == 0
+    assert rep["invariants"]["filtration_ranks"] == [0, 2]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")

@@ -7,9 +7,8 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from crgeom import corpus
-from crgeom.errors import InvariantViolation, TruncationError, ValidationError
-from crgeom.frame import (Frame, filtration, iterated_forms,
-                          iterated_h0_at_origin)
+from crgeom.errors import InvariantViolation, ValidationError
+from crgeom.frame import Frame, filtration
 from crgeom.hypersurface import Hypersurface
 from crgeom.linalg import rank
 from crgeom.parsing import parse_series
@@ -129,6 +128,59 @@ def two_sided_frame(h):
         c.append([-lbar_s.diff("s")] + [
             lbar.apply(la.comp("s", trunc)) - la.apply(lbar_s) for la in L])
     return L, Lbar, c
+
+
+def iterated_forms(frame, max_len):
+    """(word, omega) for every word (A_1..A_k), 1-based, of length
+    1..max_len in length-then-lexicographic order, where
+    omega = L_{A_k bar} ... L_{A_1 bar} theta as its (T, L_1..L_n)
+    components; the L_bar-components are zero (see Frame.c).  Each word
+    grows from its prefix, and only the previous level is kept.  The
+    word-by-word oracle for the one loop inside `filtration`."""
+    n = frame.n
+    theta = [Series.const(1, frame.vars, frame.trunc)] + \
+        [Series.zero(frame.vars, frame.trunc) for _ in range(n)]
+    level = [((), theta)]
+    for length in range(1, max_len + 1):
+        assert frame.trunc - length >= 0, "word exhausts truncation"
+        grown = []
+        for word, omega in level:
+            for a, ca in enumerate(frame.c):
+                new = [frame.Lbar(a, omega[j]) - omega[0] * ca[j]
+                       for j in range(n + 1)]
+                grown.append((word + (a + 1,), new))
+                yield grown[-1]
+        level = grown
+
+
+def iterated_h0_at_origin(frame, max_len):
+    """(word, (h^0_{word D}(0))_D) for every word of length 1..max_len,
+    in the order of iterated_forms."""
+    m = frame.hypersurface.m
+    # a word of length k leaves its form exact through order trunc - k,
+    # which must reach s^m
+    assert max_len < 1 or frame.trunc - max_len >= m, "truncation exhausted"
+    for word, omega in iterated_forms(frame, max_len):
+        yield word, [omega[d].divide_by_power("s", m).constant_term()
+                     for d in range(1, frame.n + 1)]
+
+
+def word_filtration(frame):
+    """(ranks, ell, nondegenerate) of the kernel filtration, read word by
+    word off iterated_h0_at_origin: the oracle for `filtration`."""
+    n, ell_max = frame.n, frame.hypersurface.ell_max
+    values = iterated_h0_at_origin(frame, ell_max)
+    ranks = [0]
+    rows = []
+    for k in range(1, ell_max + 1):
+        rows.extend({d: v for d, v in enumerate(vals) if not v.is_zero()}
+                    for _, vals in itertools.islice(values, n ** k))
+        ranks.append(rank(rows, n))
+        if ranks[k] == n:
+            return ranks, k, True
+        if k > 1 and ranks[k] == ranks[k - 1]:
+            return ranks[:k], k - 1, False
+    return ranks, ell_max, False
 
 
 def same(a, b):
@@ -369,16 +421,6 @@ def test_iterated_recursion():
                     assert (lhs.truncate(tr) - rhs.truncate(tr)).is_zero()
 
 
-def test_iterated_forms_truncation_guard():
-    fr = Frame(corpus.model_surface(T))
-    with pytest.raises(TruncationError) as exc:
-        list(iterated_forms(fr, fr.trunc + 1))
-    # asking for more words than the trunc determines means the input is
-    # too short; no theory is violated
-    assert isinstance(exc.value, ValidationError)
-    assert not isinstance(exc.value, InvariantViolation)
-
-
 def coordinate_lie_derivative(x, omega):
     """(L_X omega)_v = X(omega_v) + sum_u omega_u d_v X^u for a 1-form
     omega = sum_v omega_v dv given by its coordinate components."""
@@ -413,31 +455,24 @@ def test_iterated_forms_match_coordinate_lie_derivative():
 
 
 def test_filtration_model():
-    fr = Frame(corpus.model_surface(T))
-    filt = filtration(fr)
-    assert filt.ranks == [0, 1]
-    assert filt.ell == 1
-    assert filt.nondegenerate
+    # ell = 1, and nondegenerate: the last rank is n
+    assert filtration(Frame(corpus.model_surface(T))) == [0, 1]
 
 
 def test_filtration_example():
+    # ell = 2, and nondegenerate: the last rank is n
     h = corpus.filtration_example_surface(T)
-    fr = Frame(h)
-    filt = filtration(fr)
-    assert filt.ranks == [0, 1, 2]
-    assert filt.ell == 2
-    assert filt.nondegenerate
+    assert filtration(Frame(h)) == [0, 1, 2]
 
 
 def test_filtration_matches_nondegeneracy_order():
     from crgeom.hypersurface import nondegeneracy_ell
     for h in surfaces():
-        fr = Frame(h)
-        filt = filtration(fr)
+        ranks = filtration(Frame(h))
         verdict = nondegeneracy_ell(h)
-        assert filt.nondegenerate == (not verdict.degenerate)
-        if filt.nondegenerate:
-            assert filt.ell == verdict.ell
+        assert (ranks[-1] == h.n) == (not verdict.degenerate)
+        if ranks[-1] == h.n:
+            assert len(ranks) - 1 == verdict.ell
 
 
 # the kernel dimension repeats at k = 2 before it drops at k = 3
@@ -462,7 +497,7 @@ def chi_row_ranks(h):
 
 def test_stall_surface_rank_sequences():
     h = Hypersurface(2, parse_series(STALL_PHI, hypersurface_vars(2), 8))
-    assert filtration(Frame(h)).ranks == [0, 1]
+    assert filtration(Frame(h)) == [0, 1]
     assert chi_row_ranks(h) == [0, 1, 1, 2]
 
 
@@ -478,8 +513,74 @@ def test_filtration_ranks_are_a_prefix_of_the_chi_row_ranks(case):
     h = Hypersurface(n, parse_series(phi, hypersurface_vars(n), trunc))
     if h.levi_flat:
         return                  # the terms cancelled
-    ranks = filtration(Frame(h)).ranks
+    ranks = filtration(Frame(h))
     assert chi_row_ranks(h)[:len(ranks)] == ranks
+
+
+def literal_case(h):
+    return h.n, h.phi.to_literal(), h.trunc, False
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), normal_phi(n), st.integers(5, 9), st.booleans())))
+@example((2, STALL_PHI, 8, False))
+@example(literal_case(corpus.model_surface(T)))
+@example(literal_case(corpus.two_infinite_type_surface(T)))
+@example(literal_case(corpus.power_target(2, T)))
+@example(literal_case(corpus.filtration_example_surface(T)))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_filtration_matches_the_word_by_word_oracle(case):
+    # the one loop reads the ranks, and report's ell and nondegenerate
+    # read off them, that the word-by-word pipeline reads; phi times s in
+    # half the draws brings m = 2
+    n, phi, trunc, times_s = case
+    if times_s:
+        phi = f"s*({phi})"
+    h = Hypersurface(n, parse_series(phi, hypersurface_vars(n), trunc))
+    if h.levi_flat:
+        return                  # the terms cancelled
+    ranks = filtration(Frame(h))
+    want_ranks, want_ell, want_nondegenerate = word_filtration(Frame(h))
+    assert ranks == want_ranks
+    assert len(ranks) - 1 == want_ell
+    assert (ranks[-1] == n) == want_nondegenerate
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), normal_phi(n), st.booleans())))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_filtration_runs_at_the_least_admitted_truncs(case):
+    # at trunc m + 2 and m + 3, the least that keep the type m, every word
+    # the loop builds stays exact through s^m: no error, and ell stays
+    # within ell_max
+    n, phi, times_s = case
+    if times_s:
+        phi = f"s*({phi})"
+    vars = hypersurface_vars(n)
+    m = Hypersurface(n, parse_series(phi, vars, 9)).m
+    if m is None:
+        return                  # the terms cancelled
+    for trunc in (m + 2, m + 3):
+        h = Hypersurface(n, parse_series(phi, vars, trunc))
+        if h.m != m:
+            continue            # the cut dropped the s^m terms
+        ranks = filtration(Frame(h))
+        assert 1 <= len(ranks) - 1 <= h.ell_max
+
+
+def test_levi_data_refuse_a_levi_flat_surface():
+    # Frame and its fields L, Lbar stay defined on a Levi-flat surface
+    # (see test_derivations_match_coordinate_fields); S, h0, h0_bar and
+    # the filtration need the type m, and say so
+    fr = Frame(corpus.levi_flat_surface(6))
+    z1 = Series.variable("z1", fr.vars, fr.trunc)
+    for read in (lambda: fr.h0, lambda: fr.h0_bar, lambda: fr.S(z1),
+                 lambda: filtration(fr)):
+        with pytest.raises(ValidationError, match="Levi-flat") as exc:
+            read()
+        assert not isinstance(exc.value, InvariantViolation)
 
 
 def test_kernel_lemma():
