@@ -36,10 +36,11 @@ print("  eigenvalue count off the nonpositive reals:",
 
 # --- the contact pipeline on a toy closure ------------------------------
 # one jet variable u with closure (s d/ds) u = 2u + s; the unique formal
-# solution is u = -s
+# solution is u = -s.  With n = 0 there is no base variable x, so the
+# right-hand side is read once, at the empty base point ()
 ps = ProlongedSystem(0, 0)
-ps.supplied[var_name(1, (), 0)] = parse_series("2*u1__0 + s",
-                                               rhs_vars(0, 0), 10)
+ps.samples.append(((), {var_name(1, (), 0): parse_series(
+    "2*u1__0 + s", rhs_vars(0, 0), 10)}))
 sol = assemble_and_solve(ps, 10)[0].solution
 print()
 print("toy closure (s d/ds)u = 2u + s")

@@ -159,9 +159,6 @@ def essentiality_check(h: Hypersurface) -> EssentialityVerdict:
         raise ValidationError("essentiality undefined for Levi-flat input")
     n, D = h.n, ESSENTIALITY_DEGREE
     a_funcs = list(h.chi_coefficients.values())
-    if not a_funcs:
-        return EssentialityVerdict("inconclusive", D,
-                                   "no coefficient functions at truncation")
     # structural obstruction: a z-variable absent from every a_alpha
     seen = [False] * n
     for a in a_funcs:

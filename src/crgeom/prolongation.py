@@ -10,10 +10,11 @@ of the top layer needs a supplied right-hand side: the closure slot
 (0, k) and the slots whose contact target leaves the jet.  So the system
 is square, with (2n+1)(#slots - 1) contact and 2n+1 closure equations.
 
-Supplied right-hand sides are series in rhs_vars(n, k): the base
-variables x, then s, then the jet variables.  The x's are frozen at
-rational sample points before solving, so each sample yields an exact
-Briot-Bouquet system in (t = s, y = jet variables).
+Supplied right-hand sides are series in rhs_vars(n, k): s, then the
+jet variables.  The base variables x are not series variables: each
+literal is parsed once per rational sample point, with x bound to it, so
+each sample yields an exact Briot-Bouquet system in (t = s, y = jet
+variables), slot for slot.
 """
 
 from __future__ import annotations
@@ -21,16 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .briot_bouquet import BBSystem, FormalLogSolution, bb_vars, formal_solve
 from .errors import ValidationError
-from .scalars import GaussRational, to_complex
+from .scalars import to_complex
 from .series import Series, exponent_vectors
 
 Slot = Tuple[Tuple[int, ...], int]          # (alpha, p)
-
-_ZERO = GaussRational(0)
 
 
 def jet_slots(n: int, k: int) -> List[Slot]:
@@ -47,12 +46,13 @@ def var_name(i: int, alpha: Tuple[int, ...], p: int) -> str:
 @dataclass
 class ProlongedSystem:
     """The jet slots and contact chains of order k >= 0 over n, built
-    with the system, and the supplied right-hand sides of the top layer;
-    variables are ordered by slot, then component."""
+    with the system, and per base point x the supplied right-hand sides
+    of the top layer by name; variables are ordered by slot, then
+    component."""
     n: int
     k: int
-    supplied: Dict[str, Series] = field(default_factory=dict)
-    frozen_x: List[Tuple[Fraction, ...]] = field(default_factory=list)
+    samples: List[Tuple[Tuple[Fraction, ...], Dict[str, Series]]] = \
+        field(default_factory=list)
     slots: List[Slot] = field(init=False)
 
     def __post_init__(self):
@@ -85,30 +85,9 @@ def base_vars(n: int) -> Tuple[str, ...]:
 
 
 def rhs_vars(n: int, k: int) -> Tuple[str, ...]:
-    """Variable tuple for supplied right-hand sides: base x's, then s,
-    then the jet variables in canonical order."""
-    return base_vars(n) + ("s",) + tuple(ProlongedSystem(n, k).var_names())
-
-
-def freeze_x(g: Series, n: int, sample: Sequence[Fraction],
-             names: Sequence[str]) -> Series:
-    """Substitute rational base-point values for x1..x_{2n}, the first 2n
-    variables of g, and name the remaining variables ``names`` in order."""
-    m = 2 * n
-    values = [GaussRational(x) for x in sample]
-    terms: Dict[tuple, GaussRational] = {}
-    for exps, c in g.terms.items():
-        for v, e in zip(values, exps[:m]):
-            if e:
-                c = c * v ** e
-        key = exps[m:]
-        cur = terms.get(key, _ZERO) + c
-        if cur.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = cur
-    # dropping the x's only lowers degrees, so the terms stay canonical
-    return Series._trusted(tuple(names), g.trunc, terms)
+    """Variable tuple for supplied right-hand sides: s, then the jet
+    variables in canonical order, slot for slot the t, y1..yN of bb_vars."""
+    return ("s",) + tuple(ProlongedSystem(n, k).var_names())
 
 
 @dataclass
@@ -121,29 +100,18 @@ class SampleSolution:
 
 def assemble_and_solve(ps: ProlongedSystem, order: int
                        ) -> List[SampleSolution]:
-    """Per frozen sample: freeze x, build the Briot-Bouquet system over
-    (t = s, y = jet variables), and solve formally to the given order.
-    Every sample is frozen and centering-checked before the first solve."""
-    n, c = ps.n, 2 * ps.n + 1
+    """Per sample: build the Briot-Bouquet system over (t = s, y = jet
+    variables) and solve formally to the given order.  Every sample is
+    built and checked before the first solve; a system with no samples
+    is one at no base point."""
+    c = 2 * ps.n + 1
     N = c * len(ps.slots)
     needed = ps.needed_rhs_names()
-    rv = rhs_vars(n, ps.k)
-    for nm in needed:
-        g = ps.supplied.get(nm)
-        if g is None:
-            raise ValidationError(f"missing right-hand side for {nm}")
-        if g.vars != rv:
-            raise ValidationError(
-                f"right-hand side for {nm} must be a series in {rv}")
-        if not ps.frozen_x and any(any(e[:2 * n]) for e in g.terms):
-            raise ValidationError(
-                f"right-hand side for {nm} depends on "
-                f"{', '.join(base_vars(n))}: "
-                "base points must be given with the 'samples' key")
-
+    rv = rhs_vars(ps.n, ps.k)
+    samples = ps.samples or [((), {})]
     bbv = bb_vars(N)
-    trunc = max(order, max((g.trunc for g in ps.supplied.values()),
-                           default=order))
+    trunc = max([order] + [g.trunc for _, rhs in samples
+                           for g in rhs.values()])
     # below the top layer, u_i^{alpha,p} is driven by u_i^{alpha,p+1};
     # the top layer takes the supplied series, in the order of `needed`
     position = {slot: j for j, slot in enumerate(ps.slots)}
@@ -159,15 +127,21 @@ def assemble_and_solve(ps: ProlongedSystem, order: int
                 f"y{target + i + 1}", bbv, trunc)
 
     systems = []
-    for sample in ps.frozen_x or [tuple()]:
+    for sample, rhs in samples:
         rhs_list = list(rhs_chain)
         for nm, j in zip(needed, top):
-            frozen = freeze_x(ps.supplied[nm], n, sample, bbv)
-            if not frozen.constant_term().is_zero():
+            if nm not in rhs:
+                raise ValidationError(f"missing right-hand side for {nm}")
+            if rhs[nm].vars != rv:
+                raise ValidationError(
+                    f"right-hand side for {nm} must be a series in {rv}")
+            # s and the jet variables are t and the y's, slot for slot
+            g = Series._trusted(bbv, rhs[nm].trunc, rhs[nm].terms)
+            if not g.constant_term().is_zero():
                 raise ValidationError(
                     f"centering failure at sample {tuple(map(str, sample))}: "
-                    f"rhs for {nm} has constant term {frozen.constant_term()}")
-            rhs_list[j] = frozen
+                    f"rhs for {nm} has constant term {g.constant_term()}")
+            rhs_list[j] = g
         systems.append((sample, BBSystem(N, rhs_list, order)))
 
     results = []

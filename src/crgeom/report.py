@@ -27,7 +27,8 @@ from .hypersurface import (Hypersurface, essentiality_check,
                            nondegeneracy_ell)
 from .parsing import (MAX_COEFF_BITS, MAX_DIM, MAX_TRUNC, drops_terms,
                       parse_series)
-from .prolongation import ProlongedSystem, assemble_and_solve, rhs_vars
+from .prolongation import (ProlongedSystem, assemble_and_solve, base_vars,
+                           rhs_vars)
 from .scalars import GaussRational, format_coefficient
 from .series import Series, hypersurface_vars
 
@@ -96,12 +97,13 @@ def parse_keyvalue_file(path: str
 
 
 def _series(pairs: Dict[str, str], where: Dict[str, Tuple[int, int]],
-            key: str, path: str, vars: Tuple[str, ...], trunc: int) -> Series:
-    """Parse the series literal under key; a ParseError names the key and
-    its position in the file."""
+            key: str, path: str, vars: Tuple[str, ...], trunc: int,
+            values: Optional[Dict[str, Fraction]] = None) -> Series:
+    """Parse the series literal under key, with ``values`` bound; a
+    ParseError names the key and its position in the file."""
     text = _require(pairs, key, path)
     try:
-        return parse_series(text, vars, trunc)
+        return parse_series(text, vars, trunc, values)
     except ParseError as exc:
         line, col = where[key]
         raise ParseError(f"key {key!r}, line {line}, "
@@ -210,17 +212,30 @@ def load_prolonged_system(path: str) -> Tuple[ProlongedSystem, int]:
     order = _bounded(pairs, "order", path, 1, MAX_TRUNC, default=8)
     trunc = _bounded(pairs, "trunc", path, 1, MAX_TRUNC,
                      default=max(order + 2, 10))
-    rv = rhs_vars(n, k)
-    for name in names:
-        ps.supplied[name] = _series(pairs, where, name, path, rv, trunc)
-    if "samples" in pairs and pairs["samples"].strip():
+    points = []
+    if pairs.get("samples", "").strip():
         for chunk in pairs["samples"].split(";"):
-            vals = tuple(_rational(x.strip(), chunk, path)
-                         for x in chunk.split(",") if x.strip())
-            if len(vals) != 2 * n:
+            point = tuple(_rational(v.strip(), chunk, path)
+                          for v in chunk.split(",") if v.strip())
+            if len(point) != 2 * n:
                 raise ValidationError(
                     f"{path}: sample {chunk.strip()!r} must have {2*n} entries")
-            ps.frozen_x.append(vals)
+            points.append(point)
+    # each literal is read once per base point, with x bound to it
+    rv, x = rhs_vars(n, k), base_vars(n)
+    for point in points or [()]:
+        rhs = {}
+        for name in names:
+            used = [] if points else sorted(set(x).intersection(
+                re.findall(r"[A-Za-z]\w*", pairs.get(name, ""))))
+            if used:
+                raise ValidationError(
+                    f"{path}: right-hand side for {name} depends on "
+                    f"{', '.join(used)}: base points must be given with "
+                    "the 'samples' key")
+            rhs[name] = _series(pairs, where, name, path, rv, trunc,
+                                dict(zip(x, point)))
+        ps.samples.append((point, rhs))
     return ps, order
 
 

@@ -135,8 +135,8 @@ def test_criterion_09_prolongation_counts_and_toy():
     ok = (ps.counts() == {"variables": 60, "contact_equations": 57,
                           "closure_slots": 3} and len(ps.slots) == 20)
     toy = ProlongedSystem(0, 0)
-    toy.supplied[var_name(1, (), 0)] = parse_series(
-        "2*u1__0 + s", rhs_vars(0, 0), 10)
+    toy.samples.append(((), {var_name(1, (), 0): parse_series(
+        "2*u1__0 + s", rhs_vars(0, 0), 10)}))
     sol = assemble_and_solve(toy, 10)[0].solution
     ok = ok and {kr: [str(x) for x in v] for kr, v in sol.coeffs.items()} \
         == {(1, 0): ["-1"]}

@@ -5,13 +5,15 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crgeom.briot_bouquet import bb_vars
 from crgeom.cli import main
 from crgeom.errors import ValidationError
-from crgeom.parsing import parse_series
+from crgeom.parsing import drops_terms, parse_series
 from crgeom.prolongation import (ProlongedSystem, assemble_and_solve,
-                                 freeze_x, jet_slots, rhs_vars, var_name)
+                                 base_vars, jet_slots, rhs_vars, var_name)
+from crgeom.scalars import GaussRational
 from crgeom.series import Series
 
 
@@ -134,11 +136,42 @@ def test_contact_chain_against_direct_derivatives():
     assert checked > 0
 
 
+def freeze_x(g: Series, n: int, sample, names) -> Series:
+    """Oracle: the base point bound after parsing.  Substitute rational
+    values for x1..x_{2n}, the first 2n variables of g, and name the
+    remaining variables ``names`` in order."""
+    m = 2 * n
+    values = [GaussRational(x) for x in sample]
+    terms = {}
+    for exps, c in g.terms.items():
+        for v, e in zip(values, exps[:m]):
+            if e:
+                c = c * v ** e
+        key = exps[m:]
+        cur = terms.get(key, GaussRational(0)) + c
+        if cur.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = cur
+    # dropping the x's only lowers degrees, so the terms stay canonical
+    return Series._trusted(tuple(names), g.trunc, terms)
+
+
+def at_points(n, k, texts, points=((),), trunc=10):
+    """A system whose right-hand sides ``{name: literal}`` are read once
+    per base point, with x bound to it."""
+    ps = ProlongedSystem(n, k)
+    for point in points:
+        values = dict(zip(base_vars(n), point))
+        ps.samples.append((point, {
+            nm: parse_series(text, rhs_vars(n, k), trunc, values)
+            for nm, text in texts.items()}))
+    return ps
+
+
 def test_toy_closure_solution():
     # (s d/ds) u = 2u + s  ->  u = -s  (c1 = 1/(1-2))
-    ps = ProlongedSystem(0, 0)
-    rv = rhs_vars(0, 0)
-    ps.supplied[var_name(1, (), 0)] = parse_series("2*u1__0 + s", rv, 10)
+    ps = at_points(0, 0, {var_name(1, (), 0): "2*u1__0 + s"})
     sol = assemble_and_solve(ps, 10)[0].solution
     assert {kr: [str(x) for x in v] for kr, v in sol.coeffs.items()} == \
         {(1, 0): ["-1"]}
@@ -146,10 +179,8 @@ def test_toy_closure_solution():
 
 def test_constant_closure_constant_solution():
     # homogeneous closure: zero series, all coefficients vanish
-    ps = ProlongedSystem(1, 0)
-    rv = rhs_vars(1, 0)
-    for nm in ps.needed_rhs_names():
-        ps.supplied[nm] = parse_series(f"1/2*{nm}", rv, 10)
+    ps = at_points(1, 0, {nm: f"1/2*{nm}"
+                          for nm in ProlongedSystem(1, 0).needed_rhs_names()})
     assert assemble_and_solve(ps, 8)[0].solution.coeffs == {}
 
 
@@ -163,25 +194,22 @@ def test_rhs_over_other_variables_is_an_error():
     # supplied series are relabelled by position, so their variables
     # must be rhs_vars(n, k) in that order
     ps = ProlongedSystem(0, 0)
-    ps.supplied["u1__0"] = parse_series("2*u1__0 + s", ("u1__0", "s"), 8)
+    ps.samples.append(((), {"u1__0": parse_series("2*u1__0 + s",
+                                                  ("u1__0", "s"), 8)}))
     with pytest.raises(ValidationError, match="must be a series in"):
         assemble_and_solve(ps, 6)
 
 
 def test_centering_failure():
-    ps = ProlongedSystem(0, 0)
-    rv = rhs_vars(0, 0)
-    ps.supplied[var_name(1, (), 0)] = parse_series("1 + 2*u1__0 + s", rv, 8)
+    ps = at_points(0, 0, {var_name(1, (), 0): "1 + 2*u1__0 + s"}, trunc=8)
     with pytest.raises(ValidationError, match="centering failure"):
         assemble_and_solve(ps, 6)
 
 
 def test_two_samples_give_distinct_series():
-    ps = ProlongedSystem(1, 0)
-    rv = rhs_vars(1, 0)
-    for nm in ps.needed_rhs_names():
-        ps.supplied[nm] = parse_series(f"2*{nm} + x1*s", rv, 10)
-    ps.frozen_x = [(Fraction(1, 2), Fraction(0)), (Fraction(3), Fraction(1))]
+    ps = at_points(1, 0, {nm: f"2*{nm} + x1*s"
+                          for nm in ProlongedSystem(1, 0).needed_rhs_names()},
+                   [(Fraction(1, 2), Fraction(0)), (Fraction(3), Fraction(1))])
     samples = assemble_and_solve(ps, 6)
     c1 = [ss.solution.coeffs[(1, 0)][0] for ss in samples]
     assert [str(x) for x in c1] == ["-1/2", "-3"]
@@ -192,32 +220,100 @@ def test_two_samples_give_distinct_series():
 
 def test_x_terms_that_cancel_at_a_sample_leave_no_zero_term():
     # at x = (2, 1), x1*s - 2*x2*s merges into one s term and cancels
-    rv = rhs_vars(1, 0)
-    g = parse_series("2*u1_00_0 + x1*s - 2*x2*s", rv, 8)
-    frozen = freeze_x(g, 1, (Fraction(2), Fraction(1)), bb_vars(3))
+    rv, point = rhs_vars(1, 0), {"x1": Fraction(2), "x2": Fraction(1)}
+    g = parse_series("2*u1_00_0 + x1*s - 2*x2*s", rv, 8, point)
+    assert g.vars == rv and g.trunc == 8
+    assert g.terms == parse_series("2*u1_00_0", rv, 8).terms
+    frozen = freeze_x(parse_series("2*u1_00_0 + x1*s - 2*x2*s",
+                                   base_vars(1) + rv, 8),
+                      1, tuple(point.values()), bb_vars(3))
     assert frozen.vars == bb_vars(3) and frozen.trunc == 8
     assert frozen.terms == parse_series("2*y1", bb_vars(3), 8).terms
 
     def solve(u1):
-        ps = ProlongedSystem(1, 0)
-        ps.supplied.update({
-            "u1_00_0": parse_series(u1, rv, 8),
-            "u2_00_0": parse_series("-u2_00_0 + x2*s + u1_00_0^2", rv, 8),
-            "u3_00_0": parse_series("1/2*u3_00_0 + s", rv, 8)})
-        ps.frozen_x = [(Fraction(2), Fraction(1))]
+        ps = at_points(1, 0, {"u1_00_0": u1,
+                              "u2_00_0": "-u2_00_0 + x2*s + u1_00_0^2",
+                              "u3_00_0": "1/2*u3_00_0 + s"},
+                       [(Fraction(2), Fraction(1))], trunc=8)
         return assemble_and_solve(ps, 6)[0].solution
 
     merged = solve("2*u1_00_0 + x1*s - 2*x2*s")
     assert merged.coeffs and merged.coeffs == solve("2*u1_00_0").coeffs
 
 
+X_RHS_ATOMS = ["x1", "x2", "x1^3", "x2^5", "(x1 - 1/2)^2", "(x2 + s)^2",
+               "s", "s^2", "i", "3/4", "(2 - i)"]
+
+
+@st.composite
+def x_polynomial_rhs(draw):
+    """A right-hand side polynomial in x, s and the jet variables of
+    J(1, k), its trunc, and a rational base point."""
+    k = draw(st.integers(0, 1))
+    atoms = st.sampled_from(X_RHS_ATOMS + list(rhs_vars(1, k)))
+    text = " + ".join("*".join(draw(st.lists(atoms, min_size=1, max_size=4)))
+                      for _ in range(draw(st.integers(1, 4))))
+    point = tuple(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
+                  for _ in range(2))
+    return k, text, draw(st.integers(1, 8)), point
+
+
+@given(x_polynomial_rhs())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_binding_x_while_parsing_matches_freezing_it_after(case):
+    # where the parse over x, s and the jets drops no term, x bound as the
+    # literal is read gives the series that freezing x afterwards gives
+    k, text, trunc, point = case
+    rv = rhs_vars(1, k)
+    with_x = base_vars(1) + rv
+    if drops_terms(text, with_x, trunc):
+        return
+    bound = parse_series(text, rv, trunc, dict(zip(base_vars(1), point)))
+    assert bound == freeze_x(parse_series(text, with_x, trunc), 1, point, rv)
+
+
+# n = 1, k = 0 at the base point x1 = 1: x1^12*s is s there, but over
+# x, s and the jets its degree 13 is past the default trunc 10
+X_PAST_TRUNC = ('n = 1\nk = 0\norder = 3\n{}'
+                'u1_00_0 = "(-1)*u1_00_0 + {}"\n'
+                'u2_00_0 = "(-1)*u2_00_0"\nu3_00_0 = "(-1)*u3_00_0"\n')
+
+
+def test_x_powers_past_the_trunc_are_kept(tmp_path, capsys):
+    outs = []
+    for forcing in ("x1^12*s", "s"):
+        path = tmp_path / "jets.ps"
+        path.write_text(X_PAST_TRUNC.format('samples = "1,0"\n', forcing))
+        assert main(["prolong", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["samples"][0]["coefficients"] == [
+        {"k": 1, "r": 0, "vector": ["1/2", "0", "0"]}]
+    # without samples, x past the trunc is refused like any other x
+    path.write_text(X_PAST_TRUNC.format("", "x1^12*s"))
+    assert main(["prolong", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "'samples'" in err and "u1_00_0" in err and "x1" in err
+
+
+def test_bound_powers_are_held_to_the_bit_bound(tmp_path, capsys):
+    # a 13991-bit x1 to the 8th is past MAX_COEFF_BITS: a parse error at
+    # its ^, in file coordinates, before any solve
+    big = str(2 ** 13990)
+    path = tmp_path / "big.ps"
+    path.write_text(X_PAST_TRUNC.format(f'samples = "{big},0"\n', "x1^8*s"))
+    assert main(["prolong", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("key 'u1_00_0', line 5, col 29: coefficient exceeds 14000 bits"
+            in captured.err)
+
+
 def test_contact_and_closure_satisfied_by_solution():
     # solve a k=1, n=0 chain: variables u^{(p)} for p = 0,1 with contact
     # (s d/ds)u^{(0)} = u^{(1)} and a closure on u^{(1)}
-    ps = ProlongedSystem(0, 1)
-    rv = rhs_vars(0, 1)
+    ps = at_points(0, 1, {"u1__1": "3*u1__1 + s"})
     assert ps.var_names() == ["u1__0", "u1__1"]
-    ps.supplied["u1__1"] = parse_series("3*u1__1 + s", rv, 10)
     sol = assemble_and_solve(ps, 8)[0].solution
     # closure: u1 = -1/2 s from c1 = 1/(1-3); contact: u0 with (s d/ds)u0 = u1
     assert str(sol.coeffs[(1, 0)][1]) == "-1/2"

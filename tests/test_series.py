@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from crgeom.errors import (DivisibilityError, NotAContractionError,
                            ParseError, UnitRequiredError)
-from crgeom.parsing import (MAX_COEFF_BITS, MAX_EXPONENT, _names,
+from crgeom.parsing import (MAX_COEFF_BITS, MAX_EXPONENT, _names, _Parser,
                             drops_terms, parse_series)
 from crgeom.scalars import _STR_BITS, GaussRational, _int_str, format_coefficient
 from crgeom.series import (Series, hypersurface_vars, implicit_solve,
@@ -284,6 +284,25 @@ def test_parser_builds_the_names_table_once_per_variable_tuple():
     assert _names.cache_info().misses == 2
     zero = (0, 0, 1, (0,) * 40)
     assert all(_names(vars_, False)[v] == zero for v in vars_)
+
+
+def test_parser_binds_values_as_constants_of_degree_0():
+    # a bound name reads as its rational, of degree 0: at trunc 3 the
+    # powers of x1 keep their s terms, and nothing is dropped
+    values = {"x1": Fraction(-2, 3)}
+    for text, literal in [("x1^12*s", "(-2/3)^12*s"),
+                          ("(x1 + s)^2 - x1^2", "2*(-2/3)*s + s^2"),
+                          ("s/x1 + x1*i*z1", "(-3/2)*s + (-2/3)*i*z1")]:
+        parser = _Parser(text, V, 3, values)
+        assert parser.parse() == parse_series(literal, V, 3), text
+        assert not parser.dropped, text
+    # a name is a variable or bound, never both
+    with pytest.raises(ValueError, match="both a variable and bound"):
+        parse_series("s", V, 3, {"s": Fraction(1)})
+    # a power of a bound name is held to the bit bound at its ^
+    with pytest.raises(ParseError, match=(
+            f"line 1, col 3: coefficient exceeds {MAX_COEFF_BITS} bits")):
+        parse_series("x1^8*s", V, 3, {"x1": Fraction(2 ** 13990)})
 
 
 def test_implicit_solve_catalan():
